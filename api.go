@@ -287,6 +287,12 @@ type RunResult struct {
 // Like Compile, it recovers internal panics into *ice.Error.
 func (p *Program) Run(opts *RunOptions) (_ *RunResult, err error) {
 	defer ice.Guard("simulate", &err)
+	return p.run(opts)
+}
+
+// run is the options → vm.Config → RunResult conversion shared by Run and
+// RunAssembly.
+func (p *Program) run(opts *RunOptions) (*RunResult, error) {
 	var o RunOptions
 	if opts != nil {
 		o = *opts
@@ -495,40 +501,6 @@ func RunAssembly(asmText string, opts *RunOptions) (_ *RunResult, err error) {
 	if err != nil {
 		return nil, err
 	}
-	var o RunOptions
-	if opts != nil {
-		o = *opts
-	}
 	// Default cache: the paper's unified-model configuration.
-	helper := &Program{machine: prog, opts: CompileOptions{Mode: Unified}}
-	ccfg, err := helper.cacheConfig(o.Cache)
-	if err != nil {
-		return nil, err
-	}
-	vcfg := vm.Config{
-		MemWords: o.MemWords,
-		MaxSteps: o.MaxSteps,
-		Cache:    ccfg,
-	}
-	var sink *replay.Encoder
-	if o.RecordTrace {
-		sink = replay.NewEncoder()
-		vcfg.TraceSink = sink
-	}
-	res, err := vm.Run(prog, vcfg)
-	if err != nil {
-		return nil, err
-	}
-	out := &RunResult{
-		Output:       res.Output,
-		Instructions: res.Instructions,
-		Loads:        res.Loads,
-		Stores:       res.Stores,
-		Cache:        convertStats(res.CacheStats, ccfg.LineWords),
-		lineWords:    ccfg.LineWords,
-	}
-	if sink != nil {
-		out.enc = sink.Finish()
-	}
-	return out, nil
+	return (&Program{machine: prog, opts: CompileOptions{Mode: Unified}}).run(opts)
 }

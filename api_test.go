@@ -279,4 +279,15 @@ func TestICacheOption(t *testing.T) {
 	if res.ICache.Refs != res.Instructions {
 		t.Errorf("icache refs %d != instructions %d", res.ICache.Refs, res.Instructions)
 	}
+	// RunAssembly honors the same option.
+	ares, err := RunAssembly(p.SaveAssembly(), &RunOptions{ICache: &CacheOptions{Sets: 16, Ways: 2, LineWords: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ares.ICache == nil {
+		t.Fatal("RunAssembly dropped the icache option")
+	}
+	if ares.ICache.Refs != ares.Instructions || *ares.ICache != *res.ICache {
+		t.Errorf("RunAssembly icache stats %+v, want %+v", *ares.ICache, *res.ICache)
+	}
 }

@@ -99,9 +99,9 @@ func main() {
 		_, err = vm.Run(p, vm.Config{
 			MaxSteps: 100_000,
 			Cache:    cache.DefaultConfig(),
-			TraceSink: traceSinkFunc(func(r trace.Rec) {
+			TraceSink: traceSinkFunc(func(ev vm.RefEvent) {
 				if len(refs) < 256 {
-					refs = append(refs, r)
+					refs = append(refs, ev.Rec)
 				}
 			}),
 		})
@@ -131,9 +131,9 @@ func main() {
 }
 
 // traceSinkFunc adapts a function to vm.TraceSink.
-type traceSinkFunc func(trace.Rec)
+type traceSinkFunc func(vm.RefEvent)
 
-func (f traceSinkFunc) Ref(r trace.Rec) { f(r) }
+func (f traceSinkFunc) Ref(ev vm.RefEvent) { f(ev) }
 
 func writeCorpus(dir, name, body string) {
 	check(os.MkdirAll(dir, 0o755))

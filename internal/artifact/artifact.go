@@ -388,9 +388,7 @@ func cacheKey(cc cache.Config) string {
 		cc.HonorBypass, cc.Seed, cc.ECC, cc.ECCRetry)
 }
 
-// runKey encodes everything but RecordTrace: a traced and an untraced run
-// of the same configuration produce identical statistics, so they share an
-// entry (see Run).
+// runKey encodes the configuration fields that determine a run's result.
 func runKey(k Key, cfg vm.Config) string {
 	s := fmt.Sprintf("%s|mw%d|ms%d|%s", k, cfg.MemWords, cfg.MaxSteps, cacheKey(cfg.Cache))
 	if cfg.ICache != nil {
@@ -399,11 +397,16 @@ func runKey(k Key, cfg vm.Config) string {
 	return s
 }
 
-// sideEffectful reports whether cfg carries state or observation hooks
-// that a memoized result would silently skip.
+// injected reports whether cfg carries fault-injector state, which a
+// memoized result would silently skip.
+func injected(cfg vm.Config) bool {
+	return cfg.Cache.Injector != nil || (cfg.ICache != nil && cfg.ICache.Injector != nil)
+}
+
+// sideEffectful reports whether cfg carries injector state or a trace
+// sink that a memoized result would silently skip.
 func sideEffectful(cfg vm.Config) bool {
-	return cfg.Cache.Injector != nil || (cfg.ICache != nil && cfg.ICache.Injector != nil) ||
-		cfg.OnRef != nil || cfg.TraceSink != nil
+	return injected(cfg) || cfg.TraceSink != nil
 }
 
 // runEntryFor returns the run entry for key, creating it on first request.
@@ -428,14 +431,9 @@ func (c *Cache) runKnown(key string) bool {
 }
 
 // Run simulates art under cfg, or returns the memoized result of an
-// identical simulation. RecordTrace is not part of the identity, and
-// traces are never retained: a traced request always executes (the caller
-// owns the trace's lifetime) but seeds the memo with a trace-stripped copy
-// of its result, so later untraced requests for the same configuration are
-// still free. Memoizing traces themselves would pin hundreds of megabytes
-// per benchmark for the life of the cache. Configurations carrying a fault
-// Injector are executed directly and never cached — fault campaigns own
-// their injector state.
+// identical simulation. Configurations carrying a fault Injector or a
+// TraceSink are executed directly and never cached — fault campaigns own
+// their injector state, and a sink must observe every reference.
 func (c *Cache) Run(art *Artifact, cfg vm.Config) (*vm.Result, error) {
 	return c.run(art, cfg, ClassBypass, nil)
 }
@@ -443,9 +441,8 @@ func (c *Cache) Run(art *Artifact, cfg vm.Config) (*vm.Result, error) {
 func (c *Cache) run(art *Artifact, cfg vm.Config, cls ReuseClass, sess *Session) (*vm.Result, error) {
 	cfg = cfg.Normalized()
 	if sideEffectful(cfg) {
-		// Injector state, OnRef observation and TraceSink streaming are
-		// side effects a memoized result would silently skip: always
-		// execute.
+		// Injector state and TraceSink observation are side effects a
+		// memoized result would silently skip: always execute.
 		return vm.Run(art.Prog, cfg)
 	}
 	key := runKey(art.Key, cfg)
@@ -463,13 +460,13 @@ func (c *Cache) run(art *Artifact, cfg vm.Config, cls ReuseClass, sess *Session)
 		c.hitRun()
 		return nil, e.err
 	}
-	if e.res != nil && !cfg.RecordTrace {
+	if e.res != nil {
 		c.hitRun()
 		c.promoteRunLocked(e, key, cls)
 		sess.note(path)
 		return e.res, nil
 	}
-	if c.disk != nil && e.res == nil && !cfg.RecordTrace {
+	if c.disk != nil {
 		res, storedCls, err := c.diskReadRun(key)
 		if err != nil {
 			e.err = err
@@ -497,16 +494,10 @@ func (c *Cache) run(art *Artifact, cfg vm.Config, cls ReuseClass, sess *Session)
 		}
 		return nil, err
 	}
-	stored := res
-	if cfg.RecordTrace {
-		stripped := *res
-		stripped.Trace = nil
-		stored = &stripped
-	}
-	e.res = stored
+	e.res = res
 	e.class = maxClass(e.class, cls)
 	if c.disk != nil {
-		if err := c.diskWriteRun(key, stored, e.class); err != nil {
+		if err := c.diskWriteRun(key, res, e.class); err != nil {
 			c.count(func(s *Stats) { s.WriteErrs++ })
 			c.warnf("artifact: persist run: %v", err)
 		}
@@ -531,24 +522,21 @@ func (c *Cache) promoteRunLocked(e *runEntry, key string, cls ReuseClass) {
 }
 
 // RunEncoded is Run additionally returning the compactly encoded
-// reference trace of the simulation, memoized alongside the result.
-// Unlike Run's materialized traces (hundreds of MB, never retained), an
+// reference trace of the simulation, memoized alongside the result. An
 // encoded trace costs ~2 bytes per reference, so it is kept on the run
 // entry and shared by every replay-driven experiment that asks for the
 // same configuration — trace-driven replays re-simulate nothing.
 // Encoded traces live in memory only; the persistent store keeps
-// statistics, not reference streams. Any RecordTrace or TraceSink on
-// cfg is ignored (the encoding is the trace). Injected or OnRef-bearing
-// configurations execute directly, uncached, exactly as in Run.
+// statistics, not reference streams. The encoder takes cfg's TraceSink
+// slot (the encoding is the trace). Injected configurations execute
+// directly, uncached, exactly as in Run.
 func (c *Cache) RunEncoded(art *Artifact, cfg vm.Config) (*vm.Result, *replay.Encoded, error) {
 	return c.runEncoded(art, cfg, ClassBypass, nil)
 }
 
 func (c *Cache) runEncoded(art *Artifact, cfg vm.Config, cls ReuseClass, sess *Session) (*vm.Result, *replay.Encoded, error) {
 	cfg = cfg.Normalized()
-	cfg.RecordTrace = false
-	cfg.TraceSink = nil
-	if cfg.Cache.Injector != nil || (cfg.ICache != nil && cfg.ICache.Injector != nil) || cfg.OnRef != nil {
+	if injected(cfg) {
 		sink := replay.NewEncoder()
 		cfg.TraceSink = sink
 		res, err := vm.Run(art.Prog, cfg)
@@ -611,7 +599,7 @@ func (c *Cache) runEncoded(art *Artifact, cfg vm.Config, cls ReuseClass, sess *S
 // injection perturbing timing) and the replay engine must model the
 // policy (everything but MIN-on-the-VM; ECC has no replay model).
 func replayGroupable(cfg vm.Config) bool {
-	return !sideEffectful(cfg) && !cfg.RecordTrace && cfg.ICache == nil &&
+	return !sideEffectful(cfg) && cfg.ICache == nil &&
 		cfg.Cache.ECC == cache.ECCOff && cfg.Cache.Policy != cache.MIN
 }
 
@@ -707,7 +695,6 @@ func (c *Cache) runBatch(art *Artifact, cfgs []vm.Config, cls ReuseClass, sess *
 					continue
 				}
 				r := *res0
-				r.Trace = nil
 				r.CacheStats = st
 				c.seedRun(art, norm[j], &r, cls, sess)
 				results[j] = &r

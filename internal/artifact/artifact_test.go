@@ -81,58 +81,6 @@ func TestBuildCachesErrors(t *testing.T) {
 	}
 }
 
-func TestRunMemoizesStatsButNeverTraces(t *testing.T) {
-	c := New()
-	art, err := c.Build(src, core.Config{Mode: core.Unified, Check: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A traced run executes and hands the trace to the caller...
-	cfg := vm.Config{Cache: cache.DefaultConfig()}
-	tcfg := cfg
-	tcfg.RecordTrace = true
-	r1, err := c.Run(art, tcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1.Trace) == 0 {
-		t.Fatal("traced run has no trace")
-	}
-	// ...while seeding the memo with a trace-free copy: the untraced
-	// request below is a hit, and the cache retains no trace memory.
-	r2, err := c.Run(art, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Trace != nil {
-		t.Error("memoized result retained the trace")
-	}
-	if r2.Output != r1.Output || r2.CacheStats != r1.CacheStats {
-		t.Error("memoized result diverged from the traced run")
-	}
-	r3, err := c.Run(art, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3 != r2 {
-		t.Error("identical untraced runs not shared")
-	}
-	if st := c.Stats(); st.RunMisses != 1 || st.RunHits != 2 {
-		t.Errorf("run stats = %+v, want 1 miss, 2 hits", st)
-	}
-	// Every traced request executes afresh — the caller owns the trace.
-	r4, err := c.Run(art, tcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r4.Trace) == 0 {
-		t.Error("second traced run has no trace")
-	}
-	if st := c.Stats(); st.RunMisses != 2 {
-		t.Errorf("run misses = %d, want 2 (traced requests are never memo hits)", st.RunMisses)
-	}
-}
-
 func TestRunDistinguishesConfigs(t *testing.T) {
 	c := New()
 	art, err := c.Build(src, core.Config{Mode: core.Unified, Check: true})

@@ -184,15 +184,11 @@ func (c *Cache) diskReadRun(key string) (*vm.Result, ReuseClass, error) {
 		return nil, ClassBypass, err
 	}
 	touch(path)
-	res := dr.Result
-	res.Trace = nil // traces are never persisted; belt and suspenders
-	return &res, parseClass(dr.Class), nil
+	return &dr.Result, parseClass(dr.Class), nil
 }
 
 func (c *Cache) diskWriteRun(key string, res *vm.Result, cls ReuseClass) error {
-	stored := *res
-	stored.Trace = nil
-	b, err := json.Marshal(diskRun{Schema: runSchema, Key: key, Class: classLabel(cls), Result: stored})
+	b, err := json.Marshal(diskRun{Schema: runSchema, Key: key, Class: classLabel(cls), Result: *res})
 	if err != nil {
 		return err
 	}

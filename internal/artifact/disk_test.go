@@ -96,6 +96,55 @@ func TestDiskPersistence(t *testing.T) {
 	}
 }
 
+// TestDiskLoadsEntriesWithTraceField: run entries written while vm.Result
+// still had a Trace field carry `"Trace":null`. They must load as hits
+// under the unchanged unicache-artifact-run/v1 schema, not be salvaged.
+func TestDiskLoadsEntriesWithTraceField(t *testing.T) {
+	dir := t.TempDir()
+	cfg := core.Config{Mode: core.Unified}
+	c1 := diskCache(t, dir)
+	a1, err := c1.Build(src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, err := c1.Run(a1, vm.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := filepath.Glob(filepath.Join(dir, "runs", "*.json"))
+	if err != nil || len(runs) != 1 {
+		t.Fatalf("want exactly one run file, got %v (err %v)", runs, err)
+	}
+	raw, err := os.ReadFile(runs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The older writer emitted Trace right after ICacheStats.
+	old := strings.Replace(string(raw), `"ICacheStats":null}`, `"ICacheStats":null,"Trace":null}`, 1)
+	if old == string(raw) {
+		t.Fatalf("run entry has an unexpected layout: %s", raw)
+	}
+	if err := os.WriteFile(runs[0], []byte(old), 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := diskCache(t, dir)
+	a2, err := c2.Build(src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := c2.Run(a2, vm.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c2.Stats(); st.DiskRunHits != 1 || st.Corrupt != 0 {
+		t.Errorf("stats = %+v, want 1 disk run hit and nothing salvaged", st)
+	}
+	if r2.Output != r1.Output || r2.Instructions != r1.Instructions || r2.CacheStats != r1.CacheStats {
+		t.Errorf("restored run differs: %+v vs %+v", r2, r1)
+	}
+}
+
 // TestDiskCorruptionSalvaged: a damaged store entry is counted, warned
 // about, and silently recomputed — then re-persisted so the next restart
 // hits disk again.

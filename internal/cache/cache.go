@@ -384,6 +384,10 @@ func (m *Memory) Words() int { return len(m.mem) }
 // Stats returns a copy of the accumulated statistics.
 func (m *Memory) Stats() Stats { return m.stats }
 
+// Hits returns the running hit count alone, so the VM can tell an
+// observed reference's hit from its miss without copying the whole Stats.
+func (m *Memory) Hits() int64 { return m.stats.Hits }
+
 // FaultStats returns a copy of the detection-layer counters.
 func (m *Memory) FaultStats() FaultStats { return m.fstats }
 

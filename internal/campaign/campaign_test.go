@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/artifact"
 	"repro/internal/serve"
 	"repro/internal/sweep"
 )
@@ -237,5 +239,55 @@ func TestRemoteGC(t *testing.T) {
 	}
 	if rep.RemainingBytes > rep.Budget && !rep.OverBudget {
 		t.Errorf("store left at %d bytes over budget %d without OverBudget", rep.RemainingBytes, rep.Budget)
+	}
+}
+
+// doneProbe is a response writer that runs probe at the moment the sweep
+// handler writes its done trailer: the earliest a client could read it.
+type doneProbe struct {
+	*httptest.ResponseRecorder
+	probe func()
+}
+
+func (w *doneProbe) Write(b []byte) (int, error) {
+	if bytes.Contains(b, []byte(`"done":true`)) {
+		w.probe()
+	}
+	return w.ResponseRecorder.Write(b)
+}
+
+// TestPinsReleasedBeforeDone: by the time the done trailer is written,
+// the campaign's session pins are released and, under a store budget, the
+// post-campaign GC has already run. A client that GCs as soon as it reads
+// done must find nothing pinned. Probing inside Write makes this
+// deterministic where TestRemoteGC can only race it.
+func TestPinsReleasedBeforeDone(t *testing.T) {
+	for _, budget := range []int64{0, 1} {
+		s, _ := newDaemon(t, serve.Config{Workers: 2, CacheDir: t.TempDir(), StoreBudgetBytes: budget})
+		var rep *artifact.GCReport
+		w := &doneProbe{ResponseRecorder: httptest.NewRecorder(), probe: func() {
+			var err error
+			if rep, err = s.GC(1 << 40); err != nil { // a budget nothing exceeds: observe only
+				t.Error(err)
+			}
+		}}
+		body, err := json.Marshal(serve.SweepRequest{Grid: testGrid()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/sweep", bytes.NewReader(body)))
+		if rep == nil {
+			t.Fatalf("budget %d: no done trailer in %q", budget, w.Body)
+		}
+		if rep.Protected != 0 {
+			t.Errorf("budget %d: %d store entries still pinned when done was written", budget, rep.Protected)
+		}
+		if budget == 0 && rep.ScannedFiles == 0 {
+			t.Errorf("campaign left no store entries to scan")
+		}
+		if budget > 0 && rep.ScannedBytes > budget {
+			t.Errorf("budget %d: store at %d bytes when done was written; post-campaign GC had not run",
+				budget, rep.ScannedBytes)
+		}
 	}
 }

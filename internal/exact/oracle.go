@@ -115,54 +115,64 @@ func OracleWith(src string, ccore core.Config, ccfg cache.Config, maxSteps int64
 		}
 	}
 
-	o := &OracleResult{Report: rep}
-	violate := func(ref *ir.MemRef, ev vm.RefEvent, msg string) {
-		o.ViolationCount++
-		if len(o.Violations) < maxOracleViolations {
-			o.Violations = append(o.Violations, OracleViolation{
-				RefIndex: o.Refs, PC: ev.PC, Site: pos[ref], Msg: msg,
-			})
-		}
-	}
-	onRef := func(ev vm.RefEvent) {
-		ref, ok := sites[ev.PC]
-		if !ok {
-			o.Unmatched++
-			return
-		}
-		v, classified := rep.Verdicts[ref]
-		if !classified {
-			// A site the analysis deemed unreachable just executed.
-			violate(ref, ev, "site executed but was not classified (analysis thought it unreachable)")
-			return
-		}
-		o.Refs++
-		if (v == check.Bypassed) != ev.Bypassed {
-			violate(ref, ev, fmt.Sprintf("static %s but dynamic bypass=%v", v, ev.Bypassed))
-			return
-		}
-		switch v {
-		case check.Bypassed:
-			o.BypassConfirmed++
-		case check.AlwaysHit:
-			if !ev.Hit {
-				violate(ref, ev, "always-hit site missed")
-			} else {
-				o.HitsConfirmed++
-			}
-		case check.AlwaysMiss:
-			if ev.Hit {
-				violate(ref, ev, "always-miss site hit")
-			} else {
-				o.MissesConfirmed++
-			}
-		}
-	}
-
-	res, err := vm.Run(prog, vm.Config{Cache: ccfg, MaxSteps: maxSteps, OnRef: onRef})
+	sink := &oracleSink{OracleResult: &OracleResult{Report: rep}, sites: sites, pos: pos}
+	res, err := vm.Run(prog, vm.Config{Cache: ccfg, MaxSteps: maxSteps, TraceSink: sink})
 	if err != nil {
 		return nil, err
 	}
-	o.Output = res.Output
-	return o, nil
+	sink.Output = res.Output
+	return sink.OracleResult, nil
+}
+
+// oracleSink is the oracle's vm.TraceSink: it judges every executed
+// reference against the static verdict of its site.
+type oracleSink struct {
+	*OracleResult
+	sites codegen.SiteTable
+	pos   map[*ir.MemRef]string // static positions for violation messages
+}
+
+func (s *oracleSink) violate(ref *ir.MemRef, ev vm.RefEvent, msg string) {
+	s.ViolationCount++
+	if len(s.Violations) < maxOracleViolations {
+		s.Violations = append(s.Violations, OracleViolation{
+			RefIndex: s.Refs, PC: ev.PC, Site: s.pos[ref], Msg: msg,
+		})
+	}
+}
+
+// Ref implements vm.TraceSink.
+func (s *oracleSink) Ref(ev vm.RefEvent) {
+	ref, ok := s.sites[ev.PC]
+	if !ok {
+		s.Unmatched++
+		return
+	}
+	v, classified := s.Report.Verdicts[ref]
+	if !classified {
+		// A site the analysis deemed unreachable just executed.
+		s.violate(ref, ev, "site executed but was not classified (analysis thought it unreachable)")
+		return
+	}
+	s.Refs++
+	if (v == check.Bypassed) != ev.Bypassed {
+		s.violate(ref, ev, fmt.Sprintf("static %s but dynamic bypass=%v", v, ev.Bypassed))
+		return
+	}
+	switch v {
+	case check.Bypassed:
+		s.BypassConfirmed++
+	case check.AlwaysHit:
+		if !ev.Hit {
+			s.violate(ref, ev, "always-hit site missed")
+		} else {
+			s.HitsConfirmed++
+		}
+	case check.AlwaysMiss:
+		if ev.Hit {
+			s.violate(ref, ev, "always-miss site hit")
+		} else {
+			s.MissesConfirmed++
+		}
+	}
 }

@@ -583,9 +583,9 @@ func LineSize(ws []*Workload, geom CacheGeometry) (LineSizeTable, error) {
 	lineWords := []int{1, 2, 4, 8}
 	for _, w := range ws {
 		// One batched pass per workload: the conv/unif pair for every
-		// line size shares a single trace decode. No StripFlags copy
-		// needed for conv: under DeadOff with HonorBypass false the
-		// replay engine never consults the hint bits.
+		// line size shares a single trace decode. The conv view needs
+		// no flag-stripped copy: under DeadOff with HonorBypass false
+		// the replay engine never consults the hint bits.
 		var cfgs []cache.Config
 		for _, lw := range lineWords {
 			conv := cache.Config{Sets: geom.Sets, Ways: geom.Ways, LineWords: lw,

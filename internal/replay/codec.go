@@ -23,6 +23,7 @@ import (
 	"sync"
 
 	"repro/internal/trace"
+	"repro/internal/vm"
 )
 
 // Encoding format, one record at a time, byte-aligned:
@@ -60,8 +61,9 @@ func NewEncoder() *Encoder {
 	return &Encoder{cur: make([]byte, 0, chunkSize)}
 }
 
-// Ref appends one reference record. It is the vm.TraceSink method.
-func (e *Encoder) Ref(r trace.Rec) {
+// Ref appends one reference record; the event's dynamic outcome is not
+// part of the trace. It is the vm.TraceSink method.
+func (e *Encoder) Ref(r vm.RefEvent) {
 	if len(e.cur)+maxRecBytes > chunkSize {
 		e.chunks = append(e.chunks, e.cur)
 		e.cur = make([]byte, 0, chunkSize)
@@ -140,7 +142,7 @@ type Encoded struct {
 func EncodeTrace(t trace.Trace) *Encoded {
 	e := NewEncoder()
 	for _, r := range t {
-		e.Ref(r)
+		e.Ref(vm.RefEvent{Rec: r})
 	}
 	return e.Finish()
 }

@@ -26,9 +26,10 @@
 // once, and interactive traffic interleaves freely. Each unit executes
 // inside an artifact.Session with ClassLive — campaign entries are
 // tagged as predicted-reuse for the store GC, and (on a disk store)
-// pinned against eviction while the campaign runs. After a successful
-// campaign, one GC cycle sweeps the store back under the configured
-// byte budget.
+// pinned against eviction while the campaign runs. The pins are released
+// before the trailer is written, and after a successful campaign one GC
+// cycle sweeps the store back under the configured byte budget, also
+// before the trailer: a client that has read "done" sees a settled store.
 //
 // POST /v1/gc runs a GC cycle on demand and returns the report.
 package serve
@@ -153,8 +154,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Dispatcher: feeds units into the worker queue under the campaign
-	// window. Joined before the handler returns (the queue must never see
-	// a send after Shutdown closes it — handlersWG guards that ordering).
+	// window. Joined before the trailer is written (the queue must never
+	// see a send after Shutdown closes it — handlersWG guards that
+	// ordering).
 	n := len(units) - req.Cursor
 	replies := make([]chan *Response, n)
 	for i := range replies {
@@ -188,8 +190,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}()
-	defer dwg.Wait()
-	defer dcancel() // runs before the Wait above (LIFO), unblocking the dispatcher
 
 	// Collector: deliver records in canonical order, abort on the first
 	// unit error or client disconnect.
@@ -217,6 +217,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		sent++
 	}
 
+	// Release everything the campaign holds before announcing how it
+	// ended: a client that reads the trailer and immediately POSTs
+	// /v1/gc must find none of the campaign's entries pinned.
+	dcancel()
+	dwg.Wait()
+	sess.Close()
+
 	switch {
 	case failResp != nil:
 		writeJSONLine(CampaignTrailer{Sent: sent, ErrorKind: failResp.ErrorKind,
@@ -226,17 +233,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeJSONLine(CampaignTrailer{Sent: sent, ErrorKind: KindTimeout,
 			Error: "campaign canceled", Unit: req.Cursor + sent})
 	default:
-		writeJSONLine(CampaignTrailer{Done: true, Sent: sent})
-		s.logf("campaign: done, %d records streamed", sent)
 		// The store just absorbed a campaign's worth of entries; sweep it
-		// back under budget. Release the session's pins first.
+		// back under budget before reporting completion.
 		if s.cfg.StoreBudgetBytes > 0 && s.arts.HasDisk() {
-			sess.Close()
 			if rep, gerr := s.GC(0); gerr == nil {
 				s.logf("campaign: post-GC evicted %d entries (%d bytes); %d bytes remain",
 					rep.EvictedBypass+rep.EvictedLive, rep.EvictedBytes, rep.RemainingBytes)
 			}
 		}
+		writeJSONLine(CampaignTrailer{Done: true, Sent: sent})
+		s.logf("campaign: done, %d records streamed", sent)
 	}
 }
 

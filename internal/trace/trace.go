@@ -148,13 +148,3 @@ func Read(r io.Reader) (Trace, error) {
 	}
 	return t, nil
 }
-
-// StripFlags returns a copy of the trace with bypass and last bits cleared
-// (the conventional-hardware view of the same reference stream).
-func (t Trace) StripFlags() Trace {
-	out := make(Trace, len(t))
-	for i, r := range t {
-		out[i] = Rec{Addr: r.Addr, Kind: r.Kind}
-	}
-	return out
-}

@@ -109,17 +109,3 @@ func TestCount(t *testing.T) {
 		t.Errorf("counts = %+v", c)
 	}
 }
-
-func TestStripFlags(t *testing.T) {
-	tr := Trace{{Addr: 4, Kind: Load, Bypass: true, Last: true}}
-	s := tr.StripFlags()
-	if s[0].Bypass || s[0].Last {
-		t.Error("flags not stripped")
-	}
-	if s[0].Addr != 4 || s[0].Kind != Load {
-		t.Error("address or kind changed")
-	}
-	if !tr[0].Bypass {
-		t.Error("original mutated")
-	}
-}

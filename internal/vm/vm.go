@@ -1,8 +1,8 @@
 // Package vm interprets UM programs against the cache-fronted memory
 // model. It is the measurement harness of the reproduction: it executes
 // the compiled benchmarks, feeds every data reference (with its bypass and
-// last-reference bits) through internal/cache, and can record reference
-// traces for the trace-driven policy studies.
+// last-reference bits) through internal/cache, and streams the references
+// to an optional TraceSink for the trace-driven policy studies.
 //
 // Instruction fetches go through an optional instruction-cache model
 // (Config.ICache); the paper's evaluation concerns the data cache (§5),
@@ -20,15 +20,17 @@ import (
 
 // Config controls a run.
 type Config struct {
-	MemWords    int   // memory size in words (default 1<<22)
-	MaxSteps    int64 // instruction budget (default 2e9)
-	Cache       cache.Config
-	RecordTrace bool // capture the data-reference trace in Result.Trace
+	MemWords int   // memory size in words (default 1<<22)
+	MaxSteps int64 // instruction budget (default 2e9)
+	Cache    cache.Config
 
-	// TraceSink, when non-nil, receives every data reference as it
-	// executes — the streaming alternative to RecordTrace (which
-	// materializes the whole trace in memory). internal/replay's Encoder
-	// implements it; the two options are independent and may be combined.
+	// TraceSink, when non-nil, observes every executed data reference,
+	// in execution order, with its control bits and its dynamic
+	// bypass/hit outcome. It is the VM's one per-reference hook:
+	// internal/replay's Encoder streams the references into a compact
+	// trace, and the static-vs-dynamic oracle (internal/exact) checks
+	// verdicts against the outcomes. The artifact cache never memoizes a
+	// run whose caller supplies a sink.
 	TraceSink TraceSink
 
 	// ICache, when non-nil, models an instruction cache: every fetch is a
@@ -36,13 +38,6 @@ type Config struct {
 	// class — always through the cache, §4.2). Statistics land in
 	// Result.ICacheStats.
 	ICache *cache.Config
-
-	// OnRef, when non-nil, observes every executed data reference with its
-	// dynamic bypass/hit outcome — the seam the static-vs-dynamic oracle
-	// (internal/exact) replays verdicts against. The hook sees references
-	// in execution order. Runs with a hook are never memoized by the
-	// artifact cache.
-	OnRef func(RefEvent)
 
 	// Done, when non-nil, cancels the run when the channel becomes
 	// readable (typically a context's Done channel). The loop polls it
@@ -58,21 +53,21 @@ type Config struct {
 // instruction, the cancellation check every 4096.
 const cancelCheckMask = 1<<12 - 1
 
-// TraceSink receives the data-reference stream during execution.
-// Implementations must not retain the record past the call (it is
-// passed by value, so they can't) and must be cheap: the VM calls Ref
-// inline on every load and store.
+// TraceSink observes the data-reference stream during execution.
+// Implementations must be cheap: the VM calls Ref inline on every load
+// and store.
 type TraceSink interface {
-	Ref(trace.Rec)
+	Ref(RefEvent)
 }
 
-// RefEvent is one executed data reference, as observed by Config.OnRef.
+// RefEvent is one executed data reference, as observed by a TraceSink:
+// the trace record the instruction issued plus where it came from and
+// what the cache did with it.
 type RefEvent struct {
-	PC       int   // program counter of the LW/SW
-	Store    bool  // true for SW
-	Addr     int64 // effective word address
-	Bypassed bool  // the reference skipped the cache (UmAm, bypass honored)
-	Hit      bool  // through-cache reference that hit (false for bypassed refs)
+	trace.Rec
+	PC       int  // program counter of the LW/SW
+	Bypassed bool // the reference skipped the cache (bypass bit set and honored)
+	Hit      bool // through-cache reference that hit (false for bypassed refs)
 }
 
 // Normalized returns the configuration with the defaults Run applies
@@ -101,7 +96,6 @@ type Result struct {
 	CacheStats   cache.Stats
 	FaultStats   cache.FaultStats // detection-layer counters (fault campaigns)
 	ICacheStats  *cache.Stats     // set when Config.ICache was provided
-	Trace        trace.Trace
 }
 
 // BudgetError reports that the instruction budget ran out before HALT. It
@@ -195,6 +189,11 @@ func Run(p *isa.Program, cfg Config) (*Result, error) {
 	maxSteps := cfg.MaxSteps
 	memWords := int64(cfg.MemWords)
 	done := cfg.Done
+	sink := cfg.TraceSink
+	honorBypass := cfg.Cache.HonorBypass
+	// hits is the data cache's hit counter as of the sink's previous
+	// event: a reference hit exactly when it moved the counter.
+	var hits int64
 	for steps := int64(0); ; steps++ {
 		if steps >= maxSteps {
 			return nil, &BudgetError{Limit: maxSteps, PC: pc, Func: p.FuncAt(pc)}
@@ -299,56 +298,32 @@ func Run(p *isa.Program, cfg Config) (*Result, error) {
 			if addr < 0 || addr >= memWords {
 				return nil, fmt.Errorf("vm: load address %d out of range at pc %d (%s)", addr, pc, in)
 			}
-			var before cache.Stats
-			if cfg.OnRef != nil {
-				before = mem.Stats()
-			}
 			regs[in.Rd] = mem.Load(addr, in.Bypass, in.Last)
 			if err := mem.FaultErr(); err != nil {
 				return nil, fmt.Errorf("vm: at %s: %w", site(pc, p.FuncAt(pc)), err)
 			}
 			loads++
-			if cfg.OnRef != nil {
-				after := mem.Stats()
-				cfg.OnRef(RefEvent{PC: pc, Addr: addr,
-					Bypassed: after.CachedRefs == before.CachedRefs,
-					Hit:      after.Hits > before.Hits})
-			}
-			if cfg.RecordTrace {
-				res.Trace = append(res.Trace, trace.Rec{Addr: addr, Kind: trace.Load,
-					Bypass: in.Bypass, Last: in.Last})
-			}
-			if cfg.TraceSink != nil {
-				cfg.TraceSink.Ref(trace.Rec{Addr: addr, Kind: trace.Load,
-					Bypass: in.Bypass, Last: in.Last})
+			if sink != nil {
+				h := mem.Hits()
+				sink.Ref(RefEvent{Rec: trace.Rec{Addr: addr, Kind: trace.Load, Bypass: in.Bypass, Last: in.Last},
+					PC: pc, Bypassed: in.Bypass && honorBypass, Hit: h != hits})
+				hits = h
 			}
 		case isa.SW:
 			addr := regs[in.Rs] + in.Imm
 			if addr < 0 || addr >= memWords {
 				return nil, fmt.Errorf("vm: store address %d out of range at pc %d (%s)", addr, pc, in)
 			}
-			var before cache.Stats
-			if cfg.OnRef != nil {
-				before = mem.Stats()
-			}
 			mem.Store(addr, regs[in.Rt], in.Bypass, in.Last)
 			if err := mem.FaultErr(); err != nil {
 				return nil, fmt.Errorf("vm: at %s: %w", site(pc, p.FuncAt(pc)), err)
 			}
 			stores++
-			if cfg.OnRef != nil {
-				after := mem.Stats()
-				cfg.OnRef(RefEvent{PC: pc, Store: true, Addr: addr,
-					Bypassed: after.CachedRefs == before.CachedRefs,
-					Hit:      after.Hits > before.Hits})
-			}
-			if cfg.RecordTrace {
-				res.Trace = append(res.Trace, trace.Rec{Addr: addr, Kind: trace.Store,
-					Bypass: in.Bypass, Last: in.Last})
-			}
-			if cfg.TraceSink != nil {
-				cfg.TraceSink.Ref(trace.Rec{Addr: addr, Kind: trace.Store,
-					Bypass: in.Bypass, Last: in.Last})
+			if sink != nil {
+				h := mem.Hits()
+				sink.Ref(RefEvent{Rec: trace.Rec{Addr: addr, Kind: trace.Store, Bypass: in.Bypass, Last: in.Last},
+					PC: pc, Bypassed: in.Bypass && honorBypass, Hit: h != hits})
+				hits = h
 			}
 		case isa.BEQZ:
 			if regs[in.Rs] == 0 {

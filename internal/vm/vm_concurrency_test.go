@@ -34,6 +34,12 @@ main.loop:
     jr $ra
 `
 
+// countSink is a TraceSink that only counts events: each traced run owns
+// one, so concurrent runs share no sink state.
+type countSink struct{ n int64 }
+
+func (c *countSink) Ref(RefEvent) { c.n++ }
+
 // TestConcurrentRunsShareProgram proves the property the sweep engine's
 // worker pool depends on: Run never mutates the *Program, so any number
 // of simulations of one compiled artifact may execute at once. Run under
@@ -51,6 +57,7 @@ func TestConcurrentRunsShareProgram(t *testing.T) {
 	const workers = 8
 	results := make([]*Result, workers)
 	errs := make([]error, workers)
+	sinks := make([]countSink, workers)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
@@ -59,7 +66,7 @@ func TestConcurrentRunsShareProgram(t *testing.T) {
 			cfg := Config{Cache: cache.DefaultConfig()}
 			if i%2 == 1 {
 				cfg.Cache = cache.ConventionalConfig()
-				cfg.RecordTrace = true
+				cfg.TraceSink = &sinks[i]
 			}
 			results[i], errs[i] = Run(prog, cfg)
 		}(i)
@@ -72,6 +79,9 @@ func TestConcurrentRunsShareProgram(t *testing.T) {
 		}
 		if results[i].Output != ref.Output {
 			t.Errorf("run %d: output %q, want %q", i, results[i].Output, ref.Output)
+		}
+		if i%2 == 1 && sinks[i].n != results[i].Loads+results[i].Stores {
+			t.Errorf("run %d: sink saw %d refs, want %d", i, sinks[i].n, results[i].Loads+results[i].Stores)
 		}
 	}
 	// Same-config runs must also agree on every statistic.

@@ -218,28 +218,6 @@ void main() { print(fib(17)); }`
 	}
 }
 
-func TestTraceRecording(t *testing.T) {
-	comp, err := core.Compile(programs[4], core.Config{Mode: core.Unified})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := codegen.Generate(comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(prog, Config{Cache: cache.DefaultConfig(), RecordTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(res.Trace)) != res.Loads+res.Stores {
-		t.Errorf("trace length %d != loads+stores %d", len(res.Trace), res.Loads+res.Stores)
-	}
-	c := res.Trace.Count()
-	if int64(c.Refs) != res.CacheStats.Refs {
-		t.Errorf("trace refs %d != cache refs %d", c.Refs, res.CacheStats.Refs)
-	}
-}
-
 func TestStepLimit(t *testing.T) {
 	src := `void main() { while (1) {} }`
 	comp, err := core.Compile(src, core.Config{})

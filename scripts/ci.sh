@@ -53,6 +53,12 @@ echo "== go test -race (focused: sweep, artifact, vm, serve) =="
 # higher iteration count than the blanket run above.
 go test -race -count=2 ./internal/sweep ./internal/artifact ./internal/vm ./internal/serve ./internal/serve/loadtest
 
+echo "== lifecycle race (serve, campaign, artifact; repeated, shuffled) =="
+# Sessions, pins, dispatchers, batch windows and GC interleave differently
+# on every run. Repeat their suites in shuffled order under the race
+# detector so a lifecycle ordering bug fails CI, not an occasional run.
+go test -race -count=20 -shuffle=on ./internal/serve ./internal/campaign ./internal/artifact
+
 echo "== fuzz smoke (10s per target) =="
 go test -run 'xxx^' -fuzz 'FuzzCompile$' -fuzztime 10s .
 go test -run 'xxx^' -fuzz 'FuzzAsmRoundTrip$' -fuzztime 10s ./internal/isa

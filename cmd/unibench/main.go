@@ -6,9 +6,9 @@
 // Usage:
 //
 //	unibench [-experiment all|fig5|fig5-opt|deadlru|policies|miller|singleuse|
-//	          promotion|linesize|regs|deadmode|icache|precision|scaling|resilience|replay]
+//	          promotion|linesize|regs|deadmode|icache|precision|scaling|resilience]
 //	         [-sets N -ways N -line N] [-bench a,b,...] [-json] [-list]
-//	         [-scaling-out FILE] [-replay-out FILE] [-verify-replay FILE] [-all-sec S]
+//	         [-scaling-out FILE]
 //
 // With -json, experiments backed by Record streams (E1–E6) emit one JSON
 // record per line — the same Record schema unisweep writes — instead of
@@ -22,13 +22,6 @@
 // never under `-experiment all`. It exits nonzero if the solvers disagree
 // on any verdict; -scaling-out FILE additionally writes the byte-stable
 // BENCH_exact.json artifact.
-//
-// The replay experiment benchmarks the streaming replay engine against
-// the legacy cache.SimulateTrace path on the six benchmark traces,
-// cross-checking bit-equality (including 8-way sharded replay), and with
-// -replay-out writes the BENCH_replay.json artifact; -verify-replay FILE
-// checks an existing artifact's invariants and exits. Like scaling, it
-// runs only when named.
 //
 // The resilience experiment sweeps the fault-injection campaigns of
 // internal/experiments over the benchmark suite (optionally restricted
@@ -65,40 +58,16 @@ type experiment struct {
 func main() {
 	defer cli.Trap(tool)
 	exp := flag.String("experiment", "all",
-		"experiment: all, fig5, fig5-opt, deadlru, policies, miller, singleuse, promotion, linesize, regs, deadmode, icache, precision, scaling, resilience, replay")
+		"experiment: all, fig5, fig5-opt, deadlru, policies, miller, singleuse, promotion, linesize, regs, deadmode, icache, precision, scaling, resilience")
 	sets := flag.Int("sets", 32, "cache sets")
 	ways := flag.Int("ways", 2, "cache ways")
 	line := flag.Int("line", 1, "cache line words")
 	benchList := flag.String("bench", "", "comma-separated benchmark subset for -experiment resilience (default all)")
 	asJSON := flag.Bool("json", false, "emit Record streams (one JSON record per line) instead of tables")
 	scalingOut := flag.String("scaling-out", "", "with -experiment scaling: also write the BENCH_exact.json artifact to FILE")
-	replayOut := flag.String("replay-out", "", "with -experiment replay: also write the BENCH_replay.json artifact to FILE")
-	verifyReplay := flag.String("verify-replay", "", "verify a BENCH_replay.json artifact and exit")
-	allSec := flag.Float64("all-sec", 0, "with -experiment replay: externally measured `-experiment all` wall time to record")
 	list := flag.Bool("list", false, "list experiment names and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to FILE (performance work on the experiment pipeline)")
 	flag.Parse()
-
-	// -verify-replay is a standalone artifact check: load, verify
-	// invariants, exit. It runs no experiments, so ci can gate on the
-	// checked-in BENCH_replay.json in milliseconds.
-	if *verifyReplay != "" {
-		f, err := os.Open(*verifyReplay)
-		if err != nil {
-			cli.Fatal(tool, "verify-replay", err)
-		}
-		rep, err := experiments.ReadReplayBenchJSON(f)
-		f.Close()
-		if err != nil {
-			cli.Fatal(tool, "verify-replay", err)
-		}
-		if err := rep.Verify(); err != nil {
-			cli.Fatal(tool, "verify-replay", err)
-		}
-		fmt.Printf("%s: ok (%d sections, best %.1fx replay speedup)\n",
-			*verifyReplay, len(rep.Sections), rep.Speedup())
-		return
-	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -201,7 +170,6 @@ func main() {
 		}
 		fmt.Println("scaling")
 		fmt.Println("resilience")
-		fmt.Println("replay")
 		return
 	}
 
@@ -219,37 +187,6 @@ func main() {
 	// it runs only when named, never under "all".
 	if *exp == "scaling" {
 		runScaling(*asJSON, *scalingOut)
-		return
-	}
-
-	// Replay throughput is a meta-benchmark of the harness itself (engine
-	// vs legacy simulator), not a paper experiment, so it too runs only
-	// when named.
-	if *exp == "replay" {
-		if *asJSON {
-			cli.Fatalf(tool, "flags", "replay has no record stream; use -replay-out for the JSON artifact")
-		}
-		rep, err := experiments.ReplayBench(baseWs(), experiments.ReplayBenchGeometries(geom), *allSec)
-		if err != nil {
-			cli.Fatal(tool, "replay", err)
-		}
-		fmt.Print(rep.String())
-		if *replayOut != "" {
-			f, err := os.Create(*replayOut)
-			if err != nil {
-				cli.Fatal(tool, "replay", err)
-			}
-			werr := rep.WriteJSON(f)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				cli.Fatal(tool, "replay", werr)
-			}
-		}
-		if err := rep.Verify(); err != nil {
-			cli.Fatal(tool, "replay", err)
-		}
 		return
 	}
 

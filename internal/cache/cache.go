@@ -23,8 +23,8 @@ import (
 // Policy selects the underlying hardware replacement policy.
 type Policy int
 
-// Replacement policies. MIN (Belady) needs future knowledge and is only
-// available in the trace-driven simulator (SimulateTrace).
+// Replacement policies. MIN (Belady) needs future knowledge, so Memory
+// cannot execute it; only trace replay (internal/replay) runs it.
 const (
 	LRU Policy = iota
 	FIFO
@@ -47,8 +47,8 @@ func (p Policy) String() string {
 }
 
 // ParsePolicy parses a replacement-policy name as printed by
-// Policy.String. "min" parses successfully but is only accepted by the
-// trace-driven simulator (Config.Validate rejects it for execution).
+// Policy.String. "min" parses successfully but only trace replay accepts
+// it (Config.Validate rejects it for execution).
 func ParsePolicy(s string) (Policy, error) {
 	switch s {
 	case "lru":
@@ -221,9 +221,9 @@ type Config struct {
 	// from memory (clean lines are coherent with memory by construction)
 	// instead of raising a fault.
 	ECCRetry bool
-	// Injector, when non-nil, receives the fault-injection hooks. The
-	// trace-driven simulator ignores it; only the execution-attached
-	// Memory injects faults.
+	// Injector, when non-nil, receives the fault-injection hooks. Only
+	// the execution-attached Memory injects faults; trace replay ignores
+	// it.
 	Injector Injector
 }
 
@@ -256,7 +256,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache: line words must be a power of two, got %d", c.LineWords)
 	}
 	if c.Policy == MIN {
-		return fmt.Errorf("cache: MIN policy requires the trace-driven simulator")
+		return fmt.Errorf("cache: MIN policy needs future knowledge; only trace replay runs it")
 	}
 	return nil
 }

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/trace"
 )
 
 func mustMemory(t *testing.T, words int, cfg Config) *Memory {
@@ -296,173 +294,5 @@ func TestMemoryMatchesFlatModelQuick(t *testing.T) {
 		if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(int64(ci)))}); err != nil {
 			t.Errorf("cfg %d: %v", ci, err)
 		}
-	}
-}
-
-// Memory (execution-attached) and SimulateTrace (trace-driven) must agree
-// exactly on hits, misses, and traffic for every shared configuration.
-func TestMemoryAndSimulatorAgree(t *testing.T) {
-	cfgs := []Config{
-		{Sets: 4, Ways: 2, LineWords: 1, Policy: LRU, Dead: DeadInvalidate, HonorBypass: true, Seed: 1},
-		{Sets: 2, Ways: 2, LineWords: 1, Policy: FIFO, Dead: DeadDemote, HonorBypass: true, Seed: 1},
-		{Sets: 8, Ways: 1, LineWords: 1, Policy: LRU, Dead: DeadOff, HonorBypass: false, Seed: 1},
-		{Sets: 2, Ways: 4, LineWords: 4, Policy: LRU, Dead: DeadInvalidate, HonorBypass: true, Seed: 1},
-		{Sets: 4, Ways: 2, LineWords: 2, Policy: Random, Dead: DeadOff, HonorBypass: true, Seed: 5},
-	}
-	rng := rand.New(rand.NewSource(7))
-	var tr trace.Trace
-	for i := 0; i < 20000; i++ {
-		rec := trace.Rec{
-			Addr: int64(rng.Intn(512)),
-			Kind: trace.Kind(rng.Intn(2)),
-		}
-		switch rng.Intn(4) {
-		case 0:
-			rec.Bypass = true
-		case 1:
-			rec.Bypass = true
-			rec.Last = rec.Kind == trace.Load
-		}
-		tr = append(tr, rec)
-	}
-	for ci, cfg := range cfgs {
-		m, err := NewMemory(1024, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range tr {
-			if r.Kind == trace.Store {
-				m.Store(r.Addr, 1, r.Bypass, r.Last)
-			} else {
-				m.Load(r.Addr, r.Bypass, r.Last)
-			}
-		}
-		ms := m.Stats()
-		ts, err := SimulateTrace(tr, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compare := []struct {
-			name string
-			a, b int64
-		}{
-			{"refs", ms.Refs, ts.Refs},
-			{"cached", ms.CachedRefs, ts.CachedRefs},
-			{"bypass", ms.BypassRefs, ts.BypassRefs},
-			{"hits", ms.Hits, ts.Hits},
-			{"misses", ms.Misses, ts.Misses},
-			{"fetches", ms.Fetches, ts.Fetches},
-			{"writebacks", ms.Writebacks, ts.Writebacks},
-			{"storeallocs", ms.StoreAllocs, ts.StoreAllocs},
-			{"bypassreads", ms.BypassReads, ts.BypassReads},
-			{"bypasswrites", ms.BypassWrites, ts.BypassWrites},
-			{"deadmarks", ms.DeadMarks, ts.DeadMarks},
-			{"deaddiscards", ms.DeadDiscards, ts.DeadDiscards},
-		}
-		for _, c := range compare {
-			if c.a != c.b {
-				t.Errorf("cfg %d (%s/%s): %s mismatch: memory %d, simulator %d",
-					ci, cfg.Policy, cfg.Dead, c.name, c.a, c.b)
-			}
-		}
-	}
-}
-
-func TestMINNotWorseThanOthers(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var tr trace.Trace
-	for i := 0; i < 30000; i++ {
-		// Mix of looping and random accesses to create reuse.
-		var addr int64
-		if rng.Intn(2) == 0 {
-			addr = int64(i % 96)
-		} else {
-			addr = int64(rng.Intn(4096))
-		}
-		tr = append(tr, trace.Rec{Addr: addr, Kind: trace.Kind(rng.Intn(2))})
-	}
-	base := Config{Sets: 8, Ways: 4, LineWords: 1, Dead: DeadOff, HonorBypass: false, Seed: 1}
-	minCfg := base
-	minCfg.Policy = MIN
-	minStats, err := SimulateTrace(tr, minCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pol := range []Policy{LRU, FIFO, Random} {
-		cfg := base
-		cfg.Policy = pol
-		st, err := SimulateTrace(tr, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if minStats.Misses > st.Misses {
-			t.Errorf("MIN misses %d > %s misses %d", minStats.Misses, pol, st.Misses)
-		}
-	}
-}
-
-// MIN optimality within associativity classes: for a fully-associative
-// cache, MIN is the provably optimal replacement; quick-check against
-// LRU/FIFO on random traces.
-func TestMINOptimalFullyAssociativeQuick(t *testing.T) {
-	f := func(seed int64, sizeSel uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		lines := 4 << (sizeSel % 4) // 4..32
-		var tr trace.Trace
-		for i := 0; i < 4000; i++ {
-			tr = append(tr, trace.Rec{Addr: int64(rng.Intn(128)), Kind: trace.Load})
-		}
-		base := Config{Sets: 1, Ways: lines, LineWords: 1, Dead: DeadOff, HonorBypass: false, Seed: 1}
-		minCfg := base
-		minCfg.Policy = MIN
-		ms, err := SimulateTrace(tr, minCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, pol := range []Policy{LRU, FIFO, Random} {
-			cfg := base
-			cfg.Policy = pol
-			st, err := SimulateTrace(tr, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ms.Misses > st.Misses {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDeadMarkingNeverIncreasesTrafficOnSpillPattern(t *testing.T) {
-	// Spill-like pattern: store then reload (last) at rotating addresses.
-	var tr trace.Trace
-	for i := 0; i < 5000; i++ {
-		addr := int64(i % 200)
-		tr = append(tr, trace.Rec{Addr: addr, Kind: trace.Store})
-		tr = append(tr, trace.Rec{Addr: addr, Kind: trace.Load, Bypass: true, Last: true})
-	}
-	base := Config{Sets: 8, Ways: 2, LineWords: 1, Policy: LRU, HonorBypass: true, Seed: 1}
-	off := base
-	off.Dead = DeadOff
-	on := base
-	on.Dead = DeadInvalidate
-	so, err := SimulateTrace(tr, off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sn, err := SimulateTrace(tr, on)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sn.MemTrafficWords(1) > so.MemTrafficWords(1) {
-		t.Errorf("dead marking increased traffic: %d > %d",
-			sn.MemTrafficWords(1), so.MemTrafficWords(1))
-	}
-	if sn.DeadDiscards == 0 {
-		t.Error("expected dirty discards on the spill pattern")
 	}
 }

@@ -81,7 +81,7 @@ type Workload struct {
 type replayEntry struct {
 	stats    cache.Stats
 	measured bool
-	ts       cache.TraceStats
+	ts       replay.TraceStats
 }
 
 // replayKey canonically encodes the cache.Config fields that determine
@@ -112,7 +112,7 @@ func (w *Workload) replayStats(cfg cache.Config) (cache.Stats, error) {
 // measureStats is replayStats with the occupancy metrics of
 // replay.Measure; a prior plain replay of the same configuration is
 // upgraded in place.
-func (w *Workload) measureStats(cfg cache.Config) (cache.TraceStats, error) {
+func (w *Workload) measureStats(cfg cache.Config) (replay.TraceStats, error) {
 	k := replayKey(cfg)
 	if e, ok := w.memo[k]; ok && e.measured {
 		return e.ts, nil
@@ -163,8 +163,8 @@ func (w *Workload) replayBatchStats(cfgs []cache.Config) ([]cache.Stats, error) 
 
 // measureBatchStats is measureStats for a sweep of configurations, with
 // the same one-decoding-pass batching as replayBatchStats.
-func (w *Workload) measureBatchStats(cfgs []cache.Config) ([]cache.TraceStats, error) {
-	out := make([]cache.TraceStats, len(cfgs))
+func (w *Workload) measureBatchStats(cfgs []cache.Config) ([]replay.TraceStats, error) {
+	out := make([]replay.TraceStats, len(cfgs))
 	var miss []cache.Config
 	var missAt []int
 	for i, cfg := range cfgs {

@@ -1,7 +1,7 @@
 // Package replay is the high-throughput trace-replay subsystem: a compact
 // streaming encoding of reference traces plus a flat, allocation-free,
-// set-shardable replay core that reproduces cache.SimulateTrace's
-// accounting exactly.
+// set-shardable replay core with cache.Memory's accounting and Belady's
+// MIN on top.
 //
 // A materialized trace.Trace costs 24+ bytes per reference and must be
 // held whole; the encoded form costs ~1.5–2 bytes per reference for real
@@ -10,10 +10,11 @@
 // emits the encoding directly through vm.Config.TraceSink, so the replay
 // path never materializes a trace.Trace at all.
 //
-// cache.SimulateTrace remains the reference implementation: it is the
-// differential baseline the replay engine is tested against, and the only
-// home of semantics that genuinely need whole-trace arrays when the
-// engine is asked to avoid them (see Measure and MIN notes in engine.go).
+// cache.Memory, which executes the VM's references, is the reference
+// model: the differential tests replay what a VM run encoded and require
+// the run's own cache statistics back, field for field, at every worker
+// count. MIN, which Memory cannot execute, is checked against an
+// exhaustive optimal-miss search in the tests.
 package replay
 
 import (
@@ -166,8 +167,8 @@ func (e *Encoded) Cursor() Cursor {
 	return Cursor{chunks: e.chunks}
 }
 
-// Records materializes the trace (tests, tools, and the legacy
-// SimulateTrace baseline; the replay engine never calls this).
+// Records materializes the trace (tests and tools; the replay engine
+// never calls this).
 func (e *Encoded) Records() trace.Trace {
 	out := make(trace.Trace, 0, e.n)
 	c := e.Cursor()
@@ -204,8 +205,8 @@ func (e *Encoded) Count() trace.Counts {
 	}
 }
 
-// WriteText streams the trace in trace.Trace's textual format without
-// materializing it (cmd/unisim's -trace output path).
+// WriteText streams the trace in the textual format of trace.WriteRec
+// without materializing it (cmd/unisim's -trace output path).
 func (e *Encoded) WriteText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	c := e.Cursor()

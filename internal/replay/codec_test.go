@@ -95,17 +95,24 @@ func TestCursorCopyIndependence(t *testing.T) {
 	}
 }
 
-func TestWriteTextMatchesTraceWrite(t *testing.T) {
-	in := randomTrace(5, 500)
-	var want, got bytes.Buffer
-	if err := in.Write(&want); err != nil {
-		t.Fatal(err)
+// TestWriteTextGolden pins the textual trace format cmd/unisim -trace
+// emits: "<ld|st> <addr>", then " b" for bypass and " l" for last
+// reference, one record per line.
+func TestWriteTextGolden(t *testing.T) {
+	in := trace.Trace{
+		{Addr: 5, Bypass: true, Last: true},
+		{Addr: -3, Kind: trace.Store},
+		{Addr: 0},
+		{Addr: 1 << 40, Kind: trace.Store, Bypass: true},
+		{Addr: 7, Last: true},
 	}
+	const want = "ld 5 b l\nst -3\nld 0\nst 1099511627776 b\nld 7 l\n"
+	var got bytes.Buffer
 	if err := EncodeTrace(in).WriteText(&got); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		t.Fatalf("WriteText differs from trace.Write")
+	if got.String() != want {
+		t.Fatalf("WriteText = %q, want %q", got.String(), want)
 	}
 }
 

@@ -1,27 +1,28 @@
-// Differential coverage for the replay engine against the original
-// simulator on real traces: the six paper benchmarks and a progen corpus,
-// across associative, direct-mapped, and non-LRU geometries, at several
-// worker counts. It lives in an external test package because it drives
-// internal/experiments (which itself imports replay) to build the
-// benchmark workloads.
+// Differential coverage for the replay engine on real traces: the six
+// paper benchmarks and a progen corpus, across associative,
+// direct-mapped, and non-LRU geometries, at several worker counts. Each
+// program runs on the VM once per geometry with the streaming encoder
+// attached; replaying what that run encoded must give back the run's own
+// cache statistics — cache.Memory's count — field for field.
 package replay_test
 
 import (
 	"fmt"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/cache"
 	"repro/internal/codegen"
 	"repro/internal/core"
-	"repro/internal/experiments"
+	"repro/internal/isa"
 	"repro/internal/progen"
 	"repro/internal/replay"
 	"repro/internal/vm"
 )
 
-// diffGeometries is the sweep each trace goes through: the paper's 2-way
-// LRU shape with the full unified feature set, a FIFO variant, and a
-// direct-mapped cache with multi-word lines (exercising the word-offset
+// diffGeometries is the sweep each program goes through: the paper's
+// 2-way LRU shape with the full unified feature set, a FIFO variant, and
+// a direct-mapped cache with multi-word lines (exercising the word-offset
 // and demote-not-discard paths).
 func diffGeometries() []cache.Config {
 	return []cache.Config{
@@ -31,84 +32,67 @@ func diffGeometries() []cache.Config {
 	}
 }
 
-// diffOne checks one encoded trace against SimulateTrace across the
-// geometry sweep and worker counts 1, 2, 4, 8. Sharded replay must be
-// bit-identical to the sequential simulator for every worker count.
-func diffOne(t *testing.T, name string, enc *replay.Encoded) {
+// compile builds src in the unified mode with the optimizing pipeline.
+func compile(t *testing.T, name, src string) *isa.Program {
 	t.Helper()
-	tr := enc.Records()
+	comp, err := core.Compile(src, core.Config{Mode: core.Unified, Check: true})
+	if err != nil {
+		t.Fatalf("%s: compile: %v", name, err)
+	}
+	prog, err := codegen.Generate(comp)
+	if err != nil {
+		t.Fatalf("%s: codegen: %v", name, err)
+	}
+	return prog
+}
+
+// diffProgram runs prog under every diff geometry with an encoder
+// attached and requires replay of each encoded trace, at worker counts
+// 1, 2, 4 and 8, to equal the run's own cache statistics.
+func diffProgram(t *testing.T, name string, prog *isa.Program, base vm.Config) {
+	t.Helper()
 	for _, cfg := range diffGeometries() {
-		want, err := cache.SimulateTrace(tr, cfg)
+		run := base
+		run.Cache = cfg
+		sink := replay.NewEncoder()
+		run.TraceSink = sink
+		res, err := vm.Run(prog, run)
 		if err != nil {
-			t.Fatalf("%s: simulate: %v", name, err)
+			t.Fatalf("%s: run: %v", name, err)
 		}
+		enc := sink.Finish()
 		for _, workers := range []int{1, 2, 4, 8} {
 			got, err := replay.Replay(enc, cfg, workers)
 			if err != nil {
 				t.Fatalf("%s: replay workers=%d: %v", name, workers, err)
 			}
-			if got != want.Stats {
-				t.Errorf("%s cfg %+v workers=%d:\nreplay   = %+v\nsimulate = %+v",
-					name, cfg, workers, got, want.Stats)
+			if got != res.CacheStats {
+				t.Errorf("%s cfg %+v workers=%d:\nreplay = %+v\nvm     = %+v",
+					name, cfg, workers, got, res.CacheStats)
 			}
 		}
 	}
 }
 
-// TestReplayMatchesSimulatorOnBenchmarks replays the six paper
-// benchmarks' full traces (≈23.5M references) through every geometry and
-// worker count. Skipped in -short mode; the progen corpus below keeps
-// real-program coverage cheap.
-func TestReplayMatchesSimulatorOnBenchmarks(t *testing.T) {
+// TestReplayMatchesVMOnBenchmarks runs the six paper benchmarks through
+// every geometry and worker count. Skipped in -short mode; the progen
+// corpus below keeps real-program coverage cheap.
+func TestReplayMatchesVMOnBenchmarks(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full benchmark traces are slow; progen corpus covers -short")
+		t.Skip("full benchmark runs are slow; progen corpus covers -short")
 	}
-	ws, err := experiments.BuildAll(experiments.PaperGeometry(), experiments.Optimizing)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range ws {
-		diffOne(t, w.Bench.Name, w.Trace)
+	for _, b := range bench.All() {
+		diffProgram(t, b.Name, compile(t, b.Name, b.Source), vm.Config{})
 	}
 }
 
-// TestReplayMatchesSimulatorOnProgenCorpus runs 50 generated programs
-// through the compiler and VM with the streaming encoder attached, then
-// differentially replays each captured trace. Programs that trap at
-// runtime (the generator permits division by zero) still produce a valid
-// partial trace and stay in the corpus.
-func TestReplayMatchesSimulatorOnProgenCorpus(t *testing.T) {
-	const seeds = 50
-	kept := 0
-	for seed := int64(1); seed <= seeds; seed++ {
-		src := progen.Source(seed, progen.DefaultKnobs())
-		comp, err := core.Compile(src, core.Config{Mode: core.Unified, Check: true})
-		if err != nil {
-			t.Fatalf("seed %d: compile: %v", seed, err)
-		}
-		prog, err := codegen.Generate(comp)
-		if err != nil {
-			t.Fatalf("seed %d: codegen: %v", seed, err)
-		}
-		sink := replay.NewEncoder()
-		_, err = vm.Run(prog, vm.Config{
-			MemWords:  1 << 16,
-			MaxSteps:  2_000_000,
-			Cache:     cache.DefaultConfig(),
-			TraceSink: sink,
-		})
-		enc := sink.Finish()
-		if err != nil && enc.Len() == 0 {
-			continue // trapped before the first data reference
-		}
-		if enc.Len() == 0 {
-			continue // pure register program, nothing to replay
-		}
-		kept++
-		diffOne(t, fmt.Sprintf("seed-%d", seed), enc)
-	}
-	if kept < seeds/2 {
-		t.Fatalf("only %d/%d progen seeds produced usable traces", kept, seeds)
+// TestReplayMatchesVMOnProgenCorpus does the same for 50 generated
+// programs.
+func TestReplayMatchesVMOnProgenCorpus(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		name := fmt.Sprintf("seed-%d", seed)
+		prog := compile(t, name, progen.Source(seed, progen.DefaultKnobs()))
+		diffProgram(t, name, prog, vm.Config{MemWords: 1 << 16, MaxSteps: 2_000_000})
 	}
 }
 
@@ -117,15 +101,7 @@ func TestReplayMatchesSimulatorOnProgenCorpus(t *testing.T) {
 // many engines, and every element must be bit-identical (floats
 // included) to the corresponding standalone call.
 func TestBatchMatchesSingle(t *testing.T) {
-	src := progen.Source(3, progen.DefaultKnobs())
-	comp, err := core.Compile(src, core.Config{Mode: core.Unified, Check: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := codegen.Generate(comp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := compile(t, "seed-3", progen.Source(3, progen.DefaultKnobs()))
 	sink := replay.NewEncoder()
 	if _, err := vm.Run(prog, vm.Config{
 		MemWords: 1 << 16, MaxSteps: 2_000_000,

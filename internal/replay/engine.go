@@ -7,7 +7,8 @@ import (
 	"repro/internal/trace"
 )
 
-// The engine is a flat struct-of-arrays mirror of cache.SimulateTrace:
+// The engine is a tags-only, flat struct-of-arrays model of cache.Memory's
+// replacement and dead-marking protocol, extended with Belady's MIN:
 // line state lives in parallel slices indexed set*ways+way, victim
 // pre-scans (first invalid way, first dead way) use per-set bitsets, and
 // tag lookup uses either a direct way scan (small associativity) or an
@@ -16,20 +17,16 @@ import (
 // the per-reference step allocates nothing — a property enforced by
 // TestReplayZeroAllocs.
 //
-// Equivalence with SimulateTrace is field-exact, including the
-// floating-point dead-occupancy metrics. SimulateTrace decides a sampled
-// line is dead when its stored next-use index has passed or is absent;
-// since any reference to a resident line touches it (refreshing the
-// stored index), the "already passed" arm is unreachable, and a resident
-// line is dead exactly when its most recent touch was the final
-// reference to its line address in the whole trace. The engine therefore
-// needs only a line-address → final-reference-index map (memory flat in
-// trace length), not the per-record next-use array — except under MIN,
-// whose Belady victim choice genuinely requires per-record future
-// knowledge (Encoded.nextUses).
+// Dead occupancy counts a sampled resident line as dead when it will
+// never be referenced again. Any reference to a resident line touches
+// it, so a resident line is dead exactly when its most recent touch was
+// the final reference to its line address in the whole trace. The engine
+// therefore needs only a line-address → final-reference-index map
+// (memory flat in trace length), not a per-record next-use array —
+// except under MIN, whose Belady victim choice genuinely requires
+// per-record future knowledge (Encoded.nextUses).
 
-// sampleEvery matches cache.SimulateTrace's sampling stride; the
-// differential tests pin the two implementations together.
+// sampleEvery is Measure's occupancy sampling stride, in references.
 const sampleEvery = 64
 
 // directLookupMaxWays is the associativity above which tag lookup
@@ -321,8 +318,7 @@ func (eng *engine) lookup(set int, tag int64) int {
 }
 
 // noteTouch refreshes the per-line future knowledge on every touch
-// (bypass hit, cached hit, fill), mirroring SimulateTrace's
-// ln.nextUse = nextUse[i].
+// (bypass hit, cached hit, fill).
 func (eng *engine) noteTouch(li, i int) {
 	if eng.nextUse != nil {
 		eng.nuse[li] = eng.nextUse[i]
@@ -350,10 +346,10 @@ func (eng *engine) maybeSample() {
 		return
 	}
 	if eng.st.Refs%sampleEvery == 0 {
-		// Identical float accumulation order to SimulateTrace's sample():
-		// one division added per sample, resident count added per sample.
-		// (Its `valid > 0` guard is vacuous for occSum — deadNow is zero
-		// when nothing is resident — but mirror it anyway.)
+		// One division added per sample, resident count added per sample;
+		// the fixed accumulation order keeps the floats reproducible.
+		// (The validCnt guard is vacuous: deadNow is zero when nothing is
+		// resident.)
 		if eng.validCnt > 0 {
 			eng.occSum += float64(eng.deadNow) / eng.linesF
 		}
@@ -489,7 +485,7 @@ func (eng *engine) clearInvalidBit(li, set int) {
 	eng.invalid[set*eng.wps+w>>6] &^= uint64(1) << uint(w&63)
 }
 
-// nextRand is SimulateTrace's xorshift64* stream, bit for bit.
+// nextRand is cache.Memory's xorshift64* stream, bit for bit.
 func (eng *engine) nextRand() uint64 {
 	x := eng.rng
 	x ^= x >> 12

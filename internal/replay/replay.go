@@ -8,20 +8,62 @@ import (
 	"repro/internal/cache"
 )
 
-// validate mirrors SimulateTrace's config acceptance: MIN is legal here
-// (replay has future knowledge), everything else defers to the cache
-// package's rules.
-func validate(cfg cache.Config) error {
+// TraceStats extends cache.Stats with the future-knowledge metrics only a
+// trace-driven replay can compute.
+type TraceStats struct {
+	cache.Stats
+
+	// DeadOccupancy is the average fraction of cache lines holding data
+	// that is never referenced again (sampled every sampleEvery
+	// references). §3.2 argues plain LRU wastes ~1/r of the cache this
+	// way; dead marking reclaims it.
+	DeadOccupancy float64
+
+	// AvgResidentLines is the mean number of valid lines at sample points.
+	AvgResidentLines float64
+
+	Samples int
+}
+
+// newReplayEngine is the one engine constructor behind every entry
+// point. It validates cfg — MIN is legal here (replay has future
+// knowledge), everything else defers to the cache package's rules — and
+// builds an engine over the set shard [lo, hi) with MIN's next-use array
+// wired in and, when measure is set, the occupancy machinery.
+func newReplayEngine(enc *Encoded, cfg cache.Config, lo, hi int, measure bool) (*engine, error) {
 	probe := cfg
 	if probe.Policy == cache.MIN {
 		probe.Policy = cache.LRU
 	}
-	return probe.Validate()
+	if err := probe.Validate(); err != nil {
+		return nil, err
+	}
+	if measure && enc.Len() >= int(never32) {
+		// Final-reference indexes are stored as int32.
+		return nil, fmt.Errorf("replay: trace too long to measure (%d refs)", enc.Len())
+	}
+	eng := newEngine(cfg, lo, hi)
+	if cfg.Policy == cache.MIN {
+		nu, ok := enc.nextUses(int64(cfg.LineWords))
+		if !ok {
+			return nil, fmt.Errorf("replay: trace too long for MIN (%d refs)", enc.Len())
+		}
+		eng.nextUse = nu
+		eng.nuse = make([]int32, cfg.Lines())
+	}
+	if measure {
+		eng.measure = true
+		eng.deadRes = make([]bool, cfg.Lines())
+		if eng.nextUse == nil {
+			eng.finalBit = enc.finalBits(int64(cfg.LineWords))
+		}
+	}
+	return eng, nil
 }
 
 // Replay replays an encoded trace against cfg and returns the traffic
-// statistics, equal field for field to cache.SimulateTrace's Stats on
-// the same trace.
+// statistics, equal field for field to what cache.Memory counts when it
+// executes the same references under cfg.
 //
 // workers <= 0 means GOMAXPROCS. Parallel replay shards by cache set:
 // under a fixed geometry each reference touches exactly one set and sets
@@ -36,59 +78,40 @@ func validate(cfg cache.Config) error {
 // order, which sharding would reorder, so it always runs on one worker.
 // MIN shards fine — its future-knowledge array is read-only and shared.
 func Replay(enc *Encoded, cfg cache.Config, workers int) (cache.Stats, error) {
-	if err := validate(cfg); err != nil {
-		return cache.Stats{}, err
-	}
-	var nextUse []int32
-	if cfg.Policy == cache.MIN {
-		nu, ok := enc.nextUses(int64(cfg.LineWords))
-		if !ok {
-			return cache.Stats{}, fmt.Errorf("replay: trace too long for MIN (%d refs)", enc.Len())
-		}
-		nextUse = nu
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.Policy == cache.Random {
 		workers = 1
 	}
-	if workers > cfg.Sets {
-		workers = cfg.Sets
-	}
+	workers = min(workers, max(cfg.Sets, 1))
 
-	if workers == 1 {
-		eng := newEngine(cfg, 0, cfg.Sets)
-		if nextUse != nil {
-			eng.nextUse = nextUse
-			eng.nuse = make([]int32, cfg.Lines())
+	engs := make([]*engine, workers)
+	for k := range engs {
+		eng, err := newReplayEngine(enc, cfg, k*cfg.Sets/workers, (k+1)*cfg.Sets/workers, false)
+		if err != nil {
+			return cache.Stats{}, err
 		}
-		eng.run(enc)
-		return eng.st, nil
+		engs[k] = eng
+	}
+	if workers == 1 {
+		engs[0].run(enc)
+		return engs[0].st, nil
 	}
 
-	shards := make([]cache.Stats, workers)
 	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		lo := k * cfg.Sets / workers
-		hi := (k + 1) * cfg.Sets / workers
+	for _, eng := range engs {
 		wg.Add(1)
-		go func(k, lo, hi int) {
+		go func(eng *engine) {
 			defer wg.Done()
-			eng := newEngine(cfg, lo, hi)
-			if nextUse != nil {
-				eng.nextUse = nextUse
-				eng.nuse = make([]int32, cfg.Lines())
-			}
 			eng.run(enc)
-			shards[k] = eng.st
-		}(k, lo, hi)
+		}(eng)
 	}
 	wg.Wait()
 
 	var total cache.Stats
-	for _, s := range shards {
-		addStats(&total, s)
+	for _, eng := range engs {
+		addStats(&total, eng.st)
 	}
 	return total, nil
 }
@@ -115,58 +138,19 @@ func addStats(a *cache.Stats, b cache.Stats) {
 }
 
 // Measure replays single-threaded and additionally computes the
-// future-knowledge occupancy metrics (DeadOccupancy, AvgResidentLines),
-// equal bit for bit to cache.SimulateTrace's — including the
-// floating-point sums, which accumulate in the same sample order.
+// future-knowledge occupancy metrics (DeadOccupancy, AvgResidentLines).
 // Sampling is over global reference counts, so Measure never shards.
-func Measure(enc *Encoded, cfg cache.Config) (cache.TraceStats, error) {
-	if err := validate(cfg); err != nil {
-		return cache.TraceStats{}, err
-	}
-	if enc.Len() >= int(never32) {
-		// Final-reference indexes are stored as int32 (SimulateTrace's
-		// equivalent arrays would need 16 bytes/ref — such traces are out
-		// of reach for it too).
-		return cache.TraceStats{}, fmt.Errorf("replay: trace too long to measure (%d refs)", enc.Len())
-	}
-	eng, err := newMeasureEngine(enc, cfg)
+func Measure(enc *Encoded, cfg cache.Config) (TraceStats, error) {
+	eng, err := newReplayEngine(enc, cfg, 0, cfg.Sets, true)
 	if err != nil {
-		return cache.TraceStats{}, err
+		return TraceStats{}, err
 	}
 	eng.run(enc)
 	return measureResult(eng), nil
 }
 
-// newMeasureEngine builds a single-threaded engine with the
-// future-knowledge occupancy machinery wired up.
-func newMeasureEngine(enc *Encoded, cfg cache.Config) (*engine, error) {
-	if err := validate(cfg); err != nil {
-		return nil, err
-	}
-	if enc.Len() >= int(never32) {
-		// Final-reference indexes are stored as int32 (SimulateTrace's
-		// equivalent arrays would need 16 bytes/ref — such traces are out
-		// of reach for it too).
-		return nil, fmt.Errorf("replay: trace too long to measure (%d refs)", enc.Len())
-	}
-	eng := newEngine(cfg, 0, cfg.Sets)
-	eng.measure = true
-	eng.deadRes = make([]bool, cfg.Lines())
-	if cfg.Policy == cache.MIN {
-		nu, ok := enc.nextUses(int64(cfg.LineWords))
-		if !ok {
-			return nil, fmt.Errorf("replay: trace too long for MIN (%d refs)", enc.Len())
-		}
-		eng.nextUse = nu
-		eng.nuse = make([]int32, cfg.Lines())
-	} else {
-		eng.finalBit = enc.finalBits(int64(cfg.LineWords))
-	}
-	return eng, nil
-}
-
-func measureResult(eng *engine) cache.TraceStats {
-	var st cache.TraceStats
+func measureResult(eng *engine) TraceStats {
+	var st TraceStats
 	st.Stats = eng.st
 	st.Samples = eng.samples
 	if eng.samples > 0 {
@@ -176,6 +160,21 @@ func measureResult(eng *engine) cache.TraceStats {
 	return st
 }
 
+// batchEngines builds one full-cache engine per configuration and steps
+// them all through a single decoding pass of enc.
+func batchEngines(enc *Encoded, cfgs []cache.Config, measure bool) ([]*engine, error) {
+	engs := make([]*engine, len(cfgs))
+	for i, cfg := range cfgs {
+		eng, err := newReplayEngine(enc, cfg, 0, cfg.Sets, measure)
+		if err != nil {
+			return nil, err
+		}
+		engs[i] = eng
+	}
+	runBatch(enc, engs)
+	return engs, nil
+}
+
 // MeasureBatch is Measure over several configurations of the same trace
 // in a single decoding pass. The engines are fully independent — each
 // keeps its own statistics, sampling accumulators, and PRNG — so every
@@ -183,17 +182,12 @@ func measureResult(eng *engine) cache.TraceStats {
 // corresponding configuration alone; batching only avoids re-decoding
 // the stream once per configuration, which dominates experiments like
 // E2/E3 that sweep many cache shapes over one workload.
-func MeasureBatch(enc *Encoded, cfgs []cache.Config) ([]cache.TraceStats, error) {
-	engs := make([]*engine, len(cfgs))
-	for i, cfg := range cfgs {
-		eng, err := newMeasureEngine(enc, cfg)
-		if err != nil {
-			return nil, err
-		}
-		engs[i] = eng
+func MeasureBatch(enc *Encoded, cfgs []cache.Config) ([]TraceStats, error) {
+	engs, err := batchEngines(enc, cfgs, true)
+	if err != nil {
+		return nil, err
 	}
-	runBatch(enc, engs)
-	out := make([]cache.TraceStats, len(engs))
+	out := make([]TraceStats, len(engs))
 	for i, eng := range engs {
 		out[i] = measureResult(eng)
 	}
@@ -205,23 +199,10 @@ func MeasureBatch(enc *Encoded, cfgs []cache.Config) ([]cache.TraceStats, error)
 // parallel replay of a single configuration). Each element of the result
 // is bit-identical to Replay's for the corresponding configuration.
 func ReplayBatch(enc *Encoded, cfgs []cache.Config) ([]cache.Stats, error) {
-	engs := make([]*engine, len(cfgs))
-	for i, cfg := range cfgs {
-		if err := validate(cfg); err != nil {
-			return nil, err
-		}
-		eng := newEngine(cfg, 0, cfg.Sets)
-		if cfg.Policy == cache.MIN {
-			nu, ok := enc.nextUses(int64(cfg.LineWords))
-			if !ok {
-				return nil, fmt.Errorf("replay: trace too long for MIN (%d refs)", enc.Len())
-			}
-			eng.nextUse = nu
-			eng.nuse = make([]int32, cfg.Lines())
-		}
-		engs[i] = eng
+	engs, err := batchEngines(enc, cfgs, false)
+	if err != nil {
+		return nil, err
 	}
-	runBatch(enc, engs)
 	out := make([]cache.Stats, len(engs))
 	for i, eng := range engs {
 		out[i] = eng.st

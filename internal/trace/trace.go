@@ -1,14 +1,12 @@
-// Package trace defines the memory-reference trace format shared by the VM
-// (which records traces) and the trace-driven cache simulator (which
-// replays them under arbitrary policies, including Belady's MIN).
+// Package trace defines the memory-reference record shared by the VM
+// (which emits one per executed load or store) and internal/replay
+// (which encodes the stream and replays it under arbitrary policies,
+// including Belady's MIN), plus the write-only textual form of a record.
 package trace
 
 import (
 	"bufio"
 	"fmt"
-	"io"
-	"strconv"
-	"strings"
 )
 
 // Kind distinguishes loads from stores.
@@ -67,21 +65,9 @@ func (t Trace) Count() Counts {
 	return c
 }
 
-// Write emits the trace in the textual format "<ld|st> <addr> [b] [l]" one
-// record per line.
-func (t Trace) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, r := range t {
-		if err := WriteRec(bw, r); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// WriteRec emits one record in Write's textual format. It exists so
-// streaming producers (internal/replay) can emit the format without
-// materializing a Trace; the caller owns flushing.
+// WriteRec emits one record in the textual format "<ld|st> <addr> [b] [l]"
+// followed by a newline. Streaming producers (internal/replay) emit whole
+// traces record by record; the caller owns flushing.
 func WriteRec(bw *bufio.Writer, r Rec) error {
 	if _, err := fmt.Fprintf(bw, "%s %d", r.Kind, r.Addr); err != nil {
 		return err
@@ -97,54 +83,4 @@ func WriteRec(bw *bufio.Writer, r Rec) error {
 		}
 	}
 	return bw.WriteByte('\n')
-}
-
-// Read parses the textual trace format produced by Write.
-func Read(r io.Reader) (Trace, error) {
-	var t Trace
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("trace: line %d: need kind and address", lineNo)
-		}
-		var rec Rec
-		switch fields[0] {
-		case "ld":
-			rec.Kind = Load
-		case "st":
-			rec.Kind = Store
-		default:
-			return nil, fmt.Errorf("trace: line %d: bad kind %q", lineNo, fields[0])
-		}
-		addr, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			// Sscanf("%d") would silently accept trailing garbage such as
-			// "12abc"; ParseInt rejects the whole field.
-			return nil, fmt.Errorf("trace: line %d: bad address %q", lineNo, fields[1])
-		}
-		rec.Addr = addr
-		for _, f := range fields[2:] {
-			switch f {
-			case "b":
-				rec.Bypass = true
-			case "l":
-				rec.Last = true
-			default:
-				return nil, fmt.Errorf("trace: line %d: bad flag %q", lineNo, f)
-			}
-		}
-		t = append(t, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return t, nil
 }

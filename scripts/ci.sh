@@ -109,15 +109,14 @@ cmp /tmp/sweep-w1.json /tmp/sweep-w8.json
 /tmp/unisweep-ci -verify BENCH_sweep.json
 rm -f /tmp/unisweep-ci /tmp/sweep-w1.json /tmp/sweep-w8.json
 
-echo "== replay-smoke (engine equivalence, artifact, wall-time budget) =="
-# The replay engine's differential suite (simulator equivalence on real
-# traces at several worker counts), then a timed `-experiment all`: the
-# full table regeneration took ~56s before the replay engine existed, so
-# a 45s ceiling catches any wholesale performance regression while
-# leaving headroom for machine variance. The measured time feeds the
-# freshly regenerated BENCH_replay.json, which must verify, as must the
-# checked-in artifact.
-go test -race -run 'TestReplayMatchesSimulator|TestBatchMatchesSingle' -short ./internal/replay
+echo "== replay-smoke (engine equivalence, wall-time budget) =="
+# The replay engine's differential suite (replay of VM-encoded traces
+# must reproduce the run's own cache statistics at several worker
+# counts), then a timed `-experiment all`: the full table regeneration
+# took ~56s before the replay engine existed, so a 45s ceiling catches
+# any wholesale performance regression while leaving headroom for
+# machine variance.
+go test -race -run 'TestReplayMatchesVM|TestBatchMatchesSingle' -short ./internal/replay
 go build -o /tmp/unibench-ci ./cmd/unibench
 ALL_T0=$SECONDS
 /tmp/unibench-ci -experiment all >/tmp/unibench-all-ci.txt 2>/dev/null
@@ -127,10 +126,13 @@ if [ "$ALL_SEC" -gt 45 ]; then
     echo "-experiment all took ${ALL_SEC}s, budget is 45s" >&2
     exit 1
 fi
-/tmp/unibench-ci -experiment replay -all-sec "$ALL_SEC" -replay-out /tmp/replay-ci.json >/dev/null 2>&1
-/tmp/unibench-ci -verify-replay /tmp/replay-ci.json
-/tmp/unibench-ci -verify-replay BENCH_replay.json
-rm -f /tmp/unibench-ci /tmp/unibench-all-ci.txt /tmp/replay-ci.json
+rm -f /tmp/unibench-ci /tmp/unibench-all-ci.txt
+
+echo "== perfbench (benchmark module: vet + tests) =="
+# perfbench/ is its own Go module, so the blanket stages above never
+# compile it; a repo API change would otherwise only surface when the
+# benchmark runs.
+(cd perfbench && go vet . && go test -count=1 .)
 
 echo "== serve-smoke (daemon boot, dedup, panic isolation, drain) =="
 # Boot unicached on an ephemeral port, drive it with concurrent mixed

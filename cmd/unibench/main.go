@@ -16,12 +16,11 @@
 // All compilations and simulations share one artifact cache, so
 // `-experiment all` compiles each (benchmark, config) pair exactly once.
 //
-// The scaling experiment (E12) runs the twenty-program generated-code
-// campaign through both exact solvers — several minutes of pure static
+// The scaling experiment (E12) runs the exact analysis over the
+// twenty-program generated-code campaign — minutes of pure static
 // analysis — so, like resilience, it runs only when named explicitly,
-// never under `-experiment all`. It exits nonzero if the solvers disagree
-// on any verdict; -scaling-out FILE additionally writes the byte-stable
-// BENCH_exact.json artifact.
+// never under `-experiment all`. -scaling-out FILE additionally writes the
+// byte-stable BENCH_exact.json artifact.
 //
 // The resilience experiment sweeps the fault-injection campaigns of
 // internal/experiments over the benchmark suite (optionally restricted
@@ -258,15 +257,14 @@ func main() {
 // deadLRUSizes are the fully-associative cache sizes E2 measures.
 var deadLRUSizes = []int{16, 32, 64, 128, 256}
 
-// runScaling runs the E12 campaign, fails on any solver disagreement, and
-// optionally writes the machine-readable artifact.
+// runScaling runs the E12 campaign and optionally writes the
+// machine-readable artifact.
 func runScaling(asJSON bool, out string) {
 	spec := experiments.DefaultScalingSpec()
 	recs, err := experiments.RecordsScaling(spec)
 	if err != nil {
 		cli.Fatal(tool, "scaling", err)
 	}
-	t := experiments.ScalingFromRecords(recs)
 	if out != "" {
 		f, err := os.Create(out)
 		if err != nil {
@@ -289,10 +287,7 @@ func runScaling(asJSON bool, out string) {
 			fmt.Println(string(b))
 		}
 	} else {
-		fmt.Print(t.String())
-	}
-	if bad := t.Mismatches(); len(bad) > 0 {
-		cli.Fatalf(tool, "scaling", "solver verdict mismatch on: %s", strings.Join(bad, ", "))
+		fmt.Print(experiments.ScalingTable{Rows: recs}.String())
 	}
 }
 

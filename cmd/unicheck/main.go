@@ -16,8 +16,6 @@
 //	-sets/-ways/-line   cache geometry for the analysis (default 32/2/1)
 //	-maxsteps N         differential-run budget (0 = interpreter default)
 //	-exact              also run the exact hit/miss refinement (internal/exact)
-//	-solver S           refinement solver: antichain (default), powerset, or
-//	                    both (runs both and fails on any verdict difference)
 //	-interproc          transfer calls through summaries instead of blanket
 //	                    clobbering (the interprocedural mode)
 //	-oracle             replay the program on the production VM and assert
@@ -54,7 +52,6 @@ func main() {
 	line := flag.Int("line", 1, "cache line size in words")
 	maxSteps := flag.Int64("maxsteps", 0, "differential-run instruction budget; 0 means the interpreter default")
 	doExact := flag.Bool("exact", false, "run the exact hit/miss refinement after the must/may prefilter")
-	solver := flag.String("solver", exact.SolverAntichain, "exact solver: antichain, powerset, or both (differential)")
 	interproc := flag.Bool("interproc", false, "transfer calls through summaries instead of blanket clobbering")
 	doOracle := flag.Bool("oracle", false, "replay on the production VM and assert every exact verdict (implies -exact)")
 	benchList := flag.String("bench", "", "comma-separated benchmark subset when no files are given (default all)")
@@ -62,12 +59,6 @@ func main() {
 	genScale := flag.Int("gen-scale", 1, "progen.ScaleKnobs factor for -gen")
 	verbose := flag.Bool("v", false, "print per-site cache verdicts")
 	flag.Parse()
-
-	switch *solver {
-	case exact.SolverAntichain, exact.SolverPowerset, "both":
-	default:
-		cli.Fatalf(tool, "flags", "unknown solver %q (antichain, powerset, both)", *solver)
-	}
 
 	type program struct{ name, src string }
 	var progs []program
@@ -113,7 +104,7 @@ func main() {
 	run := runConfig{
 		sets: *sets, ways: *ways, line: *line, maxSteps: *maxSteps,
 		exact: *doExact || *doOracle, oracle: *doOracle, verbose: *verbose,
-		solver: *solver, interproc: *interproc,
+		interproc: *interproc,
 	}
 	failed := false
 	for _, p := range progs {
@@ -135,7 +126,6 @@ type runConfig struct {
 	exact            bool
 	oracle           bool
 	verbose          bool
-	solver           string // antichain, powerset, or "both"
 	interproc        bool
 }
 
@@ -178,48 +168,27 @@ func checkOne(name, src string, mode core.Mode, run runConfig) bool {
 		return false
 	}
 
-	// The exact refinement and its static-vs-dynamic oracle. With
-	// -solver both, every solver runs and the per-site verdicts must be
-	// identical — the differential check of the antichain compression.
-	solvers := []string{run.solver}
-	if run.solver == "both" {
-		solvers = []string{exact.SolverAntichain, exact.SolverPowerset}
-	}
+	// The exact refinement and its static-vs-dynamic oracle.
 	var rep *exact.Report
 	oracleLine := ""
-	for _, sv := range solvers {
-		var srep *exact.Report
-		xopt := exact.Options{Solver: sv}
-		if run.oracle {
-			ores, err := exact.OracleWith(src, core.Config{Mode: mode}, ccfg, maxSteps, xopt, run.interproc)
-			if err != nil {
-				fmt.Printf("%s ORACLE FAIL (%s): %v\n", label, sv, err)
-				return false
-			}
-			srep = ores.Report
-			oracleLine = "; oracle: " + ores.Summary()
-			if oerr := ores.Err(); oerr != nil {
-				fmt.Printf("%s FAIL  %s\n%v\n", label, oracleLine[2:], oerr)
-				return false
-			}
-		} else if run.exact {
-			srep, err = exact.AnalyzeWith(comp.Prog, ccfg, opt, xopt)
-			if err != nil {
-				fmt.Printf("%s EXACT FAIL (%s): %v\n", label, sv, err)
-				return false
-			}
+	if run.oracle {
+		ores, err := exact.OracleWith(src, core.Config{Mode: mode}, ccfg, maxSteps, exact.Options{}, run.interproc)
+		if err != nil {
+			fmt.Printf("%s ORACLE FAIL: %v\n", label, err)
+			return false
 		}
-		if srep == nil {
-			continue
+		rep = ores.Report
+		oracleLine = "; oracle: " + ores.Summary()
+		if oerr := ores.Err(); oerr != nil {
+			fmt.Printf("%s FAIL  %s\n%v\n", label, oracleLine[2:], oerr)
+			return false
 		}
-		if rep != nil { // second solver of "both": differential compare
-			if d := solverDiff(rep, srep); d != "" {
-				fmt.Printf("%s FAIL  solver divergence (%s vs %s): %s\n",
-					label, rep.Solver, srep.Solver, d)
-				return false
-			}
+	} else if run.exact {
+		rep, err = exact.Analyze(comp.Prog, ccfg, opt)
+		if err != nil {
+			fmt.Printf("%s EXACT FAIL: %v\n", label, err)
+			return false
 		}
-		rep = srep
 	}
 	exactLine := ""
 	if rep != nil {
@@ -246,27 +215,4 @@ func checkOne(name, src string, mode core.Mode, run runConfig) bool {
 		}
 	}
 	return ok
-}
-
-// solverDiff compares two reports of the same program site-by-site and
-// describes the first divergence ("" when verdicts are identical). The two
-// solvers must agree exactly: same sites, same verdicts, same deciding
-// pass.
-func solverDiff(a, b *exact.Report) string {
-	if len(a.Sites) != len(b.Sites) {
-		return fmt.Sprintf("%d vs %d sites", len(a.Sites), len(b.Sites))
-	}
-	for i := range a.Sites {
-		sa, sb := a.Sites[i], b.Sites[i]
-		if sa.Key != sb.Key || sa.Func != sb.Func || sa.Block != sb.Block || sa.Index != sb.Index {
-			return fmt.Sprintf("site %d identity: %s/b%d/i%d (%s) vs %s/b%d/i%d (%s)",
-				i, sa.Func, sa.Block, sa.Index, sa.Key, sb.Func, sb.Block, sb.Index, sb.Key)
-		}
-		if sa.Verdict != sb.Verdict || sa.By != sb.By {
-			return fmt.Sprintf("%s b%d i%d (%s): %s by %s vs %s by %s",
-				sa.Func, sa.Block, sa.Index, sa.Key,
-				sa.Verdict, sa.By, sb.Verdict, sb.By)
-		}
-	}
-	return ""
 }

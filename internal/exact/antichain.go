@@ -8,9 +8,8 @@ import (
 	"repro/internal/ir"
 )
 
-// This file is the antichain solver (the default): the same focused state
-// domain and transfer functions as the power-set reference, under a
-// compressed representation in the style of "Fast and exact analysis for
+// This file is the exact solver: the focused state domain and transfer
+// functions of exact.go under a compressed representation in the style of "Fast and exact analysis for
 // LRU caches" (arXiv 1811.01670). Three observations make it work:
 //
 //   - sNC and sMaybe are singleton valuations, so a reachable-state set is
@@ -19,8 +18,8 @@ import (
 //     lower bound, freed at least as much) is exactly "keeping only the
 //     weaker state loses nothing": verdicts and transfers are monotone in
 //     it. A set is therefore equivalent to its antichain of weakest
-//     elements, which the power-set solver's reduce() already computes —
-//     the equivalence argument between the two solvers.
+//     elements — the equivalence argument against the power-set reference
+//     solver the package tests keep as a differential oracle.
 //   - When an antichain still grows too wide, two sRes states can be
 //     *merged* (names union, distinct-fill intersection, anon max, freed
 //     or) into one state subsuming both. Merging is the widening: it loses
@@ -32,10 +31,10 @@ type achain struct {
 	res []state // kind sRes, pairwise unsubsumed; canon() sorts them
 }
 
-// Width caps. The merge widening degrades gracefully, so the antichain
-// solver affords a wider bound than the power-set solver's collapse caps
-// (32 anywhere, 16 on back edges); at every cap it keeps a merged state
-// where the reference keeps top, so it is never less precise.
+// Width caps. The merge widening degrades gracefully, so the solver affords
+// a wider bound than the power-set reference's collapse caps (32 anywhere,
+// 16 on back edges); at every cap it keeps a merged state where the
+// reference keeps top, so it is never less precise.
 const (
 	maxWidth      = 64
 	backedgeWidth = 16
@@ -104,7 +103,7 @@ func (a *achain) join(o achain) {
 }
 
 // each applies f to every valuation the chain denotes (top iterates as the
-// single maybe state, exactly the power-set solver's collapsed set).
+// single maybe state, exactly the power-set reference's collapsed set).
 func (a achain) each(f func(state)) {
 	if a.top {
 		f(maybeState)

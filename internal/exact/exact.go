@@ -23,10 +23,7 @@
 package exact
 
 import (
-	"fmt"
-
 	"repro/internal/cache"
-	"repro/internal/cfg"
 	"repro/internal/check"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
@@ -42,8 +39,12 @@ const (
 	ByMustMay DecidedBy = iota
 	// ByExact: the focused exact refinement decided a prefilter-unknown site.
 	ByExact
-	// ByIrreducible: the refinement ran and the site remains unknown — the
-	// uncertainty is real (modulo path feasibility), not analysis slack.
+	// ByIrreducible: the prefilter left the site unknown and the refinement
+	// did not decide it. Without budget exhaustion the refinement ran to its
+	// fixed point, so the uncertainty is real (modulo path feasibility), not
+	// analysis slack. When Report.Exhausted is set, the sites of the group
+	// the budget ran out in, and of every group after it, were never
+	// refined and land here too.
 	ByIrreducible
 	// ByBypass: the site skips the cache; hit/miss classification does not
 	// apply and the refinement leaves it alone.
@@ -71,48 +72,30 @@ type SiteVerdict struct {
 	Text    string // instruction rendering
 	Verdict check.Verdict
 	By      DecidedBy
-	Solver  string // which solver produced an exact verdict ("" otherwise)
 }
 
-// Solver names. The antichain solver is the default: it represents each
-// focus key's reachable valuations as a subsumption-pruned antichain and
-// widens by merging instead of collapsing to top, which keeps the exact
-// refinement tractable at progen scale. The power-set solver is the PR-4
-// reference implementation, retained behind the flag as a differential
-// baseline: on programs where both finish the antichain solver never
-// produces a weaker verdict.
-const (
-	SolverAntichain = "antichain"
-	SolverPowerset  = "powerset"
-)
+// SolverAntichain names the refinement solver in artifacts that record it
+// (the E12 scaling records, the serving daemon's exact tier). It
+// represents each focus key's reachable valuations as a subsumption-pruned
+// antichain and widens by merging instead of collapsing to top, which
+// keeps the exact refinement tractable at progen scale.
+const SolverAntichain = "antichain"
 
-// Options selects and bounds the exact solver. The zero value means the
-// antichain solver with no step budget.
+// Options bounds the exact solver. The zero value means no step budget.
 type Options struct {
-	// Solver is SolverAntichain (default when empty) or SolverPowerset.
-	Solver string
-
 	// StepBudget bounds the total number of state-transfer applications
 	// across the whole program's refinement; 0 means unlimited. The count
-	// is a deterministic function of (program, config, solver) — never
+	// is a deterministic function of (program, config) — never
 	// wall-clock — so budgeted runs produce byte-identical artifacts.
 	// On exhaustion the remaining focus groups degrade to the prefilter
 	// verdict (unknown stays irreducible) and Report.Exhausted is set.
 	StepBudget int64
 }
 
-func (o Options) solverName() string {
-	if o.Solver == "" {
-		return SolverAntichain
-	}
-	return o.Solver
-}
-
 // Report holds the combined prefilter + refinement result.
 type Report struct {
 	Config cache.Config
 	Pre    *check.CacheReport
-	Solver string // solver that produced the exact verdicts
 	// Verdicts is the final per-site classification: the prefilter's
 	// verdict where it decided, the exact one where it refined. The
 	// refinement never downgrades — a prefilter hit/miss is final.
@@ -134,18 +117,21 @@ type Report struct {
 }
 
 // Analyze runs the prefilter and then the focused refinement on every site
-// the prefilter left unknown, using the default (antichain) solver.
+// the prefilter left unknown.
 func Analyze(p *ir.Program, ccfg cache.Config, opt check.Options) (*Report, error) {
 	return AnalyzeWith(p, ccfg, opt, Options{})
 }
 
-// AnalyzeWith is Analyze with explicit solver selection and budget.
+// AnalyzeWith is Analyze under a step budget.
 func AnalyzeWith(p *ir.Program, ccfg cache.Config, opt check.Options, xopt Options) (*Report, error) {
-	switch xopt.solverName() {
-	case SolverAntichain, SolverPowerset:
-	default:
-		return nil, fmt.Errorf("exact: unknown solver %q", xopt.Solver)
-	}
+	return analyze(p, ccfg, opt, xopt, (*focus).solveAntichain)
+}
+
+// analyze is AnalyzeWith over a given focused fixed point: fixpoint returns
+// the verdict at every wanted site of one focus group, or nil when the
+// step budget ran out.
+func analyze(p *ir.Program, ccfg cache.Config, opt check.Options, xopt Options,
+	fixpoint func(*focus, map[*ir.Instr]bool) map[*ir.Instr]check.Verdict) (*Report, error) {
 	pre, err := check.AnalyzeCache(p, ccfg, opt)
 	if err != nil {
 		return nil, err
@@ -155,7 +141,7 @@ func AnalyzeWith(p *ir.Program, ccfg cache.Config, opt check.Options, xopt Optio
 		return nil, err
 	}
 
-	r := &Report{Config: ccfg, Pre: pre, Solver: xopt.solverName(),
+	r := &Report{Config: ccfg, Pre: pre,
 		Verdicts: make(map[*ir.MemRef]check.Verdict, len(pre.Verdicts))}
 	refined := make(map[*ir.MemRef]bool)
 	for ref, v := range pre.Verdicts {
@@ -163,7 +149,6 @@ func AnalyzeWith(p *ir.Program, ccfg cache.Config, opt check.Options, xopt Optio
 	}
 
 	stats := &runStats{budget: xopt.StepBudget, done: opt.Done}
-	antichain := r.Solver == SolverAntichain
 
 	for _, f := range p.Funcs {
 		ctx := newFnCtx(sm, f)
@@ -201,12 +186,7 @@ func AnalyzeWith(p *ir.Program, ccfg cache.Config, opt check.Options, xopt Optio
 			for _, s := range sites {
 				wanted[s.in] = true
 			}
-			var verdicts map[*ir.Instr]check.Verdict
-			if antichain {
-				verdicts = fo.solveAntichain(wanted)
-			} else {
-				verdicts = fo.solve(wanted)
-			}
+			verdicts := fixpoint(fo, wanted)
 			for _, s := range sites {
 				if v, ok := verdicts[s.in]; ok && v != check.Unknown {
 					r.Verdicts[s.in.Ref] = v
@@ -257,10 +237,6 @@ func AnalyzeWith(p *ir.Program, ccfg cache.Config, opt check.Options, xopt Optio
 					}
 				}
 				r.Total++
-				solver := ""
-				if by == ByExact {
-					solver = r.Solver
-				}
 				si, _ := sm.Func(f).Resolve(in)
 				r.Sites = append(r.Sites, SiteVerdict{
 					Func:    f.Name,
@@ -270,7 +246,6 @@ func AnalyzeWith(p *ir.Program, ccfg cache.Config, opt check.Options, xopt Optio
 					Text:    in.String(),
 					Verdict: v,
 					By:      by,
-					Solver:  solver,
 				})
 			}
 		}
@@ -314,23 +289,6 @@ var (
 	resFresh   = state{kind: sRes}
 )
 
-type stateSet map[state]struct{}
-
-// maxStates caps a state set's size; beyond it the set collapses to the
-// uninformative top. Widening in the classical sense is unnecessary — the
-// domain is finite — but the cap bounds the constant.
-const maxStates = 32
-
-func single(s state) stateSet { return stateSet{s: {}} }
-
-func cloneSet(ss stateSet) stateSet {
-	c := make(stateSet, len(ss))
-	for s := range ss {
-		c[s] = struct{}{}
-	}
-	return c
-}
-
 // subsumes reports whether keeping only w loses nothing a verdict or a
 // transfer could use from s: w is the weaker valuation (larger upper
 // bound, smaller lower bound, freed at least as much).
@@ -346,39 +304,6 @@ func subsumes(w, s state) bool {
 	}
 	return w.names.Contains(s.names) && w.anon >= s.anon &&
 		s.dnames.Contains(w.dnames) && (w.freed || !s.freed)
-}
-
-// reduce canonicalizes a set: collapse on top, drop subsumed states, cap.
-func reduce(ss stateSet) stateSet {
-	if _, ok := ss[maybeState]; ok && len(ss) > 1 {
-		return single(maybeState)
-	}
-	if len(ss) > 1 {
-		for s := range ss {
-			for w := range ss {
-				if w != s && subsumes(w, s) {
-					delete(ss, s)
-					break
-				}
-			}
-		}
-	}
-	if len(ss) > maxStates {
-		return single(maybeState)
-	}
-	return ss
-}
-
-func setsEqual(a, b stateSet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for s := range a {
-		if _, ok := b[s]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // ---- focused solver ----
@@ -398,7 +323,7 @@ type accessRel struct {
 
 // runStats aggregates deterministic solver instrumentation across every
 // focus group of one AnalyzeWith run. steps counts state-transfer
-// applications — a pure function of (program, config, solver), never
+// applications — a pure function of (program, config), never
 // wall-clock — so a budgeted run degrades at exactly the same point every
 // time and artifacts stay byte-stable.
 type runStats struct {
@@ -409,7 +334,7 @@ type runStats struct {
 
 	// Wall-clock cancellation (check.Options.Done): polled every
 	// pollEvery charged steps, it rides the exhaustion machinery — the
-	// solvers already degrade cleanly at any exhaustion point — but is
+	// solver already degrades cleanly at any exhaustion point — but is
 	// reported as a structured check.CanceledError, never as a report,
 	// because where it fired is not deterministic.
 	done      <-chan struct{}
@@ -454,7 +379,7 @@ type focus struct {
 	lineExact bool // one-word lines: distinct blocks are distinct lines
 	cold      bool
 	nameIdx   map[check.SiteKey]int
-	maps      map[*ir.Instr]func(state) []state // per-instr transfer, shared by both solvers
+	maps      map[*ir.Instr]func(state) []state // per-instr transfer
 	stats     *runStats
 }
 
@@ -704,126 +629,6 @@ func (fo *focus) argState(s state) []state {
 	return []state{s}
 }
 
-func (fo *focus) transferInstr(in *ir.Instr, ss stateSet) stateSet {
-	out := ss
-	if mapped := fo.maps[in]; mapped != nil {
-		fo.stats.charge(len(ss))
-		out = make(stateSet, len(ss))
-		for s := range ss {
-			for _, ns := range mapped(s) {
-				out[ns] = struct{}{}
-			}
-		}
-		out = reduce(out)
-		fo.stats.width(len(out))
-	}
-	// Redefining the focus pseudo-register retires the block: the register
-	// now names some other line, about which nothing is known.
-	if fo.k.Key.Pseudo() && in.Def() == fo.k.Key.PseudoReg() {
-		return single(maybeState)
-	}
-	return out
-}
-
-// solve runs the power-set fixed point and returns the verdict at every
-// wanted site.
-func (fo *focus) solve(wanted map[*ir.Instr]bool) map[*ir.Instr]check.Verdict {
-	f := fo.f
-	in := make([]stateSet, len(f.Blocks))
-	rpo := cfg.ReversePostorder(f)
-	idx := cfg.RPOIndex(f)
-	entry := f.Entry().ID
-	if fo.cold {
-		in[entry] = single(ncState)
-	} else {
-		in[entry] = single(maybeState)
-	}
-
-	// Worklist sweep in reverse postorder; guard against pathological
-	// non-convergence by degrading to top.
-	const maxPasses = 1 << 12
-	for pass, changed := 0, true; changed; pass++ {
-		changed = false
-		for _, b := range rpo {
-			ss := in[b.ID]
-			if ss == nil {
-				continue
-			}
-			cur := cloneSet(ss)
-			for i := range b.Instrs {
-				cur = fo.transferInstr(&b.Instrs[i], cur)
-			}
-			if fo.stats.exhausted {
-				return nil
-			}
-			for _, succ := range b.Succs {
-				merged := cloneSet(cur)
-				if prev := in[succ.ID]; prev != nil {
-					for s := range prev {
-						merged[s] = struct{}{}
-					}
-				}
-				merged = reduce(merged)
-				// Back edges (non-increasing RPO index) are where loop
-				// states accumulate; widen there with a tighter cap so
-				// deep loops converge in few passes.
-				if idx[succ.ID] >= 0 && idx[succ.ID] <= idx[b.ID] && len(merged) > maxStates/2 {
-					merged = single(maybeState)
-				}
-				if in[succ.ID] == nil || !setsEqual(merged, in[succ.ID]) {
-					in[succ.ID] = merged
-					changed = true
-				}
-			}
-		}
-		if pass > maxPasses {
-			for i := range in {
-				if in[i] != nil {
-					in[i] = single(maybeState)
-				}
-			}
-			break
-		}
-	}
-
-	// Replay once from the stable in-states, sampling the wanted sites.
-	out := make(map[*ir.Instr]check.Verdict, len(wanted))
-	for _, b := range f.Blocks {
-		ss := in[b.ID]
-		if ss == nil {
-			continue
-		}
-		cur := cloneSet(ss)
-		for i := range b.Instrs {
-			instr := &b.Instrs[i]
-			if wanted[instr] {
-				out[instr] = fo.verdictOf(cur)
-			}
-			cur = fo.transferInstr(instr, cur)
-		}
-		if fo.stats.exhausted {
-			return nil
-		}
-	}
-	return out
-}
-
-// verdictOf classifies the focus block's own access given its reachable
-// pre-states: every state must agree for a definite verdict.
-func (fo *focus) verdictOf(ss stateSet) check.Verdict {
-	if len(ss) == 0 {
-		return check.Unknown
-	}
-	hit, miss := true, true
-	for s := range ss {
-		v := fo.stateVote(s, &hit, &miss)
-		if !v {
-			return check.Unknown
-		}
-	}
-	return voteVerdict(hit, miss)
-}
-
 // stateVote folds one state into a hit/miss vote; false means the state is
 // neither definitely-resident nor definitely-uncached, so no verdict.
 func (fo *focus) stateVote(s state, hit, miss *bool) bool {
@@ -846,13 +651,4 @@ func voteVerdict(hit, miss bool) check.Verdict {
 		return check.AlwaysMiss
 	}
 	return check.Unknown
-}
-
-// Summary renders one line of combined counts.
-func (r *Report) Summary() string {
-	return fmt.Sprintf("%d sites: %d bypass, %d decided by must/may (%d hit, %d miss), %d by exact (%d hit, %d miss), %d irreducible",
-		r.Total, r.Bypassed,
-		r.PreHit+r.PreMiss, r.PreHit, r.PreMiss,
-		r.ExactHit+r.ExactMiss, r.ExactHit, r.ExactMiss,
-		r.Irreducible)
 }

@@ -1,7 +1,6 @@
 package exact_test
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -154,25 +153,5 @@ func TestOracleBenchmarks(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// The JSON artifact must be deterministic and carry the schema tag.
-func TestReportJSONDeterministic(t *testing.T) {
-	rep := analyze(t, hotScalarSrc,
-		core.Config{Mode: core.Conventional, StackScalars: true, Check: true},
-		cache.ConventionalConfig())
-	var a, b strings.Builder
-	if err := rep.WriteJSON(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Error("WriteJSON is not deterministic")
-	}
-	if !strings.Contains(a.String(), exact.JSONSchema) {
-		t.Errorf("JSON missing schema tag %q", exact.JSONSchema)
 	}
 }

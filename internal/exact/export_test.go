@@ -1,0 +1,12 @@
+package exact
+
+import (
+	"repro/internal/cache"
+	"repro/internal/check"
+	"repro/internal/ir"
+)
+
+// AnalyzePowerset is AnalyzeWith under the power-set reference solver.
+func AnalyzePowerset(p *ir.Program, ccfg cache.Config, opt check.Options, xopt Options) (*Report, error) {
+	return analyze(p, ccfg, opt, xopt, (*focus).solve)
+}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/mcgen"
@@ -63,43 +62,20 @@ func FuzzExactAntichain(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		src := mcgen.Program(seed)
 		for _, mode := range []core.Mode{core.Unified, core.Conventional} {
-			ccfg := cache.DefaultConfig()
-			if mode == core.Conventional {
-				ccfg = cache.ConventionalConfig()
-			}
+			ccfg := modeConfig(mode)
 			comp, err := core.Compile(src, core.Config{Mode: mode, StackScalars: true, Check: true})
 			if err != nil {
 				continue
 			}
 			for _, interproc := range []bool{false, true} {
-				opt := check.Options{Unified: mode == core.Unified}
-				if interproc {
-					opt.Interproc = true
-					opt.SavedRegs = core.SavedRegCounts(comp)
-				}
-				var reps [2]*exact.Report
-				for i, solver := range []string{exact.SolverAntichain, exact.SolverPowerset} {
-					rep, err := exact.AnalyzeWith(comp.Prog, ccfg, opt, exact.Options{Solver: solver})
-					if err != nil {
-						t.Fatalf("seed %d %s/%s: %v", seed, mode, solver, err)
-					}
-					reps[i] = rep
-				}
-				a, p := reps[0], reps[1]
-				if len(a.Sites) != len(p.Sites) {
-					t.Fatalf("seed %d %s: %d vs %d sites", seed, mode, len(a.Sites), len(p.Sites))
-				}
-				for i := range a.Sites {
-					sa, sp := a.Sites[i], p.Sites[i]
-					if sa.Verdict != sp.Verdict || sa.By != sp.By {
-						t.Errorf("seed %d %s interproc=%v, %s b%d i%d (%s): antichain %s by %s, powerset %s by %s\nsource:\n%s",
-							seed, mode, interproc, sa.Func, sa.Block, sa.Index, sa.Key,
-							sa.Verdict, sa.By, sp.Verdict, sp.By, src)
-					}
+				opt := checkOptions(comp, mode, interproc)
+				if d := bothSolvers(t, comp, ccfg, opt); d != "" {
+					t.Errorf("seed %d %s interproc=%v: solvers diverge: %s\nsource:\n%s",
+						seed, mode, interproc, d, src)
 				}
 				// The antichain verdicts must also be dynamically sound.
 				res, err := exact.OracleWith(src, core.Config{Mode: mode, StackScalars: true, Check: true},
-					ccfg, 2_000_000, exact.Options{Solver: exact.SolverAntichain}, interproc)
+					ccfg, 2_000_000, exact.Options{}, interproc)
 				if err != nil {
 					continue // resource exhaustion: ordinary for generated code
 				}

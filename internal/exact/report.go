@@ -1,158 +1,32 @@
 package exact
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 )
 
-// JSONSchema identifies the current exact-report artifact format. v2 adds
-// solver provenance: the top-level solver that ran the refinement and a
-// per-site solver on every verdict the exact pass (not the prefilter)
-// produced.
-const JSONSchema = "unicache-exact/v2"
-
-// JSONSchemaV1 is the previous format, which predates solver selection:
-// every v1 refinement verdict was produced by the power-set solver.
-// ReadReportJSON still accepts it.
-const JSONSchemaV1 = "unicache-exact/v1"
-
-// ReportJSON is the machine-readable rendering of a Report — the document
-// WriteJSON emits and ReadReportJSON parses.
-type ReportJSON struct {
-	Schema  string     `json:"schema"`
-	Solver  string     `json:"solver,omitempty"` // refinement solver (v2)
-	Config  ConfigJSON `json:"config"`
-	Summary struct {
-		Sites       int `json:"sites"`
-		Bypass      int `json:"bypass"`
-		PreHit      int `json:"pre_hit"`
-		PreMiss     int `json:"pre_miss"`
-		ExactHit    int `json:"exact_hit"`
-		ExactMiss   int `json:"exact_miss"`
-		Irreducible int `json:"irreducible"`
-	} `json:"summary"`
-	Sites []SiteJSON `json:"sites"`
-}
-
-// ConfigJSON is the cache configuration block of a report document.
-type ConfigJSON struct {
-	Sets        int    `json:"sets"`
-	Ways        int    `json:"ways"`
-	LineWords   int    `json:"line_words"`
-	Policy      string `json:"policy"`
-	Dead        string `json:"dead"`
-	HonorBypass bool   `json:"honor_bypass"`
-}
-
-// SiteJSON is one classified site of a report document. Solver is set (v2)
-// exactly when the verdict came from the exact refinement ("by": "exact"):
-// prefilter and bypass verdicts are solver-independent.
-type SiteJSON struct {
-	Func    string `json:"func"`
-	Block   int    `json:"block"`
-	Index   int    `json:"index"`
-	Key     string `json:"key"`
-	Text    string `json:"text"`
-	Verdict string `json:"verdict"`
-	By      string `json:"by"`
-	Solver  string `json:"solver,omitempty"`
-}
-
-// WriteJSON emits the per-site report and precision summary as one JSON
-// document. The encoding is deterministic: sites are in program order and
-// no maps are marshaled.
-func (r *Report) WriteJSON(w io.Writer) error {
-	doc := ReportJSON{
-		Schema: JSONSchema,
-		Solver: r.Solver,
-		Config: ConfigJSON{
-			Sets:        r.Config.Sets,
-			Ways:        r.Config.Ways,
-			LineWords:   r.Config.LineWords,
-			Policy:      r.Config.Policy.String(),
-			Dead:        r.Config.Dead.String(),
-			HonorBypass: r.Config.HonorBypass,
-		},
-	}
-	doc.Summary.Sites = r.Total
-	doc.Summary.Bypass = r.Bypassed
-	doc.Summary.PreHit = r.PreHit
-	doc.Summary.PreMiss = r.PreMiss
-	doc.Summary.ExactHit = r.ExactHit
-	doc.Summary.ExactMiss = r.ExactMiss
-	doc.Summary.Irreducible = r.Irreducible
-	for _, s := range r.Sites {
-		doc.Sites = append(doc.Sites, SiteJSON{
-			Func:    s.Func,
-			Block:   s.Block,
-			Index:   s.Index,
-			Key:     s.Key,
-			Text:    s.Text,
-			Verdict: s.Verdict.String(),
-			By:      s.By.String(),
-			Solver:  s.Solver,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(doc)
-}
-
-// ReadReportJSON parses a report artifact leniently, in the spirit of
-// sweep.ReadRecords: v1 and v2 schemas are both accepted, unknown fields
-// are ignored, and missing optional fields default rather than fail. The
-// only hard errors are malformed JSON and a schema string from some other
-// artifact family — those are not damaged reports, they are the wrong
-// file. On v1 documents every exact-pass site verdict is attributed to the
-// power-set solver (the only solver that existed when v1 was written).
-func ReadReportJSON(r io.Reader) (*ReportJSON, error) {
-	var doc ReportJSON
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("exact: reading report: %w", err)
-	}
-	switch doc.Schema {
-	case JSONSchema:
-	case JSONSchemaV1:
-		if doc.Solver == "" {
-			doc.Solver = SolverPowerset
-		}
-		for i := range doc.Sites {
-			if doc.Sites[i].Solver == "" && doc.Sites[i].By == ByExact.String() {
-				doc.Sites[i].Solver = SolverPowerset
-			}
-		}
-	default:
-		return nil, fmt.Errorf("exact: unknown report schema %q", doc.Schema)
-	}
-	return &doc, nil
-}
-
-// Classified is the number of sites the refinement is responsible for:
-// everything except bypassed sites.
-func (r *Report) Classified() int { return r.Total - r.Bypassed }
-
-// Precision returns the percentage of classified sites decided by the
-// must/may prefilter, by the exact refinement, and left irreducibly
-// unknown. The three sum to 100 (up to rounding) when any site exists.
-func (r *Report) Precision() (mustMay, exactPct, irreducible float64) {
-	n := r.Classified()
-	if n == 0 {
-		return 0, 0, 0
-	}
-	pct := func(c int) float64 { return 100 * float64(c) / float64(n) }
-	return pct(r.PreHit + r.PreMiss), pct(r.ExactHit + r.ExactMiss), pct(r.Irreducible)
+// Summary renders one line of combined counts.
+func (r *Report) Summary() string {
+	return fmt.Sprintf("%d sites: %d bypass, %d decided by must/may (%d hit, %d miss), %d by exact (%d hit, %d miss), %d irreducible",
+		r.Total, r.Bypassed,
+		r.PreHit+r.PreMiss, r.PreHit, r.PreMiss,
+		r.ExactHit+r.ExactMiss, r.ExactHit, r.ExactMiss,
+		r.Irreducible)
 }
 
 // Render writes the human-readable refinement report: the summary line
 // followed by every site the exact pass decided or left irreducible
-// (prefilter-decided sites appear in the prefilter's own report).
+// (prefilter-decided sites appear in the prefilter's own report). When the
+// step budget ran out, the header says so: some unknown* sites were then
+// never refined, rather than refined and found undecidable.
 func (r *Report) Render() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "exact refinement (%d sets x %d ways, line %d, %s; %s solver): %s\n",
-		r.Config.Sets, r.Config.Ways, r.Config.LineWords, r.Config.Policy, r.Solver, r.Summary())
+	budget := ""
+	if r.Exhausted {
+		budget = fmt.Sprintf("; step budget ran out at %d steps, later sites unrefined", r.Steps)
+	}
+	fmt.Fprintf(&sb, "exact refinement (%d sets x %d ways, line %d, %s%s): %s\n",
+		r.Config.Sets, r.Config.Ways, r.Config.LineWords, r.Config.Policy, budget, r.Summary())
 	lastFunc := ""
 	for _, s := range r.Sites {
 		if s.By != ByExact && s.By != ByIrreducible {
@@ -164,7 +38,7 @@ func (r *Report) Render() string {
 		}
 		verdict := s.Verdict.String()
 		if s.By == ByIrreducible {
-			verdict = "unknown*" // irreducible: real uncertainty, not slack
+			verdict = "unknown*" // not decided by the refinement (see ByIrreducible)
 		}
 		fmt.Fprintf(&sb, "  b%d i%d %-11s %s (%s)\n", s.Block, s.Index, verdict, s.Text, s.Key)
 	}

@@ -15,8 +15,8 @@ import (
 )
 
 // ExpScaling tags the E12 record stream: the exact-analysis scaling
-// campaign over generated programs far beyond benchmark size, run through
-// both solvers with interprocedural summaries on.
+// campaign over generated programs far beyond benchmark size, run with
+// interprocedural summaries on.
 const ExpScaling = "scaling"
 
 // ScalingSchema identifies the checked-in BENCH_exact.json artifact. The
@@ -28,7 +28,7 @@ const ScalingSchema = "unicache-exact-scale/v1"
 type ScalingSpec struct {
 	Seeds  []int64 // progen seeds, one program each
 	Scale  int     // progen.ScaleKnobs factor
-	Budget int64   // per-(program, solver) step budget; 0 unlimited
+	Budget int64   // per-program step budget; 0 unlimited
 }
 
 // DefaultScalingSpec is the checked-in campaign: twenty generated programs
@@ -36,8 +36,8 @@ type ScalingSpec struct {
 // count (67), most fifteen to a hundred times it. The seed list is the
 // first twenty seeds whose compiled program has >= 670 reference sites
 // (seeds 12 and 17 fall short and are skipped); TestScalingCorpusSize
-// re-derives the floor. Both solvers run under the same deterministic step
-// budget — steps, not seconds — so exhaustion is a property of the
+// re-derives the floor. Every program runs under the same deterministic
+// step budget — steps, not seconds — so exhaustion is a property of the
 // program, never of the machine, and the artifact is byte-stable anywhere.
 func DefaultScalingSpec() ScalingSpec {
 	return ScalingSpec{
@@ -56,10 +56,10 @@ func scalingConfig() cache.Config {
 	return g.conventional()
 }
 
-// RecordsScaling runs the campaign and returns two records per seed (one
-// per solver). Purely static — no simulation. WallNS is filled for the
-// table but excluded from the JSON encoding, which stays byte-stable
-// across machines and runs.
+// RecordsScaling runs the campaign and returns one record per seed.
+// Purely static — no simulation. WallNS is filled for the table but
+// excluded from the JSON encoding, which stays byte-stable across machines
+// and runs.
 func RecordsScaling(spec ScalingSpec) ([]sweep.Record, error) {
 	ccfg := scalingConfig()
 	var out []sweep.Record
@@ -73,29 +73,29 @@ func RecordsScaling(spec ScalingSpec) ([]sweep.Record, error) {
 			Interproc: true,
 			SavedRegs: core.SavedRegCounts(comp),
 		}
-		for _, solver := range []string{exact.SolverAntichain, exact.SolverPowerset} {
-			t0 := time.Now() //unilint:ok wallclock E12 measures analysis wall time; WallNS is json:"-" in sweep artifacts
-			rep, err := exact.AnalyzeWith(comp.Prog, ccfg, opt, exact.Options{Solver: solver, StepBudget: spec.Budget})
-			if err != nil {
-				return nil, fmt.Errorf("progen seed %d (%s): %w", seed, solver, err)
-			}
-			r := sweep.NewRecord(fmt.Sprintf("progen-%03d", seed), Baseline.String(), sweep.ModeConventional, ccfg)
-			r.Experiment = ExpScaling
-			r.Solver = solver
-			r.SetKey()
-			r.StaticSites = rep.Total
-			r.StaticBypass = rep.Bypassed
-			r.PreHit = rep.PreHit
-			r.PreMiss = rep.PreMiss
-			r.ExactHit = rep.ExactHit
-			r.ExactMiss = rep.ExactMiss
-			r.Irreducible = rep.Irreducible
-			r.AnalysisSteps = rep.Steps
-			r.AnalysisStates = rep.PeakWidth
-			r.AnalysisExhausted = rep.Exhausted
-			r.WallNS = time.Since(t0).Nanoseconds() //unilint:ok wallclock E12 measures analysis wall time; WallNS is json:"-" in sweep artifacts
-			out = append(out, r)
+		t0 := time.Now() //unilint:ok wallclock E12 measures analysis wall time; WallNS is json:"-" in sweep artifacts
+		rep, err := exact.AnalyzeWith(comp.Prog, ccfg, opt, exact.Options{StepBudget: spec.Budget})
+		if err != nil {
+			return nil, fmt.Errorf("progen seed %d: %w", seed, err)
 		}
+		r := sweep.NewRecord(fmt.Sprintf("progen-%03d", seed), Baseline.String(), sweep.ModeConventional, ccfg)
+		r.Experiment = ExpScaling
+		// The solver name joins the key; BENCH_exact.json's keys and
+		// resume identities carry it.
+		r.Solver = exact.SolverAntichain
+		r.SetKey()
+		r.StaticSites = rep.Total
+		r.StaticBypass = rep.Bypassed
+		r.PreHit = rep.PreHit
+		r.PreMiss = rep.PreMiss
+		r.ExactHit = rep.ExactHit
+		r.ExactMiss = rep.ExactMiss
+		r.Irreducible = rep.Irreducible
+		r.AnalysisSteps = rep.Steps
+		r.AnalysisStates = rep.PeakWidth
+		r.AnalysisExhausted = rep.Exhausted
+		r.WallNS = time.Since(t0).Nanoseconds() //unilint:ok wallclock E12 measures analysis wall time; WallNS is json:"-" in sweep artifacts
+		out = append(out, r)
 	}
 	return out, nil
 }
@@ -131,98 +131,27 @@ func WriteScalingJSON(w io.Writer, spec ScalingSpec, recs []sweep.Record) error 
 	return err
 }
 
-// ScalingRow pairs one seed's two solver records for rendering.
-type ScalingRow struct {
-	Bench               string
-	Antichain, Powerset sweep.Record
-	HaveAnti, HavePower bool
-}
-
-// ScalingTable is the E12 result.
+// ScalingTable is the E12 result: one record per program.
 type ScalingTable struct {
-	Rows []ScalingRow
-}
-
-// ScalingFromRecords groups a scaling record stream by program, in first-
-// appearance order.
-func ScalingFromRecords(recs []sweep.Record) ScalingTable {
-	idx := map[string]int{}
-	var t ScalingTable
-	for _, r := range recs {
-		i, ok := idx[r.Bench]
-		if !ok {
-			i = len(t.Rows)
-			idx[r.Bench] = i
-			t.Rows = append(t.Rows, ScalingRow{Bench: r.Bench})
-		}
-		switch r.Solver {
-		case exact.SolverAntichain:
-			t.Rows[i].Antichain, t.Rows[i].HaveAnti = r, true
-		case exact.SolverPowerset:
-			t.Rows[i].Powerset, t.Rows[i].HavePower = r, true
-		}
-	}
-	return t
-}
-
-// Scaling computes the E12 table from scratch.
-func Scaling(spec ScalingSpec) (ScalingTable, error) {
-	recs, err := RecordsScaling(spec)
-	if err != nil {
-		return ScalingTable{}, err
-	}
-	return ScalingFromRecords(recs), nil
-}
-
-// Mismatches returns the programs where the two solvers disagree on any
-// verdict count despite both finishing — the solver-equivalence invariant;
-// always empty unless one of them is buggy. Rows where either solver
-// exhausted its budget are skipped (a budgeted run legitimately resolves
-// fewer sites).
-func (t ScalingTable) Mismatches() []string {
-	var bad []string
-	for _, r := range t.Rows {
-		if !r.HaveAnti || !r.HavePower || r.Antichain.AnalysisExhausted || r.Powerset.AnalysisExhausted {
-			continue
-		}
-		a, p := r.Antichain, r.Powerset
-		if a.PreHit != p.PreHit || a.PreMiss != p.PreMiss ||
-			a.ExactHit < p.ExactHit || a.ExactMiss < p.ExactMiss ||
-			a.Irreducible > p.Irreducible {
-			bad = append(bad, r.Bench)
-		}
-	}
-	return bad
+	Rows []sweep.Record
 }
 
 // String renders the E12 table. Wall times (the only nondeterministic
 // column) are printed here and nowhere else.
 func (t ScalingTable) String() string {
 	var sb strings.Builder
-	sb.WriteString("E12: exact-analysis scaling on generated programs (antichain vs power-set, interprocedural summaries on)\n")
-	fmt.Fprintf(&sb, "%-12s %6s | %-9s %10s %5s %4s %5s %5s %5s %9s\n",
-		"program", "sites", "solver", "steps", "peak", "exh", "hit", "miss", "unk", "wall")
-	for _, row := range t.Rows {
-		for _, s := range []struct {
-			rec sweep.Record
-			ok  bool
-		}{{row.Antichain, row.HaveAnti}, {row.Powerset, row.HavePower}} {
-			if !s.ok {
-				continue
-			}
-			r := s.rec
-			exh := "-"
-			if r.AnalysisExhausted {
-				exh = "yes"
-			}
-			fmt.Fprintf(&sb, "%-12s %6d | %-9s %10d %5d %4s %5d %5d %5d %9s\n",
-				r.Bench, r.StaticSites, r.Solver, r.AnalysisSteps, r.AnalysisStates, exh,
-				r.PreHit+r.ExactHit, r.PreMiss+r.ExactMiss, r.Irreducible,
-				time.Duration(r.WallNS).Round(time.Millisecond))
+	sb.WriteString("E12: exact-analysis scaling on generated programs (antichain solver, interprocedural summaries on)\n")
+	fmt.Fprintf(&sb, "%-12s %6s | %10s %5s %4s %5s %5s %5s %9s\n",
+		"program", "sites", "steps", "peak", "exh", "hit", "miss", "unk", "wall")
+	for _, r := range t.Rows {
+		exh := "-"
+		if r.AnalysisExhausted {
+			exh = "yes"
 		}
-	}
-	if bad := t.Mismatches(); len(bad) > 0 {
-		fmt.Fprintf(&sb, "SOLVER MISMATCH on: %s\n", strings.Join(bad, ", "))
+		fmt.Fprintf(&sb, "%-12s %6d | %10d %5d %4s %5d %5d %5d %9s\n",
+			r.Bench, r.StaticSites, r.AnalysisSteps, r.AnalysisStates, exh,
+			r.PreHit+r.ExactHit, r.PreMiss+r.ExactMiss, r.Irreducible,
+			time.Duration(r.WallNS).Round(time.Millisecond))
 	}
 	return sb.String()
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exact"
 	"repro/internal/progen"
 	"repro/internal/sweep"
 )
@@ -46,32 +47,26 @@ func smallSpec() ScalingSpec {
 	return ScalingSpec{Seeds: []int64{3}, Scale: 1, Budget: 2_000_000}
 }
 
-// TestScalingRecordsShape: two records per seed, one per solver, with
-// distinct resumable keys and the instrumentation columns filled.
+// TestScalingRecordsShape: one record per seed, keyed with the solver
+// suffix the committed artifact carries, with the instrumentation columns
+// filled.
 func TestScalingRecordsShape(t *testing.T) {
 	recs, err := RecordsScaling(smallSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("got %d records, want 2", len(recs))
+	if len(recs) != 1 {
+		t.Fatalf("got %d records, want 1", len(recs))
 	}
-	if recs[0].Key == recs[1].Key {
-		t.Errorf("solver records share key %q; resume would conflate them", recs[0].Key)
+	r := recs[0]
+	if r.Experiment != ExpScaling || r.Solver != exact.SolverAntichain {
+		t.Errorf("record %q missing provenance: experiment=%q solver=%q", r.Key, r.Experiment, r.Solver)
 	}
-	for _, r := range recs {
-		if r.Experiment != ExpScaling || r.Solver == "" {
-			t.Errorf("record %q missing provenance: experiment=%q solver=%q", r.Key, r.Experiment, r.Solver)
-		}
-		if r.StaticSites == 0 || r.AnalysisSteps == 0 {
-			t.Errorf("record %q missing instrumentation: sites=%d steps=%d", r.Key, r.StaticSites, r.AnalysisSteps)
-		}
-		if !strings.HasSuffix(r.Key, "/"+r.Solver) {
-			t.Errorf("key %q does not end in the solver suffix", r.Key)
-		}
+	if r.StaticSites == 0 || r.AnalysisSteps == 0 {
+		t.Errorf("record %q missing instrumentation: sites=%d steps=%d", r.Key, r.StaticSites, r.AnalysisSteps)
 	}
-	if bad := ScalingFromRecords(recs).Mismatches(); len(bad) > 0 {
-		t.Errorf("solver mismatch on %v", bad)
+	if !strings.HasSuffix(r.Key, "/"+exact.SolverAntichain) {
+		t.Errorf("key %q does not end in the solver suffix", r.Key)
 	}
 }
 
@@ -101,7 +96,7 @@ func TestScalingJSONByteStable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sweep reader rejected the artifact: %v", err)
 	}
-	if dropped != 0 || len(got) != 2 {
-		t.Errorf("sweep salvage recovered %d records (%d dropped), want 2 (0)", len(got), dropped)
+	if dropped != 0 || len(got) != 1 {
+		t.Errorf("sweep salvage recovered %d records (%d dropped), want 1 (0)", len(got), dropped)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/check"
 	"repro/internal/core"
-	"repro/internal/exact"
 	"repro/internal/vm"
 )
 
@@ -291,5 +290,4 @@ var (
 	_ error = (*vm.BudgetError)(nil)
 	_ error = (*vm.CancelError)(nil)
 	_ error = (*check.CanceledError)(nil)
-	_       = exact.SolverAntichain
 )

@@ -622,7 +622,7 @@ func (s *Server) runTiers(t *task, want map[string]bool, resp *Response) (phase 
 			PreHit: rep.PreHit, PreMiss: rep.PreMiss,
 			ExactHit: rep.ExactHit, ExactMiss: rep.ExactMiss,
 			Irreducible: rep.Irreducible,
-			Solver:      rep.Solver, Steps: rep.Steps, Exhausted: rep.Exhausted,
+			Solver:      exact.SolverAntichain, Steps: rep.Steps, Exhausted: rep.Exhausted,
 		}
 	}
 	return phase, nil

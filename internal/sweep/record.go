@@ -61,9 +61,9 @@ type Record struct {
 	Irreducible int `json:"irreducible,omitempty"`
 
 	// Exact-solver instrumentation (the scaling experiment; zero
-	// elsewhere). Solver names the refinement solver ("antichain" or
-	// "powerset") and joins the key so the same program under both solvers
-	// yields distinct, resumable units. AnalysisSteps counts state-transfer
+	// elsewhere). Solver names the refinement solver ("antichain") and
+	// joins the key, so units that differ only in solver stay distinct and
+	// resumable. AnalysisSteps counts state-transfer
 	// applications (the deterministic work measure — never wall-clock),
 	// AnalysisStates the peak focus-set width, and AnalysisExhausted
 	// records that the step budget ran out (remaining sites degraded to
@@ -131,7 +131,7 @@ func (r *Record) SetKey() {
 	r.Key = fmt.Sprintf("%s/%s/%s/s%d.w%d.l%d/%s/%s,%s",
 		r.Bench, r.Compiler, r.Mode, r.Sets, r.Ways, r.LineWords, r.Policy, r.Dead, hw)
 	if r.Solver != "" {
-		// Solver-differential units measure the same configuration twice;
+		// Units that differ only in solver measure the same configuration;
 		// the suffix keeps their keys (and resume identities) apart.
 		r.Key += "/" + r.Solver
 	}

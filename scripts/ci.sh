@@ -86,13 +86,16 @@ diff -u BENCH_precision.txt /tmp/precision-ci.txt
 rm -f /tmp/precision-ci.txt
 go run ./cmd/unicheck -oracle -bench queen,sieve
 
-echo "== exact-scale-smoke (antichain vs power-set, generated programs) =="
-# Mid-size generated programs through both exact solvers with
-# interprocedural summaries on: any per-site verdict divergence between
-# the antichain and power-set solvers fails the run, and the oracle
-# replays every verdict on the production VM. The fuzz pass drives the
-# same differential over fresh mcgen programs for a few seconds.
-go run ./cmd/unicheck -oracle -solver both -interproc -bench sieve -gen 3,5,8 -gen-scale 2
+echo "== exact-scale-smoke (antichain vs power-set reference, generated programs) =="
+# Mid-size generated programs (sieve + progen seeds 3, 5, 8 at scale 2,
+# both modes) with interprocedural summaries on. The Go test compares
+# the antichain solver with the power-set reference solver kept in the
+# exact package's tests and fails on any per-site verdict divergence;
+# it and unicheck both replay every verdict on the production VM. The
+# fuzz pass drives the same differential over fresh mcgen programs for
+# a few seconds.
+go test -count=1 -run 'TestSolversAgreeOnGeneratedWindow$' ./internal/exact
+go run ./cmd/unicheck -oracle -interproc -bench sieve -gen 3,5,8 -gen-scale 2
 go test -run 'xxx^' -fuzz 'FuzzExactAntichain$' -fuzztime 10s ./internal/exact
 
 echo "== fault campaigns (bubble, sieve) =="

@@ -403,22 +403,28 @@ func injected(cfg vm.Config) bool {
 	return cfg.Cache.Injector != nil || (cfg.ICache != nil && cfg.ICache.Injector != nil)
 }
 
-// sideEffectful reports whether cfg carries injector state or a trace
-// sink that a memoized result would silently skip.
-func sideEffectful(cfg vm.Config) bool {
-	return injected(cfg) || cfg.TraceSink != nil
-}
-
-// runEntryFor returns the run entry for key, creating it on first request.
-func (c *Cache) runEntryFor(key string) *runEntry {
+// lockRun returns the run entry for key, created on first request, with
+// its mutex held and its store file shielded from GC. Release both with
+// unlockRun.
+func (c *Cache) lockRun(key string) (e *runEntry, path string) {
+	if c.disk != nil {
+		path = c.disk.runPath(key)
+		c.protectPath(path)
+	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.runs[key]
-	if !ok {
+	e = c.runs[key]
+	if e == nil {
 		e = &runEntry{}
 		c.runs[key] = e
 	}
-	return e
+	c.mu.Unlock()
+	e.mu.Lock()
+	return e, path
+}
+
+func (c *Cache) unlockRun(e *runEntry, path string) {
+	e.mu.Unlock()
+	c.unprotectPath(path)
 }
 
 // runKnown reports whether a run entry for key already exists (filled or
@@ -435,54 +441,64 @@ func (c *Cache) runKnown(key string) bool {
 // TraceSink are executed directly and never cached — fault campaigns own
 // their injector state, and a sink must observe every reference.
 func (c *Cache) Run(art *Artifact, cfg vm.Config) (*vm.Result, error) {
-	return c.run(art, cfg, ClassBypass, nil)
+	res, _, err := c.run(art, cfg, false, ClassBypass, nil)
+	return res, err
 }
 
-func (c *Cache) run(art *Artifact, cfg vm.Config, cls ReuseClass, sess *Session) (*vm.Result, error) {
+// RunEncoded is Run additionally returning the compactly encoded
+// reference trace of the simulation, memoized on the same run entry as
+// the result. An encoded trace costs ~2 bytes per reference, so it is
+// kept with the result and shared by every replay-driven experiment that
+// asks for the same configuration — trace-driven replays re-simulate
+// nothing. Encoded traces live in memory only; the persistent store keeps
+// statistics, not reference streams. The encoder takes cfg's TraceSink
+// slot (the encoding is the trace). Injected configurations execute
+// directly, uncached, exactly as in Run.
+func (c *Cache) RunEncoded(art *Artifact, cfg vm.Config) (*vm.Result, *replay.Encoded, error) {
+	return c.run(art, cfg, true, ClassBypass, nil)
+}
+
+// run is the one memoized run path behind Run, RunEncoded and RunBatch.
+// A traced request also wants the encoded trace: the memo answers it only
+// when the entry holds one, and it never reads the persistent store
+// (which cannot supply a trace), so it executes once and seeds the trace
+// for every later caller.
+func (c *Cache) run(art *Artifact, cfg vm.Config, traced bool, cls ReuseClass, sess *Session) (*vm.Result, *replay.Encoded, error) {
 	cfg = cfg.Normalized()
-	if sideEffectful(cfg) {
+	if injected(cfg) || (!traced && cfg.TraceSink != nil) {
 		// Injector state and TraceSink observation are side effects a
 		// memoized result would silently skip: always execute.
-		return vm.Run(art.Prog, cfg)
+		return execute(art, cfg, traced)
 	}
 	key := runKey(art.Key, cfg)
-	var path string
-	if c.disk != nil {
-		path = c.disk.runPath(key)
-		c.protectPath(path)
-		defer c.unprotectPath(path)
-	}
-	e := c.runEntryFor(key)
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e, path := c.lockRun(key)
+	defer c.unlockRun(e, path)
 	if e.err != nil {
 		c.hitRun()
-		return nil, e.err
+		return nil, nil, e.err
 	}
-	if e.res != nil {
+	if e.res != nil && (!traced || e.enc != nil) {
 		c.hitRun()
-		c.promoteRunLocked(e, key, cls)
+		c.installRunLocked(e, key, e.res, cls)
 		sess.note(path)
-		return e.res, nil
+		return e.res, e.enc, nil
 	}
-	if c.disk != nil {
+	if c.disk != nil && !traced {
 		res, storedCls, err := c.diskReadRun(key)
 		if err != nil {
 			e.err = err
-			return nil, err
+			return nil, nil, err
 		}
 		if res != nil {
 			c.count(func(s *Stats) { s.DiskRunHits++ })
-			e.res = res
-			e.class = storedCls
-			c.promoteRunLocked(e, key, cls)
+			e.res, e.class = res, storedCls
+			c.installRunLocked(e, key, res, cls)
 			sess.note(path)
-			return res, nil
+			return res, nil, nil
 		}
 	}
 	c.missRun()
-	res, err := vm.Run(art.Prog, cfg)
+	res, enc, err := execute(art, cfg, traced)
 	if err != nil {
 		// A cancellation (deadline, shutdown) says nothing about the
 		// configuration — where the run was when Done fired is wall-clock
@@ -492,114 +508,58 @@ func (c *Cache) run(art *Artifact, cfg vm.Config, cls ReuseClass, sess *Session)
 		if !errors.As(err, &ce) {
 			e.err = err
 		}
-		return nil, err
+		return nil, nil, err
 	}
-	e.res = res
-	e.class = maxClass(e.class, cls)
-	if c.disk != nil {
-		if err := c.diskWriteRun(key, res, e.class); err != nil {
-			c.count(func(s *Stats) { s.WriteErrs++ })
-			c.warnf("artifact: persist run: %v", err)
-		}
-	}
+	e.enc = enc
+	res = c.installRunLocked(e, key, res, cls)
 	sess.note(path)
-	return res, nil
+	return res, enc, nil
 }
 
-// promoteRunLocked upgrades a run entry's class and rewrites its
-// persistent form. Caller holds e.mu.
-func (c *Cache) promoteRunLocked(e *runEntry, key string, cls ReuseClass) {
-	if cls <= e.class {
-		return
-	}
-	e.class = cls
-	if c.disk != nil && e.res != nil {
-		if err := c.diskWriteRun(key, e.res, cls); err != nil {
-			c.count(func(s *Stats) { s.WriteErrs++ })
-			c.warnf("artifact: promote run: %v", err)
-		}
-	}
-}
-
-// RunEncoded is Run additionally returning the compactly encoded
-// reference trace of the simulation, memoized alongside the result. An
-// encoded trace costs ~2 bytes per reference, so it is kept on the run
-// entry and shared by every replay-driven experiment that asks for the
-// same configuration — trace-driven replays re-simulate nothing.
-// Encoded traces live in memory only; the persistent store keeps
-// statistics, not reference streams. The encoder takes cfg's TraceSink
-// slot (the encoding is the trace). Injected configurations execute
-// directly, uncached, exactly as in Run.
-func (c *Cache) RunEncoded(art *Artifact, cfg vm.Config) (*vm.Result, *replay.Encoded, error) {
-	return c.runEncoded(art, cfg, ClassBypass, nil)
-}
-
-func (c *Cache) runEncoded(art *Artifact, cfg vm.Config, cls ReuseClass, sess *Session) (*vm.Result, *replay.Encoded, error) {
-	cfg = cfg.Normalized()
-	if injected(cfg) {
-		sink := replay.NewEncoder()
-		cfg.TraceSink = sink
+// execute runs art on the VM, encoding the reference trace when traced.
+func execute(art *Artifact, cfg vm.Config, traced bool) (*vm.Result, *replay.Encoded, error) {
+	if !traced {
 		res, err := vm.Run(art.Prog, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return res, sink.Finish(), nil
+		return res, nil, err
 	}
-	key := runKey(art.Key, cfg)
-	var path string
-	if c.disk != nil {
-		path = c.disk.runPath(key)
-		c.protectPath(path)
-		defer c.unprotectPath(path)
-	}
-	e := c.runEntryFor(key)
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.err != nil {
-		c.hitRun()
-		return nil, nil, e.err
-	}
-	if e.res != nil && e.enc != nil {
-		c.hitRun()
-		c.promoteRunLocked(e, key, cls)
-		sess.note(path)
-		return e.res, e.enc, nil
-	}
-	// A disk-restored result cannot supply the trace, so an encoded
-	// request always executes once (seeding both the result and the
-	// encoding for later Run and RunEncoded callers).
-	c.missRun()
 	sink := replay.NewEncoder()
 	cfg.TraceSink = sink
 	res, err := vm.Run(art.Prog, cfg)
 	if err != nil {
-		var ce *vm.CancelError
-		if !errors.As(err, &ce) {
-			e.err = err
-		}
 		return nil, nil, err
 	}
-	e.res = res
-	e.enc = sink.Finish()
+	return res, sink.Finish(), nil
+}
+
+// installRunLocked memoizes res on e unless e already holds a result (an
+// earlier filler's, bit-identical), raises e's reuse class to cls, and
+// persists the entry when either changed. It is the one writer of run
+// entries to the persistent store: a failed write degrades to memory-only,
+// counted and warned, never returned. It returns e's result. Caller holds
+// e.mu.
+func (c *Cache) installRunLocked(e *runEntry, key string, res *vm.Result, cls ReuseClass) *vm.Result {
+	changed := e.res == nil || cls > e.class
+	if e.res == nil {
+		e.res = res
+	}
 	e.class = maxClass(e.class, cls)
-	if c.disk != nil {
-		if err := c.diskWriteRun(key, res, e.class); err != nil {
+	if changed && c.disk != nil {
+		if err := c.diskWriteRun(key, e.res, e.class); err != nil {
 			c.count(func(s *Stats) { s.WriteErrs++ })
 			c.warnf("artifact: persist run: %v", err)
 		}
 	}
-	sess.note(path)
-	return res, e.enc, nil
+	return e.res
 }
 
 // replayGroupable reports whether cfg's cache statistics can be derived
 // by replaying another run's encoded trace: the reference stream must be
 // configuration-independent (no ICache refetch interleaving, no fault
-// injection perturbing timing) and the replay engine must model the
-// policy (everything but MIN-on-the-VM; ECC has no replay model).
+// injection perturbing timing), nothing may observe the references, and
+// the replay engine must model the policy (everything but MIN-on-the-VM;
+// ECC has no replay model).
 func replayGroupable(cfg vm.Config) bool {
-	return !sideEffectful(cfg) && cfg.ICache == nil &&
+	return !injected(cfg) && cfg.TraceSink == nil && cfg.ICache == nil &&
 		cfg.Cache.ECC == cache.ECCOff && cfg.Cache.Policy != cache.MIN
 }
 
@@ -608,11 +568,11 @@ func replayGroupable(cfg vm.Config) bool {
 // results are returned directly; of the misses that share an execution
 // identity (MemWords, MaxSteps) and differ only in cache geometry, the
 // first executes once with trace encoding and the rest are derived by
-// replaying the encoded trace — bit-identical to direct execution
-// (internal/replay's differential suite pins this), and memoized/persisted
-// exactly as if they had executed. Configurations replay cannot model
-// (fault injection, ICache, MIN, observation hooks) fall back to Run.
-// The first execution or replay-fallback error aborts the batch.
+// replaying the encoded trace in one decoding pass — bit-identical to
+// direct execution (internal/replay's differential suite pins this), and
+// memoized/persisted exactly as if they had executed. Configurations
+// replay cannot model (fault injection, ICache, MIN, observation hooks)
+// go through Run. The first error aborts the batch.
 func (c *Cache) RunBatch(art *Artifact, cfgs []vm.Config) ([]*vm.Result, error) {
 	return c.runBatch(art, cfgs, ClassBypass, nil)
 }
@@ -620,123 +580,69 @@ func (c *Cache) RunBatch(art *Artifact, cfgs []vm.Config) ([]*vm.Result, error) 
 func (c *Cache) runBatch(art *Artifact, cfgs []vm.Config, cls ReuseClass, sess *Session) ([]*vm.Result, error) {
 	results := make([]*vm.Result, len(cfgs))
 	norm := make([]vm.Config, len(cfgs))
-	type shareGroup struct{ idxs []int }
-	groups := make(map[string]*shareGroup)
+	firstByKey := make(map[string]int)
+	var dups [][2]int                // {index, index of its identical earlier config}
+	misses := make(map[string][]int) // execution identity -> unknown run keys' indices
 	var order []string
 	for i := range cfgs {
 		norm[i] = cfgs[i].Normalized()
-		if !replayGroupable(norm[i]) {
-			r, err := c.run(art, norm[i], cls, sess)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = r
-			continue
-		}
-		sk := fmt.Sprintf("mw%d|ms%d", norm[i].MemWords, norm[i].MaxSteps)
-		g := groups[sk]
-		if g == nil {
-			g = &shareGroup{}
-			groups[sk] = g
-			order = append(order, sk)
-		}
-		g.idxs = append(g.idxs, i)
-	}
-	for _, sk := range order {
-		g := groups[sk]
-		// Dedupe identical run keys inside the group and split known
-		// entries (memo or in flight) from genuine misses.
-		firstByKey := make(map[string]int)
-		dupOf := make(map[int]int)
-		var missIdxs []int
-		for _, i := range g.idxs {
+		if replayGroupable(norm[i]) {
 			rk := runKey(art.Key, norm[i])
 			if j, ok := firstByKey[rk]; ok {
-				dupOf[i] = j
+				dups = append(dups, [2]int{i, j})
 				continue
 			}
 			firstByKey[rk] = i
-			if c.runKnown(rk) {
-				r, err := c.run(art, norm[i], cls, sess)
-				if err != nil {
-					return nil, err
+			if !c.runKnown(rk) {
+				sk := fmt.Sprintf("mw%d|ms%d", norm[i].MemWords, norm[i].MaxSteps)
+				if misses[sk] == nil {
+					order = append(order, sk)
 				}
-				results[i] = r
-			} else {
-				missIdxs = append(missIdxs, i)
+				misses[sk] = append(misses[sk], i)
+				continue
 			}
 		}
-		switch len(missIdxs) {
-		case 0:
-		case 1:
-			i := missIdxs[0]
-			r, err := c.run(art, norm[i], cls, sess)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = r
-		default:
-			lead := missIdxs[0]
-			res0, enc, err := c.runEncoded(art, norm[lead], cls, sess)
-			if err != nil {
-				return nil, err
-			}
-			results[lead] = res0
-			for _, j := range missIdxs[1:] {
-				st, rerr := replay.Replay(enc, norm[j].Cache, 1)
-				if rerr != nil {
-					// Defensive: replay refused the geometry. Execute
-					// directly — correctness over batching.
-					r, err := c.run(art, norm[j], cls, sess)
-					if err != nil {
-						return nil, err
-					}
-					results[j] = r
-					continue
-				}
-				r := *res0
-				r.CacheStats = st
-				c.seedRun(art, norm[j], &r, cls, sess)
-				results[j] = &r
-			}
+		r, _, err := c.run(art, norm[i], false, cls, sess)
+		if err != nil {
+			return nil, err
 		}
-		for _, i := range g.idxs {
-			if j, ok := dupOf[i]; ok {
-				results[i] = results[j]
-			}
+		results[i] = r
+	}
+	for _, sk := range order {
+		idxs := misses[sk]
+		res0, enc, err := c.run(art, norm[idxs[0]], len(idxs) > 1, cls, sess)
+		if err != nil {
+			return nil, err
 		}
+		results[idxs[0]] = res0
+		sibs := idxs[1:]
+		if len(sibs) == 0 {
+			continue
+		}
+		geoms := make([]cache.Config, len(sibs))
+		for k, j := range sibs {
+			geoms[k] = norm[j].Cache
+		}
+		sts, err := replay.ReplayBatch(enc, geoms)
+		if err != nil {
+			return nil, err
+		}
+		n := int64(len(sibs))
+		c.count(func(s *Stats) { s.RunMisses += n; s.BatchReplays += n })
+		for k, j := range sibs {
+			r := *res0
+			r.CacheStats = sts[k]
+			key := runKey(art.Key, norm[j])
+			e, path := c.lockRun(key)
+			results[j] = c.installRunLocked(e, key, &r, cls)
+			c.unlockRun(e, path)
+			sess.note(path)
+		}
+	}
+	for _, d := range dups {
+		results[d[0]] = results[d[1]]
 	}
 	return results, nil
-}
-
-// seedRun installs a replay-derived result into the memo and persistent
-// store, exactly as if it had been computed by Run. A concurrent filler
-// winning the race is left untouched (the values are bit-identical).
-func (c *Cache) seedRun(art *Artifact, cfg vm.Config, res *vm.Result, cls ReuseClass, sess *Session) {
-	key := runKey(art.Key, cfg)
-	var path string
-	if c.disk != nil {
-		path = c.disk.runPath(key)
-		c.protectPath(path)
-		defer c.unprotectPath(path)
-	}
-	c.count(func(s *Stats) { s.RunMisses++; s.BatchReplays++ })
-	e := c.runEntryFor(key)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.res == nil && e.err == nil {
-		e.res = res
-		e.class = maxClass(e.class, cls)
-		if c.disk != nil {
-			if err := c.diskWriteRun(key, res, e.class); err != nil {
-				c.count(func(s *Stats) { s.WriteErrs++ })
-				c.warnf("artifact: persist run: %v", err)
-			}
-		}
-	} else {
-		c.promoteRunLocked(e, key, cls)
-	}
-	sess.note(path)
 }
 
 func (c *Cache) hitRun() {

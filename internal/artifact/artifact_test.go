@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/replay"
 	"repro/internal/vm"
 )
 
@@ -133,5 +134,64 @@ func TestConcurrentBuildAndRun(t *testing.T) {
 	}
 	if st := c.Stats(); st.BuildMisses != 1 {
 		t.Errorf("build misses = %d, want 1 (single compile for 16 concurrent requests)", st.BuildMisses)
+	}
+}
+
+// TestRunEncodedSharesRunMemo pins the memo contract between Run and
+// RunEncoded: they share one run entry per configuration, a result
+// memoized without its trace is executed once more for an encoded
+// request, and from then on both hit. The returned trace replays to the
+// result's own cache statistics.
+func TestRunEncodedSharesRunMemo(t *testing.T) {
+	c := New()
+	art, err := c.Build(src, core.Config{Mode: core.Unified})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := vm.Config{Cache: cache.DefaultConfig()}
+	want := func(step string, hits, misses int64) {
+		t.Helper()
+		if st := c.Stats(); st.RunHits != hits || st.RunMisses != misses {
+			t.Fatalf("after %s: RunHits=%d RunMisses=%d, want %d and %d",
+				step, st.RunHits, st.RunMisses, hits, misses)
+		}
+	}
+
+	res, err := c.Run(art, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want("Run", 0, 1)
+	eres, enc, err := c.RunEncoded(art, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc == nil {
+		t.Fatal("RunEncoded returned no trace")
+	}
+	want("RunEncoded after Run (memo holds no trace)", 0, 2)
+	if eres.Output != res.Output || eres.CacheStats != res.CacheStats {
+		t.Errorf("encoded run differs from plain run:\nencoded: %+v\nplain:   %+v", eres, res)
+	}
+
+	if _, err := c.Run(art, cfg); err != nil {
+		t.Fatal(err)
+	}
+	want("second Run", 1, 2)
+	hres, henc, err := c.RunEncoded(art, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want("second RunEncoded", 2, 2)
+	if henc != enc || hres != eres {
+		t.Error("second RunEncoded did not return the memoized result and trace")
+	}
+
+	st, err := replay.Replay(enc, cfg.Cache, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st != eres.CacheStats {
+		t.Errorf("replayed trace = %+v, want the run's %+v", st, eres.CacheStats)
 	}
 }

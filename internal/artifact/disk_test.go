@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/vm"
 )
@@ -307,5 +308,37 @@ func TestCancelErrorNeverCached(t *testing.T) {
 	}
 	if res.Output == "" {
 		t.Error("no output from post-cancel run")
+	}
+
+	// The encoded and batched paths share the memo and the same rule.
+	geom := cache.DefaultConfig()
+	geom.Sets = 8
+	if _, _, err := c.RunEncoded(a, vm.Config{Cache: geom, Done: fired}); !errors.As(err, &ce) {
+		t.Fatalf("RunEncoded: want *CancelError, got %v", err)
+	}
+	if _, enc, err := c.RunEncoded(a, vm.Config{Cache: geom}); err != nil || enc == nil {
+		t.Fatalf("canceled RunEncoded poisoned the cache: %v", err)
+	}
+
+	b, err := c.Build(src, core.Config{Mode: core.Conventional})
+	if err != nil {
+		t.Fatal(err)
+	}
+	geoms := []cache.Config{cache.ConventionalConfig(), cache.ConventionalConfig()}
+	geoms[1].Sets = 16
+	cfgs := func(done <-chan struct{}) []vm.Config {
+		return []vm.Config{{Cache: geoms[0], Done: done}, {Cache: geoms[1], Done: done}}
+	}
+	if _, err := c.RunBatch(b, cfgs(fired)); !errors.As(err, &ce) {
+		t.Fatalf("RunBatch: want *CancelError, got %v", err)
+	}
+	got, err := c.RunBatch(b, cfgs(nil))
+	if err != nil {
+		t.Fatalf("canceled RunBatch poisoned the cache: %v", err)
+	}
+	for i, r := range got {
+		if r.Output != res.Output {
+			t.Errorf("batch member %d output %q, want %q", i, r.Output, res.Output)
+		}
 	}
 }

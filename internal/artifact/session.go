@@ -135,7 +135,8 @@ func (s *Session) BuildIR(src string, cfg core.Config) (*Artifact, error) {
 
 // Run is Cache.Run with the session's class and pinning.
 func (s *Session) Run(art *Artifact, cfg vm.Config) (*vm.Result, error) {
-	return s.c.run(art, cfg, s.class, s)
+	res, _, err := s.c.run(art, cfg, false, s.class, s)
+	return res, err
 }
 
 // RunBatch is Cache.RunBatch with the session's class and pinning.

@@ -151,25 +151,6 @@ func (s *FuncSites) MayTargets(si SiteInfo) []SiteKey {
 	return s.fs.mayTargets(access{key: si.Key, uncertain: si.Uncertain, set: si.AliasSet})
 }
 
-// MayBe reports whether the access at site a may touch the block focused
-// by site b: either block could be among the lines the other may name.
-func (s *FuncSites) MayBe(a, b SiteInfo) bool {
-	if a.Key == b.Key {
-		return true
-	}
-	for _, t := range s.MayTargets(a) {
-		if t == b.Key {
-			return true
-		}
-	}
-	for _, t := range s.MayTargets(b) {
-		if t == a.Key {
-			return true
-		}
-	}
-	return false
-}
-
 // MayConflict reports whether the two blocks may map to the same cache set.
 func (s *FuncSites) MayConflict(x, y SiteKey) bool {
 	return x == y || s.fs.conflict(x, y)

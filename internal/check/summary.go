@@ -106,12 +106,6 @@ func (s *CallSummary) MayFillLine(line int64) bool { return spansContain(s.FillS
 // at all (through the cache or bypassing it).
 func (s *CallSummary) MayRefLine(line int64) bool { return spansContain(s.RefSpans, line) }
 
-// Quiet reports whether the call provably touches no memory at all.
-func (s *CallSummary) Quiet() bool {
-	return !s.Clobber && !s.Uncertain && s.Private == 0 &&
-		len(s.RefSpans) == 0 && len(s.FillSpans) == 0
-}
-
 // ---- summary construction ----
 
 // summaryBuilder accumulates one function's effect set.

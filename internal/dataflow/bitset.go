@@ -28,9 +28,6 @@ func (s BitSet) Copy() BitSet {
 	return c
 }
 
-// CopyFrom overwrites s with o (same length).
-func (s BitSet) CopyFrom(o BitSet) { copy(s, o) }
-
 // UnionWith adds all bits of o to s and reports whether s changed.
 func (s BitSet) UnionWith(o BitSet) bool {
 	changed := false

@@ -110,8 +110,8 @@ func (c *fnCtx) targetSet(si check.SiteInfo) map[check.SiteKey]bool {
 	return m
 }
 
-// mayBe mirrors FuncSites.MayBe with O(1) membership: either access could
-// name the block the other one does.
+// mayBe reports, with O(1) membership, whether either access could name
+// the block the other one does.
 func (c *fnCtx) mayBe(a, b check.SiteInfo) bool {
 	if a.Key == b.Key {
 		return true

@@ -76,8 +76,8 @@ type Workload struct {
 
 // replayEntry is one memoized replay of a workload's trace. measured
 // reports whether the occupancy metrics (TraceStats) were computed too:
-// a replayStats hit can be served from either kind, a measureStats hit
-// only from a measured one.
+// a replayBatchStats hit can be served from either kind, a
+// measureBatchStats hit only from a measured one.
 type replayEntry struct {
 	stats    cache.Stats
 	measured bool
@@ -85,51 +85,14 @@ type replayEntry struct {
 }
 
 // replayKey canonically encodes the cache.Config fields that determine
-// replay results (worker count never does — sharded replay is
-// bit-identical by construction).
+// replay results.
 func replayKey(cfg cache.Config) string {
 	return fmt.Sprintf("s%d.w%d.l%d.p%d.d%d.b%t.x%d",
 		cfg.Sets, cfg.Ways, cfg.LineWords, cfg.Policy, cfg.Dead, cfg.HonorBypass, cfg.Seed)
 }
 
-// replayStats replays the workload's trace under cfg, memoized.
-func (w *Workload) replayStats(cfg cache.Config) (cache.Stats, error) {
-	k := replayKey(cfg)
-	if e, ok := w.memo[k]; ok {
-		return e.stats, nil
-	}
-	st, err := replay.Replay(w.Trace, cfg, 0)
-	if err != nil {
-		return st, err
-	}
-	if w.memo == nil {
-		w.memo = make(map[string]replayEntry)
-	}
-	w.memo[k] = replayEntry{stats: st}
-	return st, nil
-}
-
-// measureStats is replayStats with the occupancy metrics of
-// replay.Measure; a prior plain replay of the same configuration is
-// upgraded in place.
-func (w *Workload) measureStats(cfg cache.Config) (replay.TraceStats, error) {
-	k := replayKey(cfg)
-	if e, ok := w.memo[k]; ok && e.measured {
-		return e.ts, nil
-	}
-	ts, err := replay.Measure(w.Trace, cfg)
-	if err != nil {
-		return ts, err
-	}
-	if w.memo == nil {
-		w.memo = make(map[string]replayEntry)
-	}
-	w.memo[k] = replayEntry{stats: ts.Stats, measured: true, ts: ts}
-	return ts, nil
-}
-
-// replayBatchStats is replayStats for a sweep of configurations over the
-// same trace: memo misses are replayed in one shared decoding pass
+// replayBatchStats replays the workload's trace under each configuration,
+// memoized per configuration: misses are replayed in one shared decoding pass
 // (replay.ReplayBatch), which is where experiments that sweep many cache
 // shapes spend most of their decode time.
 func (w *Workload) replayBatchStats(cfgs []cache.Config) ([]cache.Stats, error) {
@@ -161,8 +124,9 @@ func (w *Workload) replayBatchStats(cfgs []cache.Config) ([]cache.Stats, error) 
 	return out, nil
 }
 
-// measureBatchStats is measureStats for a sweep of configurations, with
-// the same one-decoding-pass batching as replayBatchStats.
+// measureBatchStats is replayBatchStats with the occupancy metrics of
+// replay.MeasureBatch; a prior plain replay of the same configuration is
+// upgraded in place.
 func (w *Workload) measureBatchStats(cfgs []cache.Config) ([]replay.TraceStats, error) {
 	out := make([]replay.TraceStats, len(cfgs))
 	var miss []cache.Config

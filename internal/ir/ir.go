@@ -114,9 +114,6 @@ func (b BinKind) String() string {
 	return "?"
 }
 
-// IsCompare reports whether the operator yields a boolean (0/1) result.
-func (b BinKind) IsCompare() bool { return b >= CmpEQ }
-
 // RefKind classifies what a memory reference statically denotes.
 type RefKind int
 

@@ -48,20 +48,6 @@ func Optimize(f *ir.Func) Stats {
 	return total
 }
 
-// OptimizeProgram optimizes every function.
-func OptimizeProgram(p *ir.Program) Stats {
-	var total Stats
-	for _, f := range p.Funcs {
-		st := Optimize(f)
-		total.FoldedConsts += st.FoldedConsts
-		total.FoldedBranches += st.FoldedBranches
-		total.NumberedValues += st.NumberedValues
-		total.PropagatedUses += st.PropagatedUses
-		total.DeadRemoved += st.DeadRemoved
-	}
-	return total
-}
-
 // constLattice tracks, within one block, which registers currently hold a
 // known constant. The IR is not SSA, so any redefinition invalidates.
 type constLattice struct {

@@ -333,16 +333,11 @@ func (t *finalTable) put(tag int64, idx int32) {
 	}
 }
 
-// finalRefs returns (building and memoizing on first use) the table from
-// line address to the index of its final reference under the given line
-// size. Memory is proportional to the program's footprint, not the trace
-// length, which is what keeps Measure's occupancy accounting flat.
-func (e *Encoded) finalRefs(lineWords int64) *finalTable {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.finalRefsLocked(lineWords)
-}
-
+// finalRefsLocked returns (building and memoizing on first use) the table
+// from line address to the index of its final reference under the given
+// line size. Memory is proportional to the program's footprint, not the
+// trace length, which is what keeps Measure's occupancy accounting flat.
+// Caller holds e.mu.
 func (e *Encoded) finalRefsLocked(lineWords int64) *finalTable {
 	if t, ok := e.finalRef[lineWords]; ok {
 		return t
@@ -374,7 +369,7 @@ func (e *Encoded) finalRefsLocked(lineWords int64) *finalTable {
 
 // finalBits returns (building and memoizing per line size) the
 // final-reference bitmap: bit i is set when record i is the last
-// reference to its line address. Derived from the finalRefs table, so
+// reference to its line address. Derived from the finalRefsLocked table, so
 // memory stays proportional to trace length / 8 plus footprint.
 func (e *Encoded) finalBits(lineWords int64) []uint64 {
 	e.mu.Lock()

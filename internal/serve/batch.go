@@ -11,10 +11,11 @@
 //     one queue slot, one execution, one response fanned out to every
 //     waiter (followers marked Deduped);
 //   - distinct simulate-only sets that compile the same program and share
-//     an execution identity (Request.groupKey) merge into one group task:
-//     the worker compiles once and serves every geometry through
-//     artifact.RunBatch — the VM runs at most once, the rest replay the
-//     encoded trace, bit-identically;
+//     an execution identity (Request.groupKey) merge into one group task.
+//     The worker serves it on the singleton's code path (Server.process
+//     treats a singleton as a group of one): one compile and one
+//     artifact.RunBatch, so the VM runs at most once and the rest replay
+//     the encoded trace, bit-identically;
 //   - everything else enters the queue as an ordinary singleton task.
 //
 // The cost is bounded, deliberate latency: an isolated request pays up to

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"runtime"
@@ -250,5 +251,60 @@ func TestBatchIdenticalCoalesce(t *testing.T) {
 	}
 	if got := st.RunMisses; got != 1 {
 		t.Errorf("RunMisses = %d, want 1 (one execution for %d identical requests)", got, n)
+	}
+}
+
+// TestGroupedResponsesMatchSingletons: batching is invisible in the
+// answer. The same requests served one at a time (batching off) and
+// grouped in one window (one compile, one RunBatch) get the same
+// responses up to ID, timing and the Deduped marker — a step-budget
+// failure included, which keeps its compile result either way.
+func TestGroupedResponsesMatchSingletons(t *testing.T) {
+	var reqs []*Request
+	for _, src := range []string{spinSource, quickSource} {
+		for _, sets := range []int{8, 16} {
+			reqs = append(reqs, &Request{Source: src, MaxSteps: 10_000, Cache: CacheSpec{Sets: sets}})
+		}
+	}
+	serveAll := func(cfg Config) ([]*Response, *Snapshot) {
+		s := newTestServer(t, cfg)
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		resps := make([]*Response, len(reqs))
+		var wg sync.WaitGroup
+		for i, rq := range reqs {
+			wg.Add(1)
+			go func(i int, rq *Request) {
+				defer wg.Done()
+				_, resps[i] = post(t, ts.URL, "/v1/eval", rq)
+			}(i, rq)
+		}
+		wg.Wait()
+		return resps, s.Snapshot()
+	}
+
+	solo, _ := serveAll(Config{Workers: 2, BatchMaxWait: -1})
+	grouped, snap := serveAll(Config{Workers: 2, QueueDepth: 64,
+		BatchMaxWait: 40 * time.Millisecond, BatchMaxSize: 64})
+	if snap.GroupedSets < 2 {
+		t.Fatalf("GroupedSets = %d, want >= 2 (the requests were never grouped)", snap.GroupedSets)
+	}
+	for i := range reqs {
+		a, b := *solo[i], *grouped[i]
+		for _, r := range []*Response{&a, &b} {
+			r.ID, r.Timing, r.Deduped = "", Timing{}, false
+		}
+		aj, _ := json.Marshal(a)
+		bj, _ := json.Marshal(b)
+		if string(aj) != string(bj) {
+			t.Errorf("request %d: grouped response differs from singleton:\nsingleton: %s\ngrouped:   %s", i, aj, bj)
+		}
+	}
+	if solo[0].ErrorKind != KindBudget || solo[0].Compile == nil {
+		t.Errorf("spin request: kind %q, compile %v; want a budget failure that keeps compile",
+			solo[0].ErrorKind, solo[0].Compile)
+	}
+	if solo[2].ErrorKind != "" || solo[2].Simulate == nil {
+		t.Errorf("quick request: kind %q (%s), want success", solo[2].ErrorKind, solo[2].Error)
 	}
 }

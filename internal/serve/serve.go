@@ -56,11 +56,13 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/artifact"
+	"repro/internal/cache"
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/exact"
@@ -311,13 +313,8 @@ func (s *Server) serveTask(t *task) {
 		t.reply <- resp
 		return
 	}
-	if len(t.sets) == 1 {
-		s.deliverSet(t.sets[0], s.process(t))
-		return
-	}
-	resps := s.processGroup(t)
-	for i, set := range t.sets {
-		s.deliverSet(set, resps[i])
+	for i, resp := range s.process(t) {
+		s.deliverSet(t.sets[i], resp)
 	}
 }
 
@@ -346,68 +343,14 @@ func (s *Server) deliverSet(set *reqSet, resp *Response) {
 	}
 }
 
-// process runs one admitted request through the tier pipeline.
-func (s *Server) process(t *task) *Response {
-	resp := &Response{ID: fmt.Sprintf("r%06d", s.seq.Add(1)), Status: http.StatusOK}
-	resp.Timing.QueueNS = time.Since(t.enq).Nanoseconds() //unilint:ok wallclock Response.Timing latency metric; informational, excluded from dedup keys and artifacts
-	started := time.Now()                                 //unilint:ok wallclock Response.Timing latency metric; informational, excluded from dedup keys and artifacts
-	defer func() {
-		resp.Timing.TotalNS = resp.Timing.QueueNS + time.Since(started).Nanoseconds() //unilint:ok wallclock Response.Timing latency metric; informational, excluded from dedup keys and artifacts
-	}()
-
-	rq := t.sets[0].req
-	want, err := wantSet(rq.Want)
-	if err != nil {
-		return resp.fail(http.StatusBadRequest, KindRequest, "request", err.Error())
-	}
-	if t.ctx.Err() != nil {
-		return resp.fail(http.StatusGatewayTimeout, KindTimeout, "queue",
-			"deadline expired while queued")
-	}
-
-	// Debug-only fault seams.
-	if rq.InjectSleepMS > 0 || rq.InjectPanic != "" {
-		if !s.cfg.Debug {
-			return resp.fail(http.StatusBadRequest, KindRequest, "request",
-				"debug injections require a server started with Debug")
-		}
-		if rq.InjectSleepMS > 0 {
-			select {
-			case <-time.After(time.Duration(rq.InjectSleepMS) * time.Millisecond):
-			case <-t.ctx.Done():
-				return resp.fail(http.StatusGatewayTimeout, KindTimeout, "debug-sleep",
-					"deadline expired during injected sleep")
-			}
-		}
-	}
-
-	// Degradation decision, from queue pressure at dequeue time.
-	load := 100 * len(s.queue) / cap(s.queue)
-	if want[TierExact] && load >= s.cfg.DegradeExactPct {
-		delete(want, TierExact)
-		resp.Degraded = append(resp.Degraded, TierExact)
-	}
-	if want[TierCheck] && load >= s.cfg.DegradeCheckPct {
-		delete(want, TierCheck)
-		resp.Degraded = append(resp.Degraded, TierCheck)
-	}
-
-	phase, err := s.runTiers(t, want, resp)
-	if err != nil {
-		return s.classify(resp, phase, err)
-	}
-	return resp
-}
-
-// processGroup serves a group task: several distinct requests for the
-// same artifact and execution identity, wanting only compile/simulate
-// tiers (the batcher's groupKey guarantees both). One shared compile,
-// then one RunBatch — the VM executes at most once and the remaining
-// geometries replay the encoded trace. Each set still gets its own
-// response (its own tiers, its own assembly flag, its own error if its
-// geometry is invalid — though groupKey pre-validated, so that is
-// defensive).
-func (s *Server) processGroup(t *task) []*Response {
+// process runs one admitted request task through the tier pipeline and
+// returns one response per set. A singleton is a group of one: the
+// batcher's groupKey merges only sets that compile the same program under
+// one execution identity and want no analysis tier, so a group shares one
+// compile and one artifact.RunBatch (the VM executes at most once; the
+// other geometries replay its encoded trace), and each set still gets its
+// own tiers, assembly flag and errors.
+func (s *Server) process(t *task) []*Response {
 	resps := make([]*Response, len(t.sets))
 	queueNS := time.Since(t.enq).Nanoseconds() //unilint:ok wallclock Response.Timing latency metric; informational, excluded from dedup keys and artifacts
 	started := time.Now()                      //unilint:ok wallclock Response.Timing latency metric; informational, excluded from dedup keys and artifacts
@@ -417,101 +360,135 @@ func (s *Server) processGroup(t *task) []*Response {
 	}
 	defer func() {
 		total := queueNS + time.Since(started).Nanoseconds() //unilint:ok wallclock Response.Timing latency metric; informational, excluded from dedup keys and artifacts
-		for i := range resps {
-			resps[i].Timing.TotalNS = total
+		for _, resp := range resps {
+			resp.Timing.TotalNS = total
 		}
 	}()
-	failAll := func(phase string, err error) []*Response {
-		for i := range resps {
-			if resps[i].ErrorKind == "" && resps[i].Simulate == nil && resps[i].Compile == nil {
-				s.classify(resps[i], phase, err)
-			}
+	if t.ctx.Err() != nil {
+		for _, resp := range resps {
+			resp.fail(http.StatusGatewayTimeout, KindTimeout, "queue", "deadline expired while queued")
 		}
 		return resps
 	}
-	if t.ctx.Err() != nil {
-		return failAll("queue", &vm.CancelError{})
-	}
-	s.met.noteGrouped(len(t.sets))
-
-	lead := t.sets[0].req
-	ccfg, err := lead.coreConfig()
-	if err != nil {
-		return failAll("request", err)
+	if len(t.sets) > 1 {
+		s.met.noteGrouped(len(t.sets))
 	}
 
-	var art *artifact.Artifact
-	var shared bool
-	phase, err := func() (phase string, err error) {
-		phase = "compile"
-		defer ice.GuardPhase(&phase, &err)
-		tic := time.Now() //unilint:ok wallclock Response.Timing latency metric; informational, excluded from dedup keys and artifacts
-		art, shared, err = s.arts.BuildShared(lead.Source, ccfg)
-		compileNS := time.Since(tic).Nanoseconds() //unilint:ok wallclock Response.Timing latency metric; informational, excluded from dedup keys and artifacts
-		for i := range resps {
-			resps[i].Timing.CompileNS = compileNS
-		}
-		return phase, err
-	}()
-	if err != nil {
-		return failAll(phase, err)
-	}
-
-	// Per-set compile results; collect the simulate configurations.
-	var cfgs []vm.Config
-	var simIdx []int
+	// Per-set admission. groupKey guarantees every set of a group has
+	// the same compiler configuration; a failed set drops out of the
+	// remaining phases (its response carries ErrorKind).
+	wants := make([]map[string]bool, len(t.sets))
+	cacheCfgs := make([]cache.Config, len(t.sets))
+	var ccfg core.Config
+	var live []int
 	for i, set := range t.sets {
-		rq := set.req
-		want, werr := wantSet(rq.Want)
-		if werr != nil {
-			s.classify(resps[i], "request", werr)
+		rq, resp := set.req, resps[i]
+		want, err := wantSet(rq.Want)
+		if err != nil {
+			resp.fail(http.StatusBadRequest, KindRequest, "request", err.Error())
 			continue
 		}
-		resps[i].Deduped = shared || i > 0
-		if want[TierCompile] {
+		// Debug-only fault seams.
+		if rq.InjectSleepMS > 0 || rq.InjectPanic != "" {
+			if !s.cfg.Debug {
+				resp.fail(http.StatusBadRequest, KindRequest, "request",
+					"debug injections require a server started with Debug")
+				continue
+			}
+			if rq.InjectSleepMS > 0 {
+				select {
+				case <-time.After(time.Duration(rq.InjectSleepMS) * time.Millisecond):
+				case <-t.ctx.Done():
+					resp.fail(http.StatusGatewayTimeout, KindTimeout, "debug-sleep",
+						"deadline expired during injected sleep")
+					continue
+				}
+			}
+		}
+		// Degradation decision, from queue pressure at dequeue time.
+		load := 100 * len(s.queue) / cap(s.queue)
+		if want[TierExact] && load >= s.cfg.DegradeExactPct {
+			delete(want, TierExact)
+			resp.Degraded = append(resp.Degraded, TierExact)
+		}
+		if want[TierCheck] && load >= s.cfg.DegradeCheckPct {
+			delete(want, TierCheck)
+			resp.Degraded = append(resp.Degraded, TierCheck)
+		}
+		if rq.InjectPanic != "" {
+			_, err := runPhase(rq.InjectPanic, func() error {
+				panic(fmt.Sprintf("injected panic in %q (debug)", rq.InjectPanic)) //unilint:ok panicguard deliberate fault injection (debug mode) exercised by serve-smoke; the per-request guard recovers it
+			})
+			s.classify(resp, rq.InjectPanic, err)
+			continue
+		}
+		if ccfg, err = rq.coreConfig(); err == nil {
+			cacheCfgs[i], err = rq.cacheConfig(ccfg.Mode)
+		}
+		if err != nil {
+			s.classify(resp, "request", err)
+			continue
+		}
+		wants[i] = want
+		live = append(live, i)
+	}
+	if len(live) == 0 {
+		return resps
+	}
+
+	lead := t.sets[live[0]].req
+	var art *artifact.Artifact
+	var shared bool
+	compileNS, err := runPhase("compile", func() (err error) {
+		art, shared, err = s.arts.BuildShared(lead.Source, ccfg)
+		if err == nil && art.Comp == nil && slices.ContainsFunc(live, func(i int) bool {
+			return wants[i][TierCheck] || wants[i][TierExact]
+		}) {
+			art, err = s.arts.BuildIR(lead.Source, ccfg)
+		}
+		return err
+	})
+	for _, i := range live {
+		resps[i].Timing.CompileNS = compileNS
+		if err != nil {
+			s.classify(resps[i], "compile", err)
+		}
+	}
+	if err != nil {
+		return resps
+	}
+
+	var cfgs []vm.Config
+	var sims []int
+	for _, i := range live {
+		rq, resp := t.sets[i].req, resps[i]
+		resp.Deduped = shared || i > 0
+		if wants[i][TierCompile] {
 			cr := &CompileResult{Key: art.Key.String(), Static: art.Static}
 			if rq.WantAssembly {
 				cr.Assembly = art.Prog.Save()
 			}
-			resps[i].Compile = cr
+			resp.Compile = cr
 		}
-		if want[TierSimulate] {
-			cacheCfg, cerr := rq.cacheConfig(ccfg.Mode)
-			if cerr != nil {
-				s.classify(resps[i], "request", cerr)
-				resps[i].Compile = nil
-				continue
-			}
-			cfgs = append(cfgs, vm.Config{MaxSteps: rq.MaxSteps, Cache: cacheCfg, Done: t.ctx.Done()})
-			simIdx = append(simIdx, i)
+		if wants[i][TierSimulate] {
+			cfgs = append(cfgs, vm.Config{MaxSteps: rq.MaxSteps, Cache: cacheCfgs[i], Done: t.ctx.Done()})
+			sims = append(sims, i)
 		}
-	}
-	if len(cfgs) == 0 {
-		return resps
 	}
 
 	var results []*vm.Result
-	phase, err = func() (phase string, err error) {
-		phase = "simulate"
-		defer ice.GuardPhase(&phase, &err)
-		tic := time.Now() //unilint:ok wallclock Response.Timing latency metric; informational, excluded from dedup keys and artifacts
+	simNS, err := runPhase("simulate", func() (err error) {
 		results, err = s.arts.RunBatch(art, cfgs)
-		simNS := time.Since(tic).Nanoseconds() //unilint:ok wallclock Response.Timing latency metric; informational, excluded from dedup keys and artifacts
-		for _, i := range simIdx {
-			resps[i].Timing.SimNS = simNS
+		return err
+	})
+	for j, i := range sims {
+		resps[i].Timing.SimNS = simNS
+		if err != nil {
+			// The batch shares one execution: its error is every
+			// simulate member's error.
+			s.classify(resps[i], "simulate", err)
+			continue
 		}
-		return phase, err
-	}()
-	if err != nil {
-		// The batch shares one execution; its error is every simulate
-		// member's error (compile-only members keep their results).
-		for _, i := range simIdx {
-			resps[i].Compile = nil
-			s.classify(resps[i], phase, err)
-		}
-		return resps
-	}
-	for j, i := range simIdx {
 		res := results[j]
 		resps[i].Simulate = &SimResult{
 			Output:       res.Output,
@@ -521,111 +498,75 @@ func (s *Server) processGroup(t *task) []*Response {
 			Cache:        res.CacheStats,
 		}
 	}
+
+	copt := check.Options{Unified: ccfg.Mode == core.Unified, Done: t.ctx.Done()}
+	for _, i := range live {
+		resp := resps[i]
+		if wants[i][TierCheck] && resp.ErrorKind == "" {
+			s.checkTier(art, cacheCfgs[i], copt, resp)
+		}
+		if wants[i][TierExact] && resp.ErrorKind == "" {
+			s.exactTier(art, cacheCfgs[i], copt, resp)
+		}
+	}
 	return resps
 }
 
-// runTiers executes the requested tiers in order. Any internal panic is
-// recovered by the ice guard and attributed to the phase that was running.
-func (s *Server) runTiers(t *task, want map[string]bool, resp *Response) (phase string, err error) {
-	phase = "request"
-	defer ice.GuardPhase(&phase, &err)
-
-	rq := t.sets[0].req
-	if s.cfg.Debug && rq.InjectPanic != "" {
-		phase = rq.InjectPanic
-		panic(fmt.Sprintf("injected panic in %q (debug)", rq.InjectPanic)) //unilint:ok panicguard deliberate fault injection (debug mode) exercised by serve-smoke; the per-request guard recovers it
-	}
-
-	ccfg, err := rq.coreConfig()
-	if err != nil {
-		return phase, err
-	}
-	cacheCfg, err := rq.cacheConfig(ccfg.Mode)
-	if err != nil {
-		return phase, err
-	}
-
-	phase = "compile"
+// runPhase runs one pipeline phase behind the panic guard, which turns a
+// panic into an *ice.Error naming the phase, and reports its duration.
+func runPhase(phase string, f func() error) (ns int64, err error) {
+	defer ice.Guard(phase, &err)
 	tic := time.Now() //unilint:ok wallclock Response.Timing latency metric; informational, excluded from dedup keys and artifacts
-	art, shared, err := s.arts.BuildShared(rq.Source, ccfg)
-	if err == nil && art.Comp == nil && (want[TierCheck] || want[TierExact]) {
-		art, err = s.arts.BuildIR(rq.Source, ccfg)
-	}
-	resp.Timing.CompileNS = time.Since(tic).Nanoseconds() //unilint:ok wallclock Response.Timing latency metric; informational, excluded from dedup keys and artifacts
-	if err != nil {
-		return phase, err
-	}
-	resp.Deduped = shared
-	if want[TierCompile] {
-		cr := &CompileResult{Key: art.Key.String(), Static: art.Static}
-		if rq.WantAssembly {
-			cr.Assembly = art.Prog.Save()
-		}
-		resp.Compile = cr
-	}
+	err = f()
+	return time.Since(tic).Nanoseconds(), err //unilint:ok wallclock Response.Timing latency metric; informational, excluded from dedup keys and artifacts
+}
 
-	if want[TierSimulate] {
-		phase = "simulate"
-		tic = time.Now() //unilint:ok wallclock Response.Timing latency metric; informational, excluded from dedup keys and artifacts
-		res, rerr := s.arts.Run(art, vm.Config{
-			MaxSteps: rq.MaxSteps,
-			Cache:    cacheCfg,
-			Done:     t.ctx.Done(),
-		})
-		resp.Timing.SimNS = time.Since(tic).Nanoseconds() //unilint:ok wallclock Response.Timing latency metric; informational, excluded from dedup keys and artifacts
-		if rerr != nil {
-			return phase, rerr
-		}
-		resp.Simulate = &SimResult{
-			Output:       res.Output,
-			Instructions: res.Instructions,
-			Loads:        res.Loads,
-			Stores:       res.Stores,
-			Cache:        res.CacheStats,
-		}
-	}
-
-	copt := check.Options{Unified: ccfg.Mode == core.Unified, Done: t.ctx.Done()}
-
-	if want[TierCheck] {
-		phase = "check"
-		tic = time.Now() //unilint:ok wallclock Response.Timing latency metric; informational, excluded from dedup keys and artifacts
-		vs := check.Structural(art.Comp.Prog, copt)
+// checkTier runs the static verifier and the must/may cache analysis.
+func (s *Server) checkTier(art *artifact.Artifact, cacheCfg cache.Config, copt check.Options, resp *Response) {
+	var vs []check.Violation
+	var rep *check.CacheReport
+	ns, err := runPhase("check", func() (err error) {
+		vs = check.Structural(art.Comp.Prog, copt)
 		vs = append(vs, check.DeadMarking(art.Comp.Prog, copt)...)
 		vs = append(vs, check.Machine(art.Prog, copt)...)
-		rep, aerr := check.AnalyzeCache(art.Comp.Prog, cacheCfg, copt)
-		resp.Timing.CheckNS = time.Since(tic).Nanoseconds() //unilint:ok wallclock Response.Timing latency metric; informational, excluded from dedup keys and artifacts
-		if aerr != nil {
-			return phase, aerr
-		}
-		cr := &CheckResult{Violations: len(vs), CacheLine: rep.Summary()}
-		for i, v := range vs {
-			if i == 8 {
-				break
-			}
-			cr.Messages = append(cr.Messages, v.String())
-		}
-		resp.Check = cr
+		rep, err = check.AnalyzeCache(art.Comp.Prog, cacheCfg, copt)
+		return err
+	})
+	resp.Timing.CheckNS = ns
+	if err != nil {
+		s.classify(resp, "check", err)
+		return
 	}
+	cr := &CheckResult{Violations: len(vs), CacheLine: rep.Summary()}
+	for i, v := range vs {
+		if i == 8 {
+			break
+		}
+		cr.Messages = append(cr.Messages, v.String())
+	}
+	resp.Check = cr
+}
 
-	if want[TierExact] {
-		phase = "exact"
-		tic = time.Now() //unilint:ok wallclock Response.Timing latency metric; informational, excluded from dedup keys and artifacts
-		rep, xerr := exact.AnalyzeWith(art.Comp.Prog, cacheCfg, copt,
+// exactTier runs the exact cache analysis under the server's step budget.
+func (s *Server) exactTier(art *artifact.Artifact, cacheCfg cache.Config, copt check.Options, resp *Response) {
+	var rep *exact.Report
+	ns, err := runPhase("exact", func() (err error) {
+		rep, err = exact.AnalyzeWith(art.Comp.Prog, cacheCfg, copt,
 			exact.Options{StepBudget: s.cfg.ExactStepBudget})
-		resp.Timing.ExactNS = time.Since(tic).Nanoseconds() //unilint:ok wallclock Response.Timing latency metric; informational, excluded from dedup keys and artifacts
-		if xerr != nil {
-			return phase, xerr
-		}
-		resp.Exact = &ExactResult{
-			Total: rep.Total, Bypassed: rep.Bypassed,
-			PreHit: rep.PreHit, PreMiss: rep.PreMiss,
-			ExactHit: rep.ExactHit, ExactMiss: rep.ExactMiss,
-			Irreducible: rep.Irreducible,
-			Solver:      exact.SolverAntichain, Steps: rep.Steps, Exhausted: rep.Exhausted,
-		}
+		return err
+	})
+	resp.Timing.ExactNS = ns
+	if err != nil {
+		s.classify(resp, "exact", err)
+		return
 	}
-	return phase, nil
+	resp.Exact = &ExactResult{
+		Total: rep.Total, Bypassed: rep.Bypassed,
+		PreHit: rep.PreHit, PreMiss: rep.PreMiss,
+		ExactHit: rep.ExactHit, ExactMiss: rep.ExactMiss,
+		Irreducible: rep.Irreducible,
+		Solver:      exact.SolverAntichain, Steps: rep.Steps, Exhausted: rep.Exhausted,
+	}
 }
 
 // classify maps a tier error onto the response's structured error shape.

@@ -1,29 +1,51 @@
 package dataflow
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/ast"
+	"repro/internal/bench"
+	"repro/internal/inline"
 	"repro/internal/ir"
 	"repro/internal/irgen"
 	"repro/internal/irinterp"
+	"repro/internal/opt"
 	"repro/internal/parser"
+	"repro/internal/progen"
+	"repro/internal/refint"
 	"repro/internal/sem"
 )
 
 func build(t *testing.T, src string) *ir.Program {
 	t.Helper()
+	return buildWith(t, src, false, false)
+}
+
+// buildWith lowers src the way core.Compile does up to the webs step:
+// irgen under stack (StackScalars), then, when inlineOpt is set, inlining
+// and the scalar optimizer on every function.
+func buildWith(tb testing.TB, src string, stack, inlineOpt bool) *ir.Program {
+	tb.Helper()
 	f, err := parser.Parse(src)
 	if err != nil {
-		t.Fatalf("parse: %v", err)
+		tb.Fatalf("parse: %v", err)
 	}
 	info, err := sem.Check(f)
 	if err != nil {
-		t.Fatalf("check: %v", err)
+		tb.Fatalf("check: %v", err)
 	}
-	prog, err := irgen.Build(info)
+	prog, err := irgen.BuildWithOptions(info, irgen.Options{StackScalars: stack})
 	if err != nil {
-		t.Fatalf("irgen: %v", err)
+		tb.Fatalf("irgen: %v", err)
+	}
+	if inlineOpt {
+		inline.Run(prog)
+		for _, fn := range prog.Funcs {
+			opt.Optimize(fn)
+		}
 	}
 	return prog
 }
@@ -196,6 +218,97 @@ void main() {
 	}
 }
 
+// TestChainsMatchOracle requires the lazy per-use chain lookup to build
+// exactly the reference builder's UD and DU lists, order included, for
+// every function of the benchmarks and of a generated seed window, under
+// each combination of StackScalars and inline+optimize.
+func TestChainsMatchOracle(t *testing.T) {
+	type program struct{ name, src string }
+	var progs []program
+	for _, b := range bench.All() {
+		progs = append(progs, program{b.Name, b.Source})
+	}
+	// 24 seeds take about 4 s on 2 vCPUs; the builders' agreement was also
+	// checked over seeds 1–300.
+	seeds := int64(24)
+	if testing.Short() {
+		seeds = 6
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		progs = append(progs, program{fmt.Sprintf("gen-%03d", seed), progen.Source(seed, progen.ScaleKnobs(1))})
+	}
+	uses := 0
+	for _, pg := range progs {
+		for _, stack := range []bool{false, true} {
+			for _, inlineOpt := range []bool{false, true} {
+				prog := buildWith(t, pg.src, stack, inlineOpt)
+				for _, f := range prog.Funcs {
+					rd := ComputeReachingDefs(f, ComputeLiveness(f))
+					got, want := ComputeChains(rd), chainsOracle(rd)
+					label := fmt.Sprintf("%s/stack=%v/inline+opt=%v/%s", pg.name, stack, inlineOpt, f.Name)
+					if !reflect.DeepEqual(got.UD, want.UD) {
+						t.Errorf("%s: UD chains differ from the reference", label)
+					}
+					if !reflect.DeepEqual(got.DU, want.DU) {
+						t.Errorf("%s: DU chains differ from the reference", label)
+					}
+					uses += len(want.UD)
+				}
+			}
+		}
+	}
+	if uses == 0 {
+		t.Fatal("no uses compared")
+	}
+}
+
+// chainFunc builds a straight line of n blocks in which block i defines
+// t_i = 1 and x_i = x_{i-1} + t_i, so both blocks and def sites grow with
+// n and every def reaches every later block.
+func chainFunc(n int) *ir.Func {
+	f := &ir.Func{Name: "chain"}
+	blocks := make([]*ir.Block, n)
+	for i := range blocks {
+		blocks[i] = f.NewBlock()
+	}
+	x := f.NewReg()
+	blocks[0].Instrs = append(blocks[0].Instrs, ir.Instr{Op: ir.OpConst, Dst: x})
+	for i, b := range blocks {
+		t := f.NewReg()
+		next := f.NewReg()
+		b.Instrs = append(b.Instrs,
+			ir.Instr{Op: ir.OpConst, Dst: t, Imm: 1},
+			ir.Instr{Op: ir.OpBin, Bin: ir.Add, Dst: next, A: x, B: t})
+		x = next
+		if i+1 < n {
+			b.Instrs = append(b.Instrs, ir.Instr{Op: ir.OpJmp, Then: blocks[i+1]})
+		} else {
+			b.Instrs = append(b.Instrs, ir.Instr{Op: ir.OpRet, A: x})
+		}
+	}
+	f.ComputeEdges()
+	return f
+}
+
+// TestChainsAllocsLinear guards against a return to per-block copies of
+// the reaching-in set: those allocate O(blocks × reaching sites), about 4×
+// when n doubles here, where a per-use lookup stays near 2×. Counting
+// allocations instead of timing keeps the guard deterministic.
+func TestChainsAllocsLinear(t *testing.T) {
+	allocs := func(n int) float64 {
+		f := chainFunc(n)
+		rd := ComputeReachingDefs(f, ComputeLiveness(f))
+		return testing.AllocsPerRun(5, func() { ComputeChains(rd) })
+	}
+	const n = 128
+	small, large := allocs(n), allocs(2*n)
+	t.Logf("ComputeChains allocations: %.0f at n=%d, %.0f at n=%d", small, n, large, 2*n)
+	if large > 2.5*small {
+		t.Errorf("allocations grew %.2f× when n doubled (%.0f → %.0f), want at most 2.5×",
+			large/small, small, large)
+	}
+}
+
 func TestWebsMergeConditionalDefs(t *testing.T) {
 	prog := build(t, `
 void main() {
@@ -344,5 +457,41 @@ void main() { print(f(2, 3)); }`)
 	}
 	if res.Output != "5\n" {
 		t.Errorf("output = %q, want 5", res.Output)
+	}
+}
+
+// BenchmarkSplitWebs splits the webs of the largest function among the
+// first 48 generated ScaleKnobs(1) programs the reference interpreter runs
+// to completion, compiled with stack scalars as the progen-analyze
+// workload compiles them. Each iteration rebuilds the function untimed,
+// since SplitWebs rewrites it in place.
+func BenchmarkSplitWebs(b *testing.B) {
+	k := progen.ScaleKnobs(1)
+	var src, name string
+	size := -1
+	for seed, ok := int64(1), 0; ok < 48; seed++ {
+		file := progen.Generate(seed, k)
+		if _, err := refint.Run(file, refint.Config{}); err != nil {
+			continue
+		}
+		ok++
+		text := ast.Print(file)
+		for _, f := range buildWith(b, text, true, false).Funcs {
+			n := 0
+			for _, blk := range f.Blocks {
+				n += len(blk.Instrs)
+			}
+			if n > size {
+				src, name, size = text, f.Name, n
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		f := buildWith(b, src, true, false).Lookup(name)
+		b.StartTimer()
+		SplitWebs(f)
 	}
 }

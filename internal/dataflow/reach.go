@@ -132,27 +132,18 @@ type Chains struct {
 	DU [][]Use
 }
 
-// ComputeChains builds D-U and U-D chains by walking each block forward
-// with the block's reaching-in set.
+// ComputeChains builds D-U and U-D chains with one lookup per use. A use of
+// r defined earlier in its own block reads that one def; otherwise it reads
+// the defs of r in the block's reaching-in set, found by testing DefsOf[r]
+// (ascending site ids) against In. The fixed point unions entryGen into
+// In[entry], so the entry pseudo-defs need no special case. The cost is
+// O(uses × defs of the used register).
 func ComputeChains(rd *ReachingDefs) *Chains {
 	ch := &Chains{RD: rd, UD: make(map[Use][]int), DU: make([][]Use, len(rd.Sites))}
-	f := rd.F
-	// cur[r] = set of site ids of r currently reaching, maintained per block.
-	for _, b := range f.Blocks {
-		cur := make(map[ir.Reg][]int)
-		rd.In[b.ID].ForEach(func(id int) {
-			s := rd.Sites[id]
-			cur[s.Reg] = append(cur[s.Reg], id)
-		})
-		// Entry pseudo-defs reach from the top of the entry block.
-		if b == f.Entry() {
-			for id, s := range rd.Sites {
-				if s.Index == -1 && !containsInt(cur[s.Reg], id) {
-					cur[s.Reg] = append(cur[s.Reg], id)
-				}
-			}
-		}
-		var scratch []ir.Reg
+	local := make(map[ir.Reg]int) // register -> its last def site so far in the block
+	var scratch []ir.Reg
+	for _, b := range rd.F.Blocks {
+		clear(local)
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			scratch = in.AppendUses(scratch[:0])
@@ -161,27 +152,25 @@ func ComputeChains(rd *ReachingDefs) *Chains {
 				if _, seen := ch.UD[u]; seen {
 					continue // a register used twice in one instruction
 				}
-				defs := append([]int(nil), cur[r]...)
+				var defs []int
+				if id, ok := local[r]; ok {
+					defs = []int{id}
+				} else {
+					for _, id := range rd.DefsOf[r] {
+						if rd.In[b.ID].Has(id) {
+							defs = append(defs, id)
+						}
+					}
+				}
 				ch.UD[u] = defs
 				for _, id := range defs {
 					ch.DU[id] = append(ch.DU[id], u)
 				}
 			}
 			if d := in.Def(); d != ir.NoReg {
-				id := rd.SiteAt[[2]int{b.ID, i}]
-				cur[d] = cur[d][:0]
-				cur[d] = append(cur[d], id)
+				local[d] = rd.SiteAt[[2]int{b.ID, i}]
 			}
 		}
 	}
 	return ch
-}
-
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

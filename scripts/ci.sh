@@ -41,6 +41,9 @@ rm -f /tmp/unilint-ci /tmp/lint-ci.json
 echo "== go test -race =="
 go test -race ./...
 
+echo "== bench-smoke (webs pass micro-benchmark compiles and runs) =="
+go test -run '^$' -bench SplitWebs -benchtime 1x ./internal/dataflow
+
 echo "== unicheck (benchmark suite) =="
 go run ./cmd/unicheck
 

@@ -26,10 +26,7 @@ import (
 )
 
 func main() {
-	smallKnobs := progen.DefaultKnobs()
-	smallKnobs.Funcs = 2
-	smallKnobs.MaxStmts = 4
-	smallKnobs.MaxNest = 2
+	smallKnobs := progen.SmallKnobs()
 
 	// MC sources: compact generated programs plus the reproducers the
 	// harness has actually minimized (see examples/difftest).

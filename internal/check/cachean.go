@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -164,10 +165,12 @@ const globalBase int64 = 64
 //     and no always-hit verdicts are produced.
 //   - The may analysis keeps the set of blocks possibly in cache; a block
 //     provably absent proves always-miss. Blocks enter on any access that
-//     may touch them (resolved by alias set for address-uncertain
-//     references) and leave only on a definite kill: a Last-tagged access
-//     to the block under invalidating dead-marking with one-word lines.
-//     Eviction never removes a block (sound for every policy).
+//     may touch them, resolved by alias set in both directions: an
+//     address-uncertain reference may fill any block of its set, and a
+//     named fill also fills every pseudo-block that may address it. They
+//     leave only on a definite kill: a Last-tagged access to the block
+//     under invalidating dead-marking with one-word lines. Eviction never
+//     removes a block (sound for every policy).
 //
 // Both halves model the paper's control bits: a bypass reference
 // allocates nothing but may refresh or (when Last-tagged) kill a resident
@@ -289,6 +292,9 @@ type funcState struct {
 	isPseudo map[ir.Reg]bool
 	allKeys  []blockKey
 	bySet    map[int][]blockKey // named keys by object alias set
+	// namedBy lists, per named key, the pseudo-blocks whose register may
+	// address that key's line (the converse of mayTargets).
+	namedBy map[blockKey][]blockKey
 }
 
 func (a *analyzer) newFuncState(f *ir.Func) *funcState {
@@ -296,6 +302,7 @@ func (a *analyzer) newFuncState(f *ir.Func) *funcState {
 		frameOff: make(map[*sem.Object]int64),
 		isPseudo: make(map[ir.Reg]bool),
 		bySet:    make(map[int][]blockKey),
+		namedBy:  make(map[blockKey][]blockKey),
 	}
 	// Frame layout, mirroring irinterp: spill slots first, then frame
 	// objects in declaration order.
@@ -319,6 +326,7 @@ func (a *analyzer) newFuncState(f *ir.Func) *funcState {
 			fs.bySet[set] = append(fs.bySet[set], k)
 		}
 	}
+	var pseudoAccs []access
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
@@ -328,8 +336,20 @@ func (a *analyzer) newFuncState(f *ir.Func) *funcState {
 			acc := fs.resolve(in)
 			if acc.key.kind == kPseudo {
 				fs.isPseudo[acc.key.reg] = true
+				pseudoAccs = append(pseudoAccs, acc)
 			}
 			add(acc.key, acc.set)
+		}
+	}
+	// With wider lines every through access already reaches every block,
+	// so namedBy is needed for one-word lines only.
+	if a.cfg.LineWords == 1 {
+		for _, acc := range pseudoAccs {
+			for _, t := range fs.mayTargets(acc) {
+				if t.kind != kPseudo && !slices.Contains(fs.namedBy[t], acc.key) {
+					fs.namedBy[t] = append(fs.namedBy[t], acc.key)
+				}
+			}
 		}
 	}
 	return fs
@@ -538,10 +558,14 @@ func (fs *funcState) transferAccess(acc access, must mustState, may *mayState) {
 		}
 	}
 
-	// May half.
+	// May half. A named line coming in is also the line of every
+	// pseudo-block whose register may address it.
 	if through {
 		for _, t := range fs.mayTargets(acc) {
 			may.in[t] = true
+		}
+		for _, p := range fs.namedBy[k] {
+			may.in[p] = true
 		}
 	}
 	if acc.last && a.killsMay() {

@@ -201,3 +201,29 @@ void main() { poke(); poke(); print(g); }`
 		t.Error("callee's first touch classified always-miss despite warm-cache entry")
 	}
 }
+
+// A pointer loaded before anything is cached names a line that a later
+// direct access to one of its targets brings in. In unified mode the loads
+// and stores of p bypass the cache, so only the direct read of b fills a
+// line; the store through p must not be proven always-miss.
+func TestNamedFillReachesPseudoBlock(t *testing.T) {
+	const src = `
+int a;
+int b;
+int *p;
+void main() {
+    p = &a;
+    p = &b;
+    *p = b + 1;
+    print(a);
+    print(b);
+}`
+	c := compile(t, src, core.Config{Mode: core.Unified})
+	res, err := check.Differential(c.Prog, cache.DefaultConfig(), opts(core.Unified))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Err(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -6,15 +6,15 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/exact"
-	"repro/internal/mcgen"
+	"repro/internal/progen"
 )
 
 // FuzzExact cross-checks the exact classifier against concrete execution:
 // every generated program is classified and then replayed on the
 // production VM, and any always-hit site that misses (or always-miss site
-// that hits) fails the target. Programs come from mcgen, which generates
-// deterministic, terminating, UB-free MC sources, so a failure is always
-// an analysis soundness bug, never a bad program.
+// that hits) fails the target. Programs come from progen (SmallKnobs),
+// which generates deterministic, terminating, memory-safe MC sources, so
+// a failure is always an analysis soundness bug, never a bad program.
 func FuzzExact(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed)
@@ -26,7 +26,7 @@ func FuzzExact(f *testing.F) {
 		{Sets: 8, Ways: 2, LineWords: 1, Policy: cache.Random},
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		src := mcgen.Program(seed)
+		src := progen.Source(seed, progen.SmallKnobs())
 		g := geoms[uint64(seed)%uint64(len(geoms))]
 		for _, mode := range []core.Mode{core.Unified, core.Conventional} {
 			ccfg := g
@@ -60,7 +60,7 @@ func FuzzExactAntichain(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		src := mcgen.Program(seed)
+		src := progen.Source(seed, progen.SmallKnobs())
 		for _, mode := range []core.Mode{core.Unified, core.Conventional} {
 			ccfg := modeConfig(mode)
 			comp, err := core.Compile(src, core.Config{Mode: mode, StackScalars: true, Check: true})
@@ -92,7 +92,7 @@ func FuzzExactAntichain(f *testing.F) {
 // the classifier on every test run, not only under -fuzz.
 func TestExactOracleGeneratedPrograms(t *testing.T) {
 	for seed := int64(0); seed < 24; seed++ {
-		src := mcgen.Program(seed)
+		src := progen.Source(seed, progen.SmallKnobs())
 		for _, mode := range []core.Mode{core.Unified, core.Conventional} {
 			ccfg := cache.DefaultConfig()
 			if mode == core.Conventional {

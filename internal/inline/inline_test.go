@@ -11,8 +11,8 @@ import (
 	"repro/internal/ir"
 	"repro/internal/irgen"
 	"repro/internal/irinterp"
-	"repro/internal/mcgen"
 	"repro/internal/parser"
+	"repro/internal/progen"
 	"repro/internal/sem"
 	"repro/internal/vm"
 )
@@ -144,7 +144,7 @@ func TestInlineDifferential(t *testing.T) {
 		srcs = append(srcs, b.Source)
 	}
 	for seed := int64(500); seed < 540; seed++ {
-		srcs = append(srcs, mcgen.Program(seed))
+		srcs = append(srcs, progen.Source(seed, progen.DefaultKnobs()))
 	}
 	for i, src := range srcs {
 		plain, err := core.Compile(src, core.Config{Mode: core.Unified})

@@ -4,8 +4,8 @@
 // shrinking the instruction stream the unified-management pass classifies
 // (fewer dead address computations, fewer trivially constant operands).
 //
-// All passes are semantics-preserving; the differential fuzzing suite
-// (internal/mcgen) checks every benchmark and random program with and
+// All passes are semantics-preserving; TestOptimizeDifferential checks
+// every benchmark and a window of internal/progen programs with and
 // without optimization against the reference interpreter.
 package opt
 

@@ -10,9 +10,9 @@ import (
 	"repro/internal/ir"
 	"repro/internal/irgen"
 	"repro/internal/irinterp"
-	"repro/internal/mcgen"
 	"repro/internal/opt"
 	"repro/internal/parser"
+	"repro/internal/progen"
 	"repro/internal/sem"
 	"repro/internal/vm"
 )
@@ -150,7 +150,7 @@ func TestOptimizeDifferential(t *testing.T) {
 		srcs = append(srcs, b.Source)
 	}
 	for seed := int64(300); seed < 340; seed++ {
-		srcs = append(srcs, mcgen.Program(seed))
+		srcs = append(srcs, progen.Source(seed, progen.DefaultKnobs()))
 	}
 	for i, src := range srcs {
 		plain, err := core.Compile(src, core.Config{Mode: core.Unified})

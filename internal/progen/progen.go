@@ -72,11 +72,23 @@ func DefaultKnobs() Knobs {
 	}
 }
 
+// SmallKnobs is DefaultKnobs with fewer functions, shorter blocks and
+// shallower nesting: the compact programs the exact-analysis fuzz targets
+// and the checked-in seed corpora use, where every program is classified
+// and replayed several times over.
+func SmallKnobs() Knobs {
+	k := DefaultKnobs()
+	k.Funcs = 2
+	k.MaxStmts = 4
+	k.MaxNest = 2
+	return k
+}
+
 // ScaleKnobs tunes the generator for the scaling campaign (E12): programs
 // roughly scale× the default size in functions and statement volume, with
 // proportionally more globals and call sites so both the interprocedural
-// summaries and the focused refinement have real material. Scale 1 is
-// DefaultKnobs.
+// summaries and the focused refinement have real material. Even scale 1 is
+// larger than DefaultKnobs (6 globals, 5 functions, 7 statements per block).
 func ScaleKnobs(scale int) Knobs {
 	if scale < 1 {
 		scale = 1

@@ -4,9 +4,15 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/cache"
+	"repro/internal/codegen"
+	"repro/internal/core"
+	"repro/internal/irinterp"
 	"repro/internal/parser"
 	"repro/internal/refint"
+	"repro/internal/regalloc"
 	"repro/internal/sem"
+	"repro/internal/vm"
 )
 
 // TestDeterministic: the same (seed, knobs) pair must always produce the
@@ -131,5 +137,62 @@ func TestOutputNonTrivial(t *testing.T) {
 	}
 	if printed == 0 {
 		t.Fatal("no seed produced observable output")
+	}
+}
+
+// TestDifferentialAgainstInterpreter: every generated program must compile
+// under every configuration, give the same IR-interpreter output under
+// all of them, and give that output again on the simulator with several
+// cache geometries.
+func TestDifferentialAgainstInterpreter(t *testing.T) {
+	const seeds = 60
+
+	tiny := regalloc.Target{CallerSaved: []int{8, 9}, CalleeSaved: []int{16, 17}}
+	compileConfigs := []core.Config{
+		{Mode: core.Unified},
+		{Mode: core.Conventional},
+		{Mode: core.Unified, Target: tiny},
+		{Mode: core.Unified, StackScalars: true},
+		{Mode: core.Conventional, StackScalars: true, Strategy: regalloc.UsageCount},
+	}
+	cacheConfigs := []cache.Config{
+		cache.DefaultConfig(),
+		{Sets: 1, Ways: 1, LineWords: 1, Policy: cache.LRU, Dead: cache.DeadInvalidate, HonorBypass: true, Seed: 1},
+		{Sets: 4, Ways: 2, LineWords: 4, Policy: cache.FIFO, Dead: cache.DeadDemote, HonorBypass: true, Seed: 2},
+	}
+
+	for seed := int64(0); seed < seeds; seed++ {
+		src := Source(seed, DefaultKnobs())
+		var want string
+		for ci, ccfg := range compileConfigs {
+			comp, err := core.Compile(src, ccfg)
+			if err != nil {
+				t.Fatalf("seed %d cfg %d: compile: %v\nsource:\n%s", seed, ci, err, src)
+			}
+			ref, err := irinterp.Run(comp.Prog, irinterp.Config{})
+			if err != nil {
+				t.Fatalf("seed %d cfg %d: irinterp: %v\nsource:\n%s", seed, ci, err, src)
+			}
+			if ci == 0 {
+				want = ref.Output
+			} else if ref.Output != want {
+				t.Fatalf("seed %d cfg %d: interpreter output changed across configs:\n%q vs %q\nsource:\n%s",
+					seed, ci, ref.Output, want, src)
+			}
+			prog, err := codegen.Generate(comp)
+			if err != nil {
+				t.Fatalf("seed %d cfg %d: codegen: %v\nsource:\n%s", seed, ci, err, src)
+			}
+			for gi, mcfg := range cacheConfigs {
+				res, err := vm.Run(prog, vm.Config{Cache: mcfg})
+				if err != nil {
+					t.Fatalf("seed %d cfg %d geom %d: vm: %v\nsource:\n%s", seed, ci, gi, err, src)
+				}
+				if res.Output != want {
+					t.Fatalf("seed %d cfg %d geom %d: vm output diverged\nvm:  %q\nref: %q\nsource:\n%s",
+						seed, ci, gi, res.Output, want, src)
+				}
+			}
+		}
 	}
 }

@@ -12,9 +12,9 @@ import (
 	"repro/internal/ir"
 	"repro/internal/irgen"
 	"repro/internal/irinterp"
-	"repro/internal/mcgen"
 	"repro/internal/opt"
 	"repro/internal/parser"
+	"repro/internal/progen"
 	"repro/internal/promote"
 	"repro/internal/sem"
 	"repro/internal/vm"
@@ -172,7 +172,7 @@ func TestPromotionPreservesSemantics(t *testing.T) {
 		srcs = append(srcs, b.Source)
 	}
 	for seed := int64(100); seed < 120; seed++ {
-		srcs = append(srcs, mcgen.Program(seed))
+		srcs = append(srcs, progen.Source(seed, progen.DefaultKnobs()))
 	}
 	for i, src := range srcs {
 		base, err := core.Compile(src, core.Config{Mode: core.Unified})

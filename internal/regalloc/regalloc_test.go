@@ -7,8 +7,8 @@ import (
 	"repro/internal/ir"
 	"repro/internal/irgen"
 	"repro/internal/irinterp"
-	"repro/internal/mcgen"
 	"repro/internal/parser"
+	"repro/internal/progen"
 	"repro/internal/sem"
 )
 
@@ -289,7 +289,7 @@ func TestRandomProgramsColorValidly(t *testing.T) {
 	palettes := []Target{testTarget, tinyTarget,
 		{CallerSaved: []int{8, 9, 10}, CalleeSaved: []int{16, 17, 18}}}
 	for seed := int64(700); seed < 720; seed++ {
-		src := mcgen.Program(seed)
+		src := progen.Source(seed, progen.DefaultKnobs())
 		for _, tgt := range palettes {
 			for _, strat := range []Strategy{Chaitin, UsageCount} {
 				prog := build(t, src)

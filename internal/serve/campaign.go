@@ -93,7 +93,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	body := http.MaxBytesReader(w, r.Body, int64(s.cfg.MaxSourceBytes))
+	body := http.MaxBytesReader(w, r.Body, maxSourceBytes)
 	var req SweepRequest
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		s.reject(w, (&Response{}).fail(http.StatusBadRequest, KindRequest, "",

@@ -37,24 +37,25 @@ type Options struct {
 	Requests    int    // total requests (default 2000)
 	Concurrency int    // concurrent clients (default 32)
 	Seed        int64  // traffic-mix seed (default 1)
-
-	// SourcePool is the number of distinct generated programs; requests
-	// draw from this small pool so the mix is dedup-heavy by construction
-	// (default 8).
-	SourcePool int
-
-	// Fault mix, as periods over the request index (0 disables):
-	// every PanicEvery-th request injects a panic (needs a Debug daemon),
-	// every BudgetEvery-th sends a spin program under a tiny step budget
-	// (the oversized-program case), every CheckEvery-th adds the check
-	// tier and every ExactEvery-th the exact tier.
-	PanicEvery  int // default 101
-	BudgetEvery int // default 53
-	CheckEvery  int // default 11
-	ExactEvery  int // default 29
-
-	DeadlineMS int64 // per-request deadline (default 5000)
 }
+
+const (
+	// sourcePool is the number of distinct generated programs; requests
+	// draw from this small pool so the mix is dedup-heavy by construction.
+	sourcePool = 8
+
+	// Fault mix, as periods over the request index: every panicEvery-th
+	// request injects a panic (needs a Debug daemon), every budgetEvery-th
+	// sends a spin program under a tiny step budget (the oversized-program
+	// case), every checkEvery-th adds the check tier and every
+	// exactEvery-th the exact tier.
+	panicEvery  = 101
+	budgetEvery = 53
+	checkEvery  = 11
+	exactEvery  = 29
+
+	deadlineMS = 5000 // per-request deadline
+)
 
 func (o Options) withDefaults() Options {
 	if o.Requests <= 0 {
@@ -65,24 +66,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.SourcePool <= 0 {
-		o.SourcePool = 8
-	}
-	if o.PanicEvery == 0 {
-		o.PanicEvery = 101
-	}
-	if o.BudgetEvery == 0 {
-		o.BudgetEvery = 53
-	}
-	if o.CheckEvery == 0 {
-		o.CheckEvery = 11
-	}
-	if o.ExactEvery == 0 {
-		o.ExactEvery = 29
-	}
-	if o.DeadlineMS <= 0 {
-		o.DeadlineMS = 5000
 	}
 	return o
 }
@@ -179,24 +162,24 @@ void main() {
 }`
 
 // requestFor builds the deterministic request for index i.
-func (o Options) requestFor(i int, pool []string) *serve.Request {
+func requestFor(i int, pool []string) *serve.Request {
 	rq := &serve.Request{
 		Source:     pool[i%len(pool)],
-		DeadlineMS: o.DeadlineMS,
+		DeadlineMS: deadlineMS,
 		Want:       []string{serve.TierCompile, serve.TierSimulate},
 	}
-	if o.CheckEvery > 0 && i%o.CheckEvery == 0 {
+	if i%checkEvery == 0 {
 		rq.Want = append(rq.Want, serve.TierCheck)
 	}
-	if o.ExactEvery > 0 && i%o.ExactEvery == 0 {
+	if i%exactEvery == 0 {
 		rq.Want = append(rq.Want, serve.TierExact)
 	}
-	if o.BudgetEvery > 0 && i%o.BudgetEvery == 1 {
+	if i%budgetEvery == 1 {
 		rq.Source = spin
 		rq.MaxSteps = 50_000
 		rq.Want = []string{serve.TierSimulate}
 	}
-	if o.PanicEvery > 0 && i%o.PanicEvery == 2 {
+	if i%panicEvery == 2 {
 		rq.InjectPanic = "loadtest"
 		rq.Want = []string{serve.TierSimulate}
 	}
@@ -211,7 +194,7 @@ func Run(opt Options) (*Report, error) {
 	}
 
 	rng := newSeededRand(opt.Seed)
-	pool := make([]string, opt.SourcePool)
+	pool := make([]string, sourcePool)
 	for i := range pool {
 		pool[i] = genSource(rng)
 	}
@@ -221,7 +204,7 @@ func Run(opt Options) (*Report, error) {
 		Seed:        opt.Seed,
 		Requests:    opt.Requests,
 		Concurrency: opt.Concurrency,
-		SourcePool:  opt.SourcePool,
+		SourcePool:  sourcePool,
 		Outcomes:    make(map[string]int64),
 		Latency:     serve.NewHistogram(),
 	}
@@ -232,7 +215,7 @@ func Run(opt Options) (*Report, error) {
 	var dials atomic.Int64
 	dialer := &net.Dialer{Timeout: 10 * time.Second, KeepAlive: 30 * time.Second}
 	client := &http.Client{
-		Timeout: time.Duration(opt.DeadlineMS+10_000) * time.Millisecond,
+		Timeout: time.Duration(deadlineMS+10_000) * time.Millisecond,
 		Transport: &http.Transport{
 			DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
 				dials.Add(1)
@@ -252,7 +235,7 @@ func Run(opt Options) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				rq := opt.requestFor(i, pool)
+				rq := requestFor(i, pool)
 				t0 := time.Now() //unilint:ok wallclock per-request latency sample; the report is a measurement, not a golden
 				resp, err := postEval(client, opt.BaseURL, rq)
 				ns := time.Since(t0).Nanoseconds() //unilint:ok wallclock per-request latency sample; the report is a measurement, not a golden

@@ -75,11 +75,10 @@ func TestRunMixedStorm(t *testing.T) {
 // TestDeterministicMix: the same seed generates the same source pool and
 // per-index requests.
 func TestDeterministicMix(t *testing.T) {
-	opt := Options{Seed: 42}.withDefaults()
 	mk := func() []string {
 		// Rebuild the pool exactly as Run does.
-		rng := newSeededRand(opt.Seed)
-		pool := make([]string, opt.SourcePool)
+		rng := newSeededRand(42)
+		pool := make([]string, sourcePool)
 		for i := range pool {
 			pool[i] = genSource(rng)
 		}
@@ -94,11 +93,11 @@ func TestDeterministicMix(t *testing.T) {
 			t.Fatalf("generated program malformed:\n%s", a[i])
 		}
 	}
-	ra := opt.requestFor(11, a) // CheckEvery default 11
+	ra := requestFor(11, a) // checkEvery is 11
 	if len(ra.Want) < 3 {
 		t.Errorf("index 11 should include check tier, got %v", ra.Want)
 	}
-	rb := opt.requestFor(54, a) // BudgetEvery default 53: 54%53==1
+	rb := requestFor(54, a) // budgetEvery is 53: 54%53==1
 	if rb.MaxSteps == 0 || rb.Source != spin {
 		t.Errorf("index 54 should be a budget bomb, got %+v", rb)
 	}

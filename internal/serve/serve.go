@@ -70,6 +70,20 @@ import (
 	"repro/internal/vm"
 )
 
+const (
+	// Degradation thresholds, in percent of queue fullness observed when
+	// a request is dequeued: at degradeExactPct the exact tier is shed, at
+	// degradeCheckPct the check tier too.
+	degradeExactPct = 50
+	degradeCheckPct = 80
+
+	maxSourceBytes = 1 << 20 // cap on accepted request bodies
+
+	// exactStepBudget bounds the exact solver per request (deterministic
+	// degradation to prefilter verdicts).
+	exactStepBudget = 5_000_000
+)
+
 // Config parameterizes the service. Zero values mean the defaults noted
 // per field.
 type Config struct {
@@ -104,19 +118,6 @@ type Config struct {
 	// single-flight cache memory-only.
 	CacheDir string
 
-	// Degradation thresholds, in percent of queue fullness observed when
-	// a request is dequeued: at DegradeExactPct the exact tier is shed, at
-	// DegradeCheckPct the check tier too. Defaults 50 and 80.
-	DegradeExactPct int
-	DegradeCheckPct int
-
-	// MaxSourceBytes caps accepted request bodies (default 1 MiB).
-	MaxSourceBytes int
-
-	// ExactStepBudget bounds the exact solver per request (deterministic
-	// degradation to prefilter verdicts; default 5e6).
-	ExactStepBudget int64
-
 	// Debug honors the inject_panic / inject_sleep_ms request seams used
 	// by the load-test harness and CI to prove isolation and drain.
 	Debug bool
@@ -149,18 +150,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CampaignWindow <= 0 {
 		c.CampaignWindow = 4 * c.Workers
-	}
-	if c.DegradeExactPct <= 0 {
-		c.DegradeExactPct = 50
-	}
-	if c.DegradeCheckPct <= 0 {
-		c.DegradeCheckPct = 80
-	}
-	if c.MaxSourceBytes <= 0 {
-		c.MaxSourceBytes = 1 << 20
-	}
-	if c.ExactStepBudget <= 0 {
-		c.ExactStepBudget = 5_000_000
 	}
 	return c
 }
@@ -407,11 +396,11 @@ func (s *Server) process(t *task) []*Response {
 		}
 		// Degradation decision, from queue pressure at dequeue time.
 		load := 100 * len(s.queue) / cap(s.queue)
-		if want[TierExact] && load >= s.cfg.DegradeExactPct {
+		if want[TierExact] && load >= degradeExactPct {
 			delete(want, TierExact)
 			resp.Degraded = append(resp.Degraded, TierExact)
 		}
-		if want[TierCheck] && load >= s.cfg.DegradeCheckPct {
+		if want[TierCheck] && load >= degradeCheckPct {
 			delete(want, TierCheck)
 			resp.Degraded = append(resp.Degraded, TierCheck)
 		}
@@ -552,7 +541,7 @@ func (s *Server) exactTier(art *artifact.Artifact, cacheCfg cache.Config, copt c
 	var rep *exact.Report
 	ns, err := runPhase("exact", func() (err error) {
 		rep, err = exact.AnalyzeWith(art.Comp.Prog, cacheCfg, copt,
-			exact.Options{StepBudget: s.cfg.ExactStepBudget})
+			exact.Options{StepBudget: exactStepBudget})
 		return err
 	})
 	resp.Timing.ExactNS = ns
@@ -636,13 +625,13 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request, defWant []st
 		return
 	}
 
-	body := http.MaxBytesReader(w, r.Body, int64(s.cfg.MaxSourceBytes))
+	body := http.MaxBytesReader(w, r.Body, maxSourceBytes)
 	var req Request
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			s.reject(w, (&Response{}).fail(http.StatusRequestEntityTooLarge, KindTooLarge, "",
-				fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxSourceBytes)))
+				fmt.Sprintf("request body exceeds %d bytes", maxSourceBytes)))
 			return
 		}
 		s.reject(w, (&Response{}).fail(http.StatusBadRequest, KindRequest, "",

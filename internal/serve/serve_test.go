@@ -218,7 +218,6 @@ func TestServerSingleFlight(t *testing.T) {
 func TestDegradationTiers(t *testing.T) {
 	s := newTestServer(t, Config{
 		Workers: 1, QueueDepth: 4, Debug: true,
-		DegradeExactPct: 50, DegradeCheckPct: 80,
 		// The test stages exact queue occupancy; batching would coalesce
 		// the fillers and dissolve the pressure it is measuring.
 		BatchMaxWait: -1,

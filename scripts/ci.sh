@@ -14,6 +14,8 @@ fi
 
 echo "== go vet =="
 go vet ./...
+# gencorpus.go is //go:build ignore, so ./... never compiles it.
+go vet gencorpus.go
 
 echo "== go build =="
 go build ./...
@@ -95,8 +97,8 @@ echo "== exact-scale-smoke (antichain vs power-set reference, generated programs
 # the antichain solver with the power-set reference solver kept in the
 # exact package's tests and fails on any per-site verdict divergence;
 # it and unicheck both replay every verdict on the production VM. The
-# fuzz pass drives the same differential over fresh mcgen programs for
-# a few seconds.
+# fuzz pass drives the same differential over fresh progen programs
+# (SmallKnobs) for a few seconds.
 go test -count=1 -run 'TestSolversAgreeOnGeneratedWindow$' ./internal/exact
 go run ./cmd/unicheck -oracle -interproc -bench sieve -gen 3,5,8 -gen-scale 2
 go test -run 'xxx^' -fuzz 'FuzzExactAntichain$' -fuzztime 10s ./internal/exact

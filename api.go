@@ -185,57 +185,10 @@ func (p *Program) Static() StaticStats {
 	}
 }
 
-// CacheOptions parameterizes the simulated data cache.
-type CacheOptions struct {
-	Sets      int    // number of sets (power of two); default 32
-	Ways      int    // associativity; default 2
-	LineWords int    // words per line; default 1 (the paper's assumption)
-	Policy    string // "lru" (default), "fifo", "random"
-	// DeadMarking: "invalidate" (default in unified mode), "demote", "off".
-	DeadMarking string
-	// HonorBypass defaults to true in unified mode, false otherwise.
-	HonorBypass *bool
-	Seed        uint64
-}
-
-func (p *Program) cacheConfig(o CacheOptions) (cache.Config, error) {
-	cfg := cache.DefaultConfig()
-	if p.opts.Mode == Conventional {
-		cfg = cache.ConventionalConfig()
-	}
-	if o.Sets != 0 {
-		cfg.Sets = o.Sets
-	}
-	if o.Ways != 0 {
-		cfg.Ways = o.Ways
-	}
-	if o.LineWords != 0 {
-		cfg.LineWords = o.LineWords
-	}
-	if o.Policy != "" {
-		pol, err := cache.ParsePolicy(o.Policy)
-		// MIN needs the future knowledge only a recorded trace provides;
-		// executing runs cannot use it (Replay can).
-		if err != nil || pol == cache.MIN {
-			return cfg, fmt.Errorf("unicache: unknown policy %q", o.Policy)
-		}
-		cfg.Policy = pol
-	}
-	if o.DeadMarking != "" {
-		dm, err := cache.ParseDeadMode(o.DeadMarking)
-		if err != nil {
-			return cfg, fmt.Errorf("unicache: unknown dead-marking mode %q", o.DeadMarking)
-		}
-		cfg.Dead = dm
-	}
-	if o.HonorBypass != nil {
-		cfg.HonorBypass = *o.HonorBypass
-	}
-	if o.Seed != 0 {
-		cfg.Seed = o.Seed
-	}
-	return cfg, nil
-}
+// CacheOptions parameterizes the simulated data cache. Zero fields keep
+// the program's management-mode defaults (see cache.Spec for the names
+// and defaults).
+type CacheOptions = cache.Spec
 
 // RunOptions controls a simulation run.
 type RunOptions struct {
@@ -297,7 +250,11 @@ func (p *Program) run(opts *RunOptions) (*RunResult, error) {
 	if opts != nil {
 		o = *opts
 	}
-	ccfg, err := p.cacheConfig(o.Cache)
+	base := cache.DefaultConfig()
+	if p.opts.Mode == Conventional {
+		base = cache.ConventionalConfig()
+	}
+	ccfg, err := o.Cache.Apply(base)
 	if err != nil {
 		return nil, err
 	}
@@ -313,7 +270,7 @@ func (p *Program) run(opts *RunOptions) (*RunResult, error) {
 	}
 	var icfg cache.Config
 	if o.ICache != nil {
-		icfg, err = p.cacheConfig(*o.ICache)
+		icfg, err = o.ICache.Apply(base)
 		if err != nil {
 			return nil, err
 		}
@@ -383,35 +340,9 @@ func (r *RunResult) Replay(opts CacheOptions, stripFlags bool) (_ CacheStats, er
 	if r.enc == nil {
 		return CacheStats{}, fmt.Errorf("unicache: run was not executed with RecordTrace")
 	}
-	cfg := cache.DefaultConfig()
-	if opts.Sets != 0 {
-		cfg.Sets = opts.Sets
-	}
-	if opts.Ways != 0 {
-		cfg.Ways = opts.Ways
-	}
-	if opts.LineWords != 0 {
-		cfg.LineWords = opts.LineWords
-	}
-	if opts.Policy != "" {
-		pol, err := cache.ParsePolicy(opts.Policy) // "min" allowed: replay has the future
-		if err != nil {
-			return CacheStats{}, fmt.Errorf("unicache: unknown policy %q", opts.Policy)
-		}
-		cfg.Policy = pol
-	}
-	if opts.DeadMarking != "" {
-		dm, err := cache.ParseDeadMode(opts.DeadMarking)
-		if err != nil {
-			return CacheStats{}, fmt.Errorf("unicache: unknown dead-marking mode %q", opts.DeadMarking)
-		}
-		cfg.Dead = dm
-	}
-	if opts.HonorBypass != nil {
-		cfg.HonorBypass = *opts.HonorBypass
-	}
-	if opts.Seed != 0 {
-		cfg.Seed = opts.Seed
+	cfg, err := opts.Apply(cache.DefaultConfig()) // "min" allowed: replay has the future
+	if err != nil {
+		return CacheStats{}, err
 	}
 	if stripFlags {
 		cfg.HonorBypass = false

@@ -104,14 +104,11 @@ func main() {
 	}
 
 	cfg := core.Config{StackScalars: *stack, Optimize: *optimize, PromoteGlobals: *promoteG}
-	switch *mode {
-	case "unified":
-		cfg.Mode = core.Unified
-	case "conventional":
-		cfg.Mode = core.Conventional
-	default:
-		cli.Fatalf(tool, "flags", "unknown mode %q", *mode)
+	m, err := core.ParseMode(*mode)
+	if err != nil {
+		cli.Fatal(tool, "flags", err)
 	}
+	cfg.Mode = m
 	switch *alloc {
 	case "chaitin":
 		cfg.Strategy = regalloc.Chaitin

@@ -74,44 +74,26 @@ func main() {
 	}
 
 	cfg := core.Config{StackScalars: *stack, Optimize: *optimize, PromoteGlobals: *promoteG}
-	ccfg := cache.Config{Sets: *sets, Ways: *ways, LineWords: *line, Seed: 1}
-	switch *mode {
-	case "unified":
-		cfg.Mode = core.Unified
-		ccfg.HonorBypass = true
-		ccfg.Dead = cache.DeadInvalidate
-	case "conventional":
-		cfg.Mode = core.Conventional
-		ccfg.HonorBypass = false
-		ccfg.Dead = cache.DeadOff
-	default:
-		cli.Fatalf(tool, "flags", "unknown mode %q", *mode)
+	m, err := core.ParseMode(*mode)
+	if err != nil {
+		cli.Fatal(tool, "flags", err)
 	}
-	switch *policy {
-	case "lru":
-		ccfg.Policy = cache.LRU
-	case "fifo":
-		ccfg.Policy = cache.FIFO
-	case "random":
-		ccfg.Policy = cache.Random
-	default:
-		cli.Fatalf(tool, "flags", "unknown policy %q", *policy)
+	cfg.Mode = m
+	base := cache.DefaultConfig()
+	if m == core.Conventional {
+		base = cache.ConventionalConfig()
 	}
-	switch *dead {
-	case "":
-	case "off":
-		ccfg.Dead = cache.DeadOff
-	case "invalidate":
-		ccfg.Dead = cache.DeadInvalidate
-	case "demote":
-		ccfg.Dead = cache.DeadDemote
-	default:
-		cli.Fatalf(tool, "flags", "unknown dead mode %q", *dead)
+	spec := cache.Spec{Sets: *sets, Ways: *ways, LineWords: *line, Policy: *policy, DeadMarking: *dead}
+	ccfg, err := spec.Apply(base)
+	if err == nil {
+		err = ccfg.Validate()
+	}
+	if err != nil {
+		cli.Fatal(tool, "flags", err)
 	}
 
 	var prog *isa.Program
 	if asmInput {
-		var err error
 		prog, err = isa.Assemble(src)
 		if err != nil {
 			cli.Fatal(tool, "assemble", err)
@@ -159,7 +141,7 @@ func main() {
 	fmt.Printf("writebacks:      %d\n", s.Writebacks)
 	fmt.Printf("bypass words:    %d read, %d written\n", s.BypassReads, s.BypassWrites)
 	fmt.Printf("dead marks:      %d (%d dirty discards)\n", s.DeadMarks, s.DeadDiscards)
-	fmt.Printf("DRAM traffic:    %d words\n", s.MemTrafficWords(*line))
+	fmt.Printf("DRAM traffic:    %d words\n", s.MemTrafficWords(ccfg.LineWords))
 
 	if sink != nil {
 		enc := sink.Finish()

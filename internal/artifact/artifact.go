@@ -379,20 +379,11 @@ func (c *Cache) promoteBuild(e *buildEntry, k Key, cls ReuseClass) {
 	}
 }
 
-// cacheKey canonically encodes the fields of a cache.Config that determine
-// simulation results (the Injector is excluded: injected configurations
-// bypass memoization entirely).
-func cacheKey(cc cache.Config) string {
-	return fmt.Sprintf("s%d.w%d.l%d.%s.%s.b%v.seed%d.ecc%s.retry%v",
-		cc.Sets, cc.Ways, cc.LineWords, cc.Policy, cc.Dead,
-		cc.HonorBypass, cc.Seed, cc.ECC, cc.ECCRetry)
-}
-
 // runKey encodes the configuration fields that determine a run's result.
 func runKey(k Key, cfg vm.Config) string {
-	s := fmt.Sprintf("%s|mw%d|ms%d|%s", k, cfg.MemWords, cfg.MaxSteps, cacheKey(cfg.Cache))
+	s := fmt.Sprintf("%s|mw%d|ms%d|%s", k, cfg.MemWords, cfg.MaxSteps, cfg.Cache.Key())
 	if cfg.ICache != nil {
-		s += "|i:" + cacheKey(*cfg.ICache)
+		s += "|i:" + cfg.ICache.Key()
 	}
 	return s
 }

@@ -195,3 +195,30 @@ func TestRunEncodedSharesRunMemo(t *testing.T) {
 		t.Errorf("replayed trace = %+v, want the run's %+v", st, eres.CacheStats)
 	}
 }
+
+// TestRunKeyFormatPinned: the persistent store names run files by a hash
+// of runKey, so its spelling is part of the on-disk format. A store
+// written by an older daemon keeps hitting only while these strings stay
+// exactly as they are.
+func TestRunKeyFormatPinned(t *testing.T) {
+	k := KeyOf(src, core.Config{Mode: core.Unified, Optimize: true})
+	ic := cache.ConventionalConfig()
+	ic.Sets, ic.LineWords = 16, 4
+	cfg := vm.Config{MemWords: 1 << 16, MaxSteps: 5000,
+		Cache: cache.Config{Sets: 8, Ways: 4, LineWords: 2, Policy: cache.FIFO, Dead: cache.DeadDemote,
+			HonorBypass: true, Seed: 7, ECC: cache.ECCParity, ECCRetry: true},
+		ICache: &ic}
+	for _, tc := range []struct {
+		cfg  vm.Config
+		want string
+	}{
+		{cfg, "f84d1b0480733c6f|mw65536|ms5000|s8.w4.l2.fifo.demote.btrue.seed7.eccparity.retrytrue" +
+			"|i:s16.w2.l4.lru.off.bfalse.seed1.eccoff.retryfalse"},
+		{vm.Config{Cache: cache.DefaultConfig()},
+			"f84d1b0480733c6f|mw0|ms0|s32.w2.l1.lru.invalidate.btrue.seed1.eccoff.retryfalse"},
+	} {
+		if got := runKey(k, tc.cfg); got != tc.want {
+			t.Errorf("runKey = %q\nwant     %q", got, tc.want)
+		}
+	}
+}

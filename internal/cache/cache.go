@@ -261,6 +261,72 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// Key canonically encodes the fields of the configuration that determine
+// simulation results. The Injector is excluded: injected configurations
+// bypass memoization entirely. The artifact store names its run files
+// with it, so the format must not change.
+func (c Config) Key() string {
+	return fmt.Sprintf("s%d.w%d.l%d.%s.%s.b%v.seed%d.ecc%s.retry%v",
+		c.Sets, c.Ways, c.LineWords, c.Policy, c.Dead,
+		c.HonorBypass, c.Seed, c.ECC, c.ECCRetry)
+}
+
+// Spec names a cache configuration the way users spell it: the public
+// API, the serving daemon's JSON requests and the simulator's flags all
+// resolve through Spec.Apply. Zero fields keep the base configuration's
+// values.
+type Spec struct {
+	Sets      int `json:"sets,omitempty"`       // number of sets (power of two); default 32
+	Ways      int `json:"ways,omitempty"`       // associativity; default 2
+	LineWords int `json:"line_words,omitempty"` // words per line; default 1 (the paper's assumption)
+	// Policy is a Policy name: "lru" (default), "fifo", "random", or
+	// "min" (trace replay only; Config.Validate rejects it for execution).
+	Policy string `json:"policy,omitempty"`
+	// DeadMarking is a DeadMode name: "invalidate" (default in unified
+	// mode), "demote", "off" (default in conventional mode).
+	DeadMarking string `json:"dead_marking,omitempty"`
+	// HonorBypass defaults to true in unified mode, false otherwise.
+	HonorBypass *bool  `json:"honor_bypass,omitempty"`
+	Seed        uint64 `json:"seed,omitempty"`
+}
+
+// Apply overlays the spec's non-zero fields on base, which is the
+// management mode's configuration (DefaultConfig or ConventionalConfig).
+// It fails only on an unknown policy or dead-marking name.
+func (s Spec) Apply(base Config) (Config, error) {
+	c := base
+	if s.Sets != 0 {
+		c.Sets = s.Sets
+	}
+	if s.Ways != 0 {
+		c.Ways = s.Ways
+	}
+	if s.LineWords != 0 {
+		c.LineWords = s.LineWords
+	}
+	if s.Policy != "" {
+		p, err := ParsePolicy(s.Policy)
+		if err != nil {
+			return base, err
+		}
+		c.Policy = p
+	}
+	if s.DeadMarking != "" {
+		d, err := ParseDeadMode(s.DeadMarking)
+		if err != nil {
+			return base, err
+		}
+		c.Dead = d
+	}
+	if s.HonorBypass != nil {
+		c.HonorBypass = *s.HonorBypass
+	}
+	if s.Seed != 0 {
+		c.Seed = s.Seed
+	}
+	return c, nil
+}
+
 // Lines returns the total line count.
 func (c Config) Lines() int { return c.Sets * c.Ways }
 

@@ -23,6 +23,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/cfg"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
@@ -43,6 +45,17 @@ func (m Mode) String() string {
 		return "unified"
 	}
 	return "conventional"
+}
+
+// ParseMode parses a management-mode name as printed by Mode.String.
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "unified":
+		return Unified, nil
+	case "conventional":
+		return Conventional, nil
+	}
+	return 0, fmt.Errorf("core: unknown mode %q", s)
 }
 
 // Apply assigns Bypass and Last on every memory reference of f according

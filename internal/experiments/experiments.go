@@ -84,13 +84,6 @@ type replayEntry struct {
 	ts       replay.TraceStats
 }
 
-// replayKey canonically encodes the cache.Config fields that determine
-// replay results.
-func replayKey(cfg cache.Config) string {
-	return fmt.Sprintf("s%d.w%d.l%d.p%d.d%d.b%t.x%d",
-		cfg.Sets, cfg.Ways, cfg.LineWords, cfg.Policy, cfg.Dead, cfg.HonorBypass, cfg.Seed)
-}
-
 // replayBatchStats replays the workload's trace under each configuration,
 // memoized per configuration: misses are replayed in one shared decoding pass
 // (replay.ReplayBatch), which is where experiments that sweep many cache
@@ -100,7 +93,7 @@ func (w *Workload) replayBatchStats(cfgs []cache.Config) ([]cache.Stats, error) 
 	var miss []cache.Config
 	var missAt []int
 	for i, cfg := range cfgs {
-		if e, ok := w.memo[replayKey(cfg)]; ok {
+		if e, ok := w.memo[cfg.Key()]; ok {
 			out[i] = e.stats
 		} else {
 			miss = append(miss, cfg)
@@ -119,7 +112,7 @@ func (w *Workload) replayBatchStats(cfgs []cache.Config) ([]cache.Stats, error) 
 	}
 	for j, st := range sts {
 		out[missAt[j]] = st
-		w.memo[replayKey(miss[j])] = replayEntry{stats: st}
+		w.memo[miss[j].Key()] = replayEntry{stats: st}
 	}
 	return out, nil
 }
@@ -132,7 +125,7 @@ func (w *Workload) measureBatchStats(cfgs []cache.Config) ([]replay.TraceStats, 
 	var miss []cache.Config
 	var missAt []int
 	for i, cfg := range cfgs {
-		if e, ok := w.memo[replayKey(cfg)]; ok && e.measured {
+		if e, ok := w.memo[cfg.Key()]; ok && e.measured {
 			out[i] = e.ts
 		} else {
 			miss = append(miss, cfg)
@@ -151,7 +144,7 @@ func (w *Workload) measureBatchStats(cfgs []cache.Config) ([]replay.TraceStats, 
 	}
 	for j, ts := range tss {
 		out[missAt[j]] = ts
-		w.memo[replayKey(miss[j])] = replayEntry{stats: ts.Stats, measured: true, ts: ts}
+		w.memo[miss[j].Key()] = replayEntry{stats: ts.Stats, measured: true, ts: ts}
 	}
 	return out, nil
 }

@@ -252,6 +252,53 @@ func TestBatchIdenticalCoalesce(t *testing.T) {
 	if got := st.RunMisses; got != 1 {
 		t.Errorf("RunMisses = %d, want 1 (one execution for %d identical requests)", got, n)
 	}
+
+	// Two spellings of the defaults are one request: the batch key is
+	// built from the resolved configurations, so the pair coalesces into
+	// one execution instead of merely grouping.
+	s = newTestServer(t, Config{
+		Workers: 2, QueueDepth: 64,
+		BatchMaxWait: 2 * time.Second, BatchMaxSize: 2,
+	})
+	ts2 := httptest.NewServer(s.Handler())
+	defer ts2.Close()
+	honor := true
+	pair := []*Request{
+		{Source: quickSource},
+		{Source: quickSource, Mode: "unified", Want: []string{TierSimulate, TierCompile, TierSimulate},
+			Cache: CacheSpec{Sets: 32, Ways: 2, LineWords: 1, Policy: "lru",
+				DeadMarking: "invalidate", HonorBypass: &honor, Seed: 1}},
+	}
+	got := make([]*Response, len(pair))
+	for i, rq := range pair {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, got[i] = post(t, ts2.URL, "/v1/eval", rq)
+		}()
+	}
+	wg.Wait()
+	deduped = 0
+	for _, resp := range got {
+		if resp.ErrorKind != "" {
+			t.Fatalf("%s: %s", resp.ErrorKind, resp.Error)
+		}
+		if resp.Deduped {
+			deduped++
+		}
+	}
+	if deduped != 1 {
+		t.Errorf("%d of 2 differently spelled default requests deduped, want 1", deduped)
+	}
+	if *got[0].Simulate != *got[1].Simulate {
+		t.Errorf("simulate results differ: %+v vs %+v", got[0].Simulate, got[1].Simulate)
+	}
+	if snap := s.Snapshot(); snap.Coalesced != 1 || snap.GroupedSets != 0 {
+		t.Errorf("coalesced = %d, grouped sets = %d; want 1 and 0", snap.Coalesced, snap.GroupedSets)
+	}
+	if got := s.CacheStats().RunMisses; got != 1 {
+		t.Errorf("RunMisses = %d, want 1 for the pair", got)
+	}
 }
 
 // TestGroupedResponsesMatchSingletons: batching is invisible in the

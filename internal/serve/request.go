@@ -71,17 +71,9 @@ type Request struct {
 	InjectSleepMS int64  `json:"inject_sleep_ms,omitempty"`
 }
 
-// CacheSpec parameterizes the simulated data cache (zero fields keep the
-// mode's defaults, exactly like unicache.CacheOptions).
-type CacheSpec struct {
-	Sets        int    `json:"sets,omitempty"`
-	Ways        int    `json:"ways,omitempty"`
-	LineWords   int    `json:"line_words,omitempty"`
-	Policy      string `json:"policy,omitempty"`
-	DeadMarking string `json:"dead_marking,omitempty"`
-	HonorBypass *bool  `json:"honor_bypass,omitempty"`
-	Seed        uint64 `json:"seed,omitempty"`
-}
+// CacheSpec parameterizes the simulated data cache; zero fields keep the
+// mode's defaults.
+type CacheSpec = cache.Spec
 
 // CompileResult is the compile tier's answer.
 type CompileResult struct {
@@ -166,86 +158,65 @@ func (r *Response) fail(status int, kind, phase, msg string) *Response {
 	return r
 }
 
-// coreConfig maps the request's compiler fields onto core.Config.
-func (rq *Request) coreConfig() (core.Config, error) {
+// configs resolves the request's compiler fields and cache spec: an empty
+// mode is unified, and the cache spec overlays the mode's defaults. MIN
+// is refused here rather than at execution: it needs the future
+// knowledge only a recorded trace provides.
+func (rq *Request) configs() (core.Config, cache.Config, error) {
 	cfg := core.Config{
+		Mode:           core.Unified,
 		Optimize:       rq.Optimize,
 		Inline:         rq.Inline,
 		PromoteGlobals: rq.PromoteGlobals,
 		StackScalars:   rq.StackScalars,
 	}
-	switch rq.Mode {
-	case "", "unified":
-		cfg.Mode = core.Unified
-	case "conventional":
-		cfg.Mode = core.Conventional
-	default:
-		return cfg, fmt.Errorf("unknown mode %q", rq.Mode)
-	}
-	return cfg, nil
-}
-
-// cacheConfig maps CacheSpec onto cache.Config with the mode's defaults,
-// mirroring the public API's rules (MIN rejected: executing runs have no
-// future knowledge).
-func (rq *Request) cacheConfig(mode core.Mode) (cache.Config, error) {
-	cfg := cache.DefaultConfig()
-	if mode == core.Conventional {
-		cfg = cache.ConventionalConfig()
-	}
-	o := rq.Cache
-	if o.Sets != 0 {
-		cfg.Sets = o.Sets
-	}
-	if o.Ways != 0 {
-		cfg.Ways = o.Ways
-	}
-	if o.LineWords != 0 {
-		cfg.LineWords = o.LineWords
-	}
-	if o.Policy != "" {
-		pol, err := cache.ParsePolicy(o.Policy)
-		if err != nil || pol == cache.MIN {
-			return cfg, fmt.Errorf("unknown policy %q", o.Policy)
-		}
-		cfg.Policy = pol
-	}
-	if o.DeadMarking != "" {
-		dm, err := cache.ParseDeadMode(o.DeadMarking)
+	base := cache.DefaultConfig()
+	if rq.Mode != "" {
+		m, err := core.ParseMode(rq.Mode)
 		if err != nil {
-			return cfg, fmt.Errorf("unknown dead-marking mode %q", o.DeadMarking)
+			return cfg, base, err
 		}
-		cfg.Dead = dm
+		cfg.Mode = m
 	}
-	if o.HonorBypass != nil {
-		cfg.HonorBypass = *o.HonorBypass
+	if cfg.Mode == core.Conventional {
+		base = cache.ConventionalConfig()
 	}
-	if o.Seed != 0 {
-		cfg.Seed = o.Seed
+	cc, err := rq.Cache.Apply(base)
+	if err == nil && cc.Policy == cache.MIN {
+		err = fmt.Errorf("policy %q needs a recorded trace; the daemon executes runs", rq.Cache.Policy)
 	}
-	return cfg, nil
+	return cfg, cc, err
 }
 
 // batchKey returns the coalescing identity of a request: two requests
 // with equal keys are guaranteed the same response (up to ID, timing and
 // the Deduped marker), so the batcher may execute one and fan the answer
-// out. DeadlineMS is deliberately excluded — it shapes when an answer may
-// be abandoned, not what the answer is. Debug-injection requests are
-// never batchable (false).
+// out. The key is built from the resolved configurations, not the
+// request's spellings: the artifact key of the source and compiler
+// configuration, the cache configuration's key, the sorted tier set,
+// max_steps and want_assembly. DeadlineMS is deliberately excluded — it
+// shapes when an answer may be abandoned, not what the answer is.
+// Debug-injection requests and requests that fail resolution are never
+// batchable (false); the latter fail on the direct path.
 func (rq *Request) batchKey() (string, bool) {
 	if rq.InjectPanic != "" || rq.InjectSleepMS > 0 {
 		return "", false
 	}
-	want := append([]string(nil), rq.Want...)
-	sort.Strings(want)
-	hb := "-"
-	if rq.Cache.HonorBypass != nil {
-		hb = fmt.Sprintf("%v", *rq.Cache.HonorBypass)
+	want, err := wantSet(rq.Want)
+	if err != nil {
+		return "", false
 	}
-	return fmt.Sprintf("%q|%s|%v%v%v%v|%v|%d.%d.%d.%s.%s.%s.%d|ms%d|asm%v",
-		rq.Source, rq.Mode, rq.Optimize, rq.Inline, rq.PromoteGlobals, rq.StackScalars,
-		want, rq.Cache.Sets, rq.Cache.Ways, rq.Cache.LineWords, rq.Cache.Policy,
-		rq.Cache.DeadMarking, hb, rq.Cache.Seed, rq.MaxSteps, rq.WantAssembly), true
+	ccfg, cc, err := rq.configs()
+	if err != nil {
+		return "", false
+	}
+	tiers := make([]string, 0, len(want))
+	for w := range want {
+		tiers = append(tiers, w)
+	}
+	sort.Strings(tiers)
+	k := artifact.KeyOf(rq.Source, ccfg)
+	return fmt.Sprintf("%x|%s|%v|ms%d|asm%v", k[:], cc.Key(), tiers, rq.MaxSteps, rq.WantAssembly), true
 }
 
 // groupKey returns the artifact-group identity: requests with equal group
@@ -260,11 +231,8 @@ func (rq *Request) groupKey() (string, bool) {
 	if err != nil || !want[TierSimulate] || want[TierCheck] || want[TierExact] {
 		return "", false
 	}
-	ccfg, err := rq.coreConfig()
+	ccfg, _, err := rq.configs()
 	if err != nil {
-		return "", false
-	}
-	if _, err := rq.cacheConfig(ccfg.Mode); err != nil {
 		return "", false
 	}
 	k := artifact.KeyOf(rq.Source, ccfg)

@@ -411,10 +411,7 @@ func (s *Server) process(t *task) []*Response {
 			s.classify(resp, rq.InjectPanic, err)
 			continue
 		}
-		if ccfg, err = rq.coreConfig(); err == nil {
-			cacheCfgs[i], err = rq.cacheConfig(ccfg.Mode)
-		}
-		if err != nil {
+		if ccfg, cacheCfgs[i], err = rq.configs(); err != nil {
 			s.classify(resp, "request", err)
 			continue
 		}

@@ -52,6 +52,27 @@ go run ./cmd/unicheck
 echo "== unicheck (examples/mc) =="
 go run ./cmd/unicheck examples/mc/*.mc
 
+echo "== cli-smoke (unisim and unicc end to end) =="
+# The simulator runs a benchmark under both modes and a non-default
+# policy/dead-marking pair; bad policy and mode names must exit 1 with
+# the flags phase; the compiler's check dump must pass on an example.
+go build -o /tmp/unisim-ci ./cmd/unisim
+go build -o /tmp/unicc-ci ./cmd/unicc
+/tmp/unisim-ci -benchmark sieve -mode unified >/dev/null
+/tmp/unisim-ci -benchmark sieve -mode conventional >/dev/null
+/tmp/unisim-ci -benchmark sieve -policy fifo -dead demote >/dev/null
+for bad in "-policy min" "-mode bogus"; do
+    rc=0
+    /tmp/unisim-ci -benchmark sieve $bad >/dev/null 2>/tmp/unisim-ci.err || rc=$?
+    if [ "$rc" != 1 ] || ! grep -q '^unisim: flags: ' /tmp/unisim-ci.err; then
+        echo "unisim $bad: exit $rc, want 1 with the flags phase" >&2
+        cat /tmp/unisim-ci.err >&2
+        exit 1
+    fi
+done
+/tmp/unicc-ci -dump check examples/mc/loops.mc | grep -qx 'check: ok'
+rm -f /tmp/unisim-ci /tmp/unicc-ci /tmp/unisim-ci.err
+
 echo "== go test -race (focused: sweep, artifact, vm, serve) =="
 # The parallel sweep engine, the artifact layer, and the serving stack
 # are the goroutine-heavy subsystems; give them a dedicated race pass at

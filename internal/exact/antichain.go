@@ -1,11 +1,10 @@
 package exact
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
-	"repro/internal/cfg"
 	"repro/internal/check"
-	"repro/internal/ir"
 )
 
 // This file is the exact solver: the focused state domain and transfer
@@ -40,8 +39,6 @@ const (
 	backedgeWidth = 16
 )
 
-func topChain() achain { return achain{top: true} }
-
 func (a achain) size() int {
 	if a.top {
 		return 1
@@ -53,11 +50,16 @@ func (a achain) size() int {
 	return n
 }
 
-func (a achain) clone() achain {
-	c := a
-	c.res = append([]state(nil), a.res...)
-	return c
+// copyFrom makes a equal to o, reusing a's storage.
+func (a *achain) copyFrom(o *achain) {
+	a.top, a.nc, a.res = o.top, o.nc, append(a.res[:0], o.res...)
 }
+
+// reset empties a (no valuation), keeping its storage.
+func (a *achain) reset() { a.top, a.nc, a.res = false, false, a.res[:0] }
+
+// setTop collapses a to top, keeping its storage.
+func (a *achain) setTop() { a.top, a.nc, a.res = true, false, a.res[:0] }
 
 // add folds one state in, maintaining the antichain invariant for sRes
 // states: states subsumed by an existing one are dropped, existing states
@@ -68,7 +70,7 @@ func (a *achain) add(s state) {
 	}
 	switch s.kind {
 	case sMaybe:
-		a.top, a.nc, a.res = true, false, nil
+		a.setTop()
 	case sNC:
 		a.nc = true
 	default:
@@ -91,7 +93,7 @@ func (a *achain) add(s state) {
 // union of reachable valuations). Reports whether a changed.
 func (a *achain) join(o achain) {
 	if o.top {
-		a.top, a.nc, a.res = true, false, nil
+		a.setTop()
 		return
 	}
 	if o.nc {
@@ -117,25 +119,31 @@ func (a achain) each(f func(state)) {
 	}
 }
 
-// stateLess is the canonical order: a deterministic total order on sRes
+// stateCmp is the canonical order: a deterministic total order on sRes
 // states so equal chains have equal representations.
-func stateLess(x, y state) bool {
-	if x.names != y.names {
-		return x.names < y.names
+func stateCmp(x, y state) int {
+	if c := cmp.Compare(x.names, y.names); c != 0 {
+		return c
 	}
-	if x.dnames != y.dnames {
-		return x.dnames < y.dnames
+	if c := cmp.Compare(x.dnames, y.dnames); c != 0 {
+		return c
 	}
-	if x.anon != y.anon {
-		return x.anon < y.anon
+	if c := cmp.Compare(x.anon, y.anon); c != 0 {
+		return c
 	}
-	return !x.freed && y.freed
+	switch {
+	case x.freed == y.freed:
+		return 0
+	case y.freed:
+		return -1
+	}
+	return 1
 }
 
-// canon sorts the sRes states into the canonical order.
-func (a *achain) canon() {
-	sort.Slice(a.res, func(i, j int) bool { return stateLess(a.res[i], a.res[j]) })
-}
+// canon sorts the sRes states into the canonical order. The order is
+// total and an antichain holds no duplicates, so the result does not
+// depend on the sort algorithm.
+func (a *achain) canon() { slices.SortFunc(a.res, stateCmp) }
 
 // equal compares canon()ed chains.
 func (a achain) equal(b achain) bool {
@@ -168,12 +176,14 @@ func mergeStates(x, y state) state {
 
 // widenChain merges sRes states pairwise (in canonical order) until the
 // chain is at most cap wide. Merged states re-normalize, which may collapse
-// them to nc or top — widening composes with the eviction proof.
+// them to nc or top — widening composes with the eviction proof. It merges
+// in place: the pair at old[i], old[i+1] is read before the add that may
+// write index i/2, and adds never write past it.
 func (fo *focus) widenChain(a *achain, cap int) {
 	for !a.top && len(a.res) > cap {
 		a.canon()
 		old := a.res
-		a.res = nil
+		a.res = old[:0]
 		for i := 0; i < len(old); i += 2 {
 			if i+1 == len(old) {
 				a.add(old[i])
@@ -187,109 +197,130 @@ func (fo *focus) widenChain(a *achain, cap int) {
 		if len(a.res) >= len(old) {
 			// Defensive: no progress (re-adding resurrected width); give up
 			// precision rather than loop.
-			a.top, a.nc, a.res = true, false, nil
+			a.setTop()
 			return
 		}
 	}
 }
 
-// stepChain transfers one instruction over a chain.
-func (fo *focus) stepChain(in *ir.Instr, cur achain) achain {
-	if mapped := fo.maps[in]; mapped != nil {
+// stepChain transfers the chain at *cur through the instruction at
+// position pos, in place: the transfer writes into the fnCtx's spare chain,
+// which then swaps storage with *cur.
+func (fo *focus) stepChain(pos int, cur *achain) {
+	op := fo.ctx.ops[pos]
+	if op.kind != opNone {
 		fo.stats.charge(cur.size())
-		var out achain
-		cur.each(func(s state) {
-			if out.top {
-				return
+		out := &fo.ctx.spare
+		out.reset()
+		if cur.top {
+			fo.addTransfer(out, op, maybeState)
+		} else {
+			if cur.nc {
+				fo.addTransfer(out, op, ncState)
 			}
-			for _, ns := range mapped(s) {
-				out.add(ns)
+			for _, s := range cur.res {
+				fo.addTransfer(out, op, s)
 			}
-		})
-		fo.widenChain(&out, maxWidth)
+		}
+		fo.widenChain(out, maxWidth)
 		fo.stats.width(out.size())
-		cur = out
+		*cur, *out = *out, *cur
 	}
 	// Redefining the focus pseudo-register retires the block: the register
 	// now names some other line, about which nothing is known.
-	if fo.k.Key.Pseudo() && in.Def() == fo.k.Key.PseudoReg() {
-		return topChain()
+	if fo.pseudo && op.def == fo.retire {
+		cur.setTop()
 	}
-	return cur
+}
+
+// addTransfer folds into out every state s maps to through op (nothing
+// once out is top).
+func (fo *focus) addTransfer(out *achain, op instrOp, s state) {
+	if out.top {
+		return
+	}
+	fo.ctx.buf = fo.transfer(fo.ctx.buf[:0], op, s)
+	for _, ns := range fo.ctx.buf {
+		out.add(ns)
+	}
 }
 
 // solveAntichain runs the antichain fixed point and returns the verdict at
-// every wanted site; nil when the step budget ran out.
-func (fo *focus) solveAntichain(wanted map[*ir.Instr]bool) map[*ir.Instr]check.Verdict {
-	f := fo.f
-	in := make([]*achain, len(f.Blocks))
-	rpo := cfg.ReversePostorder(f)
-	idx := cfg.RPOIndex(f)
-	entry := f.Entry().ID
-	ec := topChain()
+// each site of the focus group, in group order; nil when the step budget
+// ran out. The in-states and step chains live in the fnCtx's buffers.
+func (fo *focus) solveAntichain() []check.Verdict {
+	c := fo.ctx
+	in, seen, cur := c.in, c.seen, &c.cur
+	clear(seen)
+	entry := c.f.Entry().ID
+	seen[entry] = true
+	in[entry].reset()
 	if fo.cold {
-		ec = achain{nc: true}
+		in[entry].nc = true
+	} else {
+		in[entry].top = true
 	}
-	in[entry] = &ec
 
 	const maxPasses = 1 << 12
 	for pass, changed := 0, true; changed; pass++ {
 		changed = false
-		for _, b := range rpo {
-			if in[b.ID] == nil {
+		for _, b := range c.rpo {
+			if !seen[b.ID] {
 				continue
 			}
-			cur := in[b.ID].clone()
+			cur.copyFrom(&in[b.ID])
+			p := c.start[b.ID]
 			for i := range b.Instrs {
-				cur = fo.stepChain(&b.Instrs[i], cur)
+				fo.stepChain(p+i, cur)
 			}
 			if fo.stats.exhausted {
 				return nil
 			}
 			for _, succ := range b.Succs {
-				merged := cur.clone()
-				if prev := in[succ.ID]; prev != nil {
+				merged, prev := &c.merge, &in[succ.ID]
+				merged.copyFrom(cur)
+				if seen[succ.ID] {
 					merged.join(*prev)
 				}
 				// Back edges (non-increasing RPO index) are where loop
 				// states accumulate; widen harder there so deep loops
 				// converge in few passes.
 				width := maxWidth
-				if idx[succ.ID] >= 0 && idx[succ.ID] <= idx[b.ID] {
+				if c.rpoIdx[succ.ID] >= 0 && c.rpoIdx[succ.ID] <= c.rpoIdx[b.ID] {
 					width = backedgeWidth
 				}
-				fo.widenChain(&merged, width)
+				fo.widenChain(merged, width)
 				merged.canon()
-				if prev := in[succ.ID]; prev == nil || !merged.equal(*prev) {
-					in[succ.ID] = &merged
+				if !seen[succ.ID] || !merged.equal(*prev) {
+					prev.copyFrom(merged)
+					seen[succ.ID] = true
 					changed = true
 				}
 			}
 		}
 		if pass > maxPasses {
 			for i := range in {
-				if in[i] != nil {
-					t := topChain()
-					in[i] = &t
+				if seen[i] {
+					in[i].setTop()
 				}
 			}
 			break
 		}
 	}
 
-	// Replay once from the stable in-states, sampling the wanted sites.
-	out := make(map[*ir.Instr]check.Verdict, len(wanted))
-	for _, b := range f.Blocks {
-		if in[b.ID] == nil {
+	// Replay once from the stable in-states, sampling the group's sites.
+	out := make([]check.Verdict, len(fo.group))
+	for _, b := range c.f.Blocks {
+		if !seen[b.ID] {
 			continue
 		}
-		cur := in[b.ID].clone()
+		cur.copyFrom(&in[b.ID])
+		p := c.start[b.ID]
 		for i := range b.Instrs {
-			instr := &b.Instrs[i]
-			if wanted[instr] {
-				out[instr] = fo.verdictChain(cur)
+			if j := fo.sampled(p + i); j >= 0 {
+				out[j] = fo.verdictChain(*cur)
 			}
-			cur = fo.stepChain(instr, cur)
+			fo.stepChain(p+i, cur)
 		}
 		if fo.stats.exhausted {
 			return nil

@@ -128,10 +128,10 @@ func AnalyzeWith(p *ir.Program, ccfg cache.Config, opt check.Options, xopt Optio
 }
 
 // analyze is AnalyzeWith over a given focused fixed point: fixpoint returns
-// the verdict at every wanted site of one focus group, or nil when the
-// step budget ran out.
+// the verdict at each site of one focus group, in group order, or nil when
+// the step budget ran out.
 func analyze(p *ir.Program, ccfg cache.Config, opt check.Options, xopt Options,
-	fixpoint func(*focus, map[*ir.Instr]bool) map[*ir.Instr]check.Verdict) (*Report, error) {
+	fixpoint func(*focus) []check.Verdict) (*Report, error) {
 	pre, err := check.AnalyzeCache(p, ccfg, opt)
 	if err != nil {
 		return nil, err
@@ -150,47 +150,21 @@ func analyze(p *ir.Program, ccfg cache.Config, opt check.Options, xopt Options,
 
 	stats := &runStats{budget: xopt.StepBudget, done: opt.Done}
 
-	for _, f := range p.Funcs {
-		ctx := newFnCtx(sm, f)
-		// Group the prefilter-unknown sites by focused block, in
-		// first-appearance order.
-		type unkSite struct {
-			in *ir.Instr
-			si check.SiteInfo
-		}
-		var order []check.SiteKey
-		groups := make(map[check.SiteKey][]unkSite)
-		for _, b := range f.Blocks {
-			for i := range b.Instrs {
-				in := &b.Instrs[i]
-				si, ok := ctx.site(in)
-				if !ok {
-					continue
-				}
-				if v, classified := pre.Verdicts[in.Ref]; !classified || v != check.Unknown {
-					continue
-				}
-				if _, seen := groups[si.Key]; !seen {
-					order = append(order, si.Key)
-				}
-				groups[si.Key] = append(groups[si.Key], unkSite{in, si})
-			}
-		}
-		for _, k := range order {
+	// The report needs only each function's site table.
+	sites := make([][]siteRef, len(p.Funcs))
+	for fi, f := range p.Funcs {
+		ctx := newFnCtx(sm, f, ccfg)
+		sites[fi] = ctx.sites
+		for _, group := range ctx.unknownGroups(pre) {
 			if stats.exhausted {
 				break
 			}
-			sites := groups[k]
-			fo := newFocus(ctx, sites[0].si, ccfg, stats)
-			wanted := make(map[*ir.Instr]bool, len(sites))
-			for _, s := range sites {
-				wanted[s.in] = true
-			}
-			verdicts := fixpoint(fo, wanted)
-			for _, s := range sites {
-				if v, ok := verdicts[s.in]; ok && v != check.Unknown {
-					r.Verdicts[s.in.Ref] = v
-					refined[s.in.Ref] = true
+			verdicts := fixpoint(newFocus(ctx, group, stats))
+			for j, v := range verdicts {
+				if v != check.Unknown {
+					ref := ctx.sites[group[j]].in.Ref
+					r.Verdicts[ref] = v
+					refined[ref] = true
 				}
 			}
 		}
@@ -201,53 +175,47 @@ func analyze(p *ir.Program, ccfg cache.Config, opt check.Options, xopt Options,
 	r.Steps, r.PeakWidth, r.Exhausted = stats.steps, stats.peak, stats.exhausted
 
 	// Per-site report and summary, in program order.
-	for _, f := range p.Funcs {
-		for _, b := range f.Blocks {
-			for i := range b.Instrs {
-				in := &b.Instrs[i]
-				if in.Ref == nil || (in.Op != ir.OpLoad && in.Op != ir.OpStore) {
-					continue
-				}
-				preV, classified := pre.Verdicts[in.Ref]
-				if !classified {
-					continue // unreachable site: the prefilter skipped it
-				}
-				v := r.Verdicts[in.Ref]
-				var by DecidedBy
-				switch {
-				case v == check.Bypassed:
-					by = ByBypass
-					r.Bypassed++
-				case refined[in.Ref]:
-					by = ByExact
-					if v == check.AlwaysHit {
-						r.ExactHit++
-					} else {
-						r.ExactMiss++
-					}
-				case preV == check.Unknown:
-					by = ByIrreducible
-					r.Irreducible++
-				default:
-					by = ByMustMay
-					if v == check.AlwaysHit {
-						r.PreHit++
-					} else {
-						r.PreMiss++
-					}
-				}
-				r.Total++
-				si, _ := sm.Func(f).Resolve(in)
-				r.Sites = append(r.Sites, SiteVerdict{
-					Func:    f.Name,
-					Block:   b.ID,
-					Index:   i,
-					Key:     si.Key.String(),
-					Text:    in.String(),
-					Verdict: v,
-					By:      by,
-				})
+	for fi, f := range p.Funcs {
+		for _, st := range sites[fi] {
+			in := st.in
+			preV, classified := pre.Verdicts[in.Ref]
+			if !classified {
+				continue // unreachable site: the prefilter skipped it
 			}
+			v := r.Verdicts[in.Ref]
+			var by DecidedBy
+			switch {
+			case v == check.Bypassed:
+				by = ByBypass
+				r.Bypassed++
+			case refined[in.Ref]:
+				by = ByExact
+				if v == check.AlwaysHit {
+					r.ExactHit++
+				} else {
+					r.ExactMiss++
+				}
+			case preV == check.Unknown:
+				by = ByIrreducible
+				r.Irreducible++
+			default:
+				by = ByMustMay
+				if v == check.AlwaysHit {
+					r.PreHit++
+				} else {
+					r.PreMiss++
+				}
+			}
+			r.Total++
+			r.Sites = append(r.Sites, SiteVerdict{
+				Func:    f.Name,
+				Block:   st.block,
+				Index:   st.index,
+				Key:     st.info.Key.String(),
+				Text:    in.String(),
+				Verdict: v,
+				By:      by,
+			})
 		}
 	}
 	return r, nil
@@ -370,99 +338,78 @@ func (st *runStats) width(n int) {
 	}
 }
 
+// focus is one focus group's view of its function: the focused site and,
+// in buffers the fnCtx owns, what is the focus's own — one accessRel per
+// site and one callRel per distinct call summary.
 type focus struct {
 	ctx       *fnCtx
-	f         *ir.Func
+	site      *siteRef // the focused block's first unknown site
 	k         check.SiteInfo
 	cfg       cache.Config
 	mustOK    bool // LRU: age reasoning and eviction proofs are sound
 	lineExact bool // one-word lines: distinct blocks are distinct lines
 	cold      bool
-	nameIdx   map[check.SiteKey]int
-	maps      map[*ir.Instr]func(state) []state // per-instr transfer
-	stats     *runStats
+	// pseudo: the focus is a pseudo-block, which redefining its register
+	// (retire) ends.
+	pseudo bool
+	retire ir.Reg
+	group  []int // the group's site indices, sampled in this order
+	stats  *runStats
 }
 
-func newFocus(ctx *fnCtx, k check.SiteInfo, ccfg cache.Config, stats *runStats) *focus {
+// newFocus relates every site and call summary of the function to the
+// group's focused block. It reuses the fnCtx's buffers, so at most one
+// focus of a function is live at a time.
+func newFocus(ctx *fnCtx, group []int, stats *runStats) *focus {
+	site := &ctx.sites[group[0]]
 	fo := &focus{
 		ctx:       ctx,
-		f:         ctx.f,
-		k:         k,
-		cfg:       ccfg,
+		site:      site,
+		k:         site.info,
+		cfg:       ctx.cfg,
 		mustOK:    ctx.sm.MustHalf(),
-		lineExact: ccfg.LineWords == 1,
-		nameIdx:   make(map[check.SiteKey]int),
-		maps:      make(map[*ir.Instr]func(state) []state),
+		lineExact: ctx.cfg.LineWords == 1,
+		pseudo:    site.info.Key.Pseudo(),
+		retire:    site.info.Key.PseudoReg(),
+		group:     group,
 		stats:     stats,
 	}
 	// A cold entry only stays cold at the machine level when lines are one
 	// word: wider lines let prologue traffic fetch neighbors of the focus.
 	fo.cold = ctx.sm.ColdEntry(ctx.f) && fo.lineExact
-	next := 0
-	for _, nk := range ctx.namedKeys {
-		if next >= dataflow.WordBits {
-			break // overflow blocks are counted as anon
-		}
-		if _, dup := fo.nameIdx[nk]; !dup {
-			fo.nameIdx[nk] = next
-			next++
-		}
+	for i := range ctx.sites {
+		ctx.rels[i] = fo.relate(&ctx.sites[i])
 	}
-	// In interprocedural mode the callees' global lines join the name
-	// table: a call's summarized traffic then counts as definitely-distinct
-	// named blocks instead of fresh anonymous ones on every call, which is
-	// what lets residency bounds survive call-heavy loops. Lines the caller
-	// already tracks dedup to the caller's own key (same block, same bit).
-	for _, nk := range ctx.summaryKeys {
-		if next >= dataflow.WordBits {
-			break
-		}
-		if _, dup := fo.nameIdx[nk]; !dup {
-			fo.nameIdx[nk] = next
-			next++
-		}
-	}
-
-	callRels := make(map[*check.CallSummary]*callRel)
-	for _, b := range ctx.f.Blocks {
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			switch {
-			case in.Op == ir.OpCall:
-				sum := ctx.callSums[in]
-				if sum == nil || sum.Clobber {
-					fo.maps[in] = fo.callState
-					continue
-				}
-				rel, ok := callRels[sum]
-				if !ok {
-					rel = fo.relateCall(sum)
-					callRels[sum] = rel
-				}
-				r := rel
-				fo.maps[in] = func(s state) []state { return fo.callSummaryState(r, s) }
-			case in.Op == ir.OpArg:
-				fo.maps[in] = fo.argState
-			default:
-				if si, ok := ctx.site(in); ok {
-					rel := fo.relate(si)
-					fo.maps[in] = func(s state) []state { return fo.transferAccess(rel, s) }
-				}
-			}
-		}
+	for i, sum := range ctx.sums {
+		ctx.calls[i] = fo.relateCall(sum)
 	}
 	return fo
 }
 
-func (fo *focus) relate(si check.SiteInfo) accessRel {
+// sampled returns the group index of the site at position pos, or -1 when
+// the focus group does not sample it.
+func (fo *focus) sampled(pos int) int {
+	op := fo.ctx.ops[pos]
+	if op.kind != opAccess {
+		return -1
+	}
+	st := &fo.ctx.sites[op.arg]
+	if st.slot == 0 || st.key != fo.site.key {
+		return -1
+	}
+	return st.slot - 1
+}
+
+func (fo *focus) relate(st *siteRef) accessRel {
+	si := st.info
 	rel := accessRel{
-		defFocus: si.Key == fo.k.Key,
+		defFocus: st.key == fo.site.key,
 		through:  !si.Bypass || !fo.cfg.HonorBypass,
 		killMem:  si.Last && fo.cfg.DeadKillsMembership(),
 		killRes:  si.Last && fo.cfg.DeadKillsResidency(),
 		nameBit:  -1,
 	}
-	rel.mayFocus = rel.defFocus || fo.ctx.mayBe(si, fo.k)
+	rel.mayFocus = rel.defFocus || fo.ctx.mayBe(st, fo.site)
 	if !si.Uncertain && !fo.k.Uncertain {
 		rel.conflict = fo.ctx.fs.MayConflict(si.Key, fo.k.Key)
 		rel.mustConf = fo.ctx.fs.MustConflict(si.Key, fo.k.Key)
@@ -470,9 +417,7 @@ func (fo *focus) relate(si check.SiteInfo) accessRel {
 		rel.conflict = true
 	}
 	if !si.Uncertain && !rel.defFocus {
-		if idx, ok := fo.nameIdx[si.Key]; ok {
-			rel.nameBit = idx
-		}
+		rel.nameBit = fo.ctx.nameBit(st.key)
 	}
 	return rel
 }
@@ -517,9 +462,25 @@ func (fo *focus) normalize(s state) state {
 	return s
 }
 
+// transfer appends to dst the states one input state maps to through the
+// instruction at a position of kind op.
+func (fo *focus) transfer(dst []state, op instrOp, s state) []state {
+	switch op.kind {
+	case opAccess:
+		return fo.transferAccess(dst, &fo.ctx.rels[op.arg], s)
+	case opSummary:
+		return append(dst, fo.callSummaryState(&fo.ctx.calls[op.arg], s))
+	case opClobber:
+		return append(dst, fo.callState(s))
+	case opArg:
+		return append(dst, fo.argState(s))
+	}
+	return append(dst, s)
+}
+
 // caseFocus transfers an access that (on this branch) definitely touches
 // the focus block.
-func (fo *focus) caseFocus(rel accessRel, s state) []state {
+func (fo *focus) caseFocus(dst []state, rel *accessRel, s state) []state {
 	// Result when the block is resident at the access: the reference hits,
 	// refreshes, and then dead-marking applies.
 	onHit := resFresh
@@ -531,40 +492,40 @@ func (fo *focus) caseFocus(rel accessRel, s state) []state {
 	}
 	if rel.through {
 		// Hit or fill: resident (counters reset), then dead-marking.
-		return []state{onHit}
+		return append(dst, onHit)
 	}
 	// Bypass: a hit refreshes (and possibly kills) the line; a miss reads
 	// memory and allocates nothing.
 	switch s.kind {
 	case sNC:
-		return []state{ncState}
+		return append(dst, ncState)
 	case sRes:
 		if fo.residencyGuaranteed(s) {
-			return []state{onHit}
+			return append(dst, onHit)
 		}
-		return []state{onHit, ncState}
+		return append(dst, onHit, ncState)
 	default:
 		if onHit == maybeState {
-			return []state{maybeState}
+			return append(dst, maybeState)
 		}
 		// Note bypass+Last under invalidating dead-marking: resident or
 		// not, the block is definitely uncached afterwards.
-		return []state{onHit, ncState}
+		return append(dst, onHit, ncState)
 	}
 }
 
 // caseOther transfers an access that (on this branch) touches some block
 // other than the focus but may map to its set.
-func (fo *focus) caseOther(rel accessRel, s state) []state {
+func (fo *focus) caseOther(rel *accessRel, s state) state {
 	if s.kind != sRes {
 		if s.kind == sNC && rel.through && !fo.lineExact {
 			// A wider line fetched for a neighbor may carry the focus.
-			return []state{maybeState}
+			return maybeState
 		}
-		return []state{s}
+		return s
 	}
 	if rel.through && !fo.lineExact {
-		return []state{maybeState}
+		return maybeState
 	}
 	ns := s
 	// LRU order is disturbed by any reference that may touch the set (a
@@ -583,50 +544,51 @@ func (fo *focus) caseOther(rel accessRel, s state) []state {
 	if rel.killRes {
 		ns.freed = true
 	}
-	return []state{fo.normalize(ns)}
+	return fo.normalize(ns)
 }
 
-// transferAccess maps one input state through a reference site.
-func (fo *focus) transferAccess(rel accessRel, s state) []state {
+// transferAccess appends to dst the states one input state maps to
+// through a reference site.
+func (fo *focus) transferAccess(dst []state, rel *accessRel, s state) []state {
 	if !rel.mayFocus {
 		if !rel.conflict {
-			return []state{s}
+			return append(dst, s)
 		}
-		return fo.caseOther(rel, s)
+		return append(dst, fo.caseOther(rel, s))
 	}
 	if rel.defFocus {
-		return fo.caseFocus(rel, s)
+		return fo.caseFocus(dst, rel, s)
 	}
 	// May or may not be the focus: both branches are reachable.
-	return append(fo.caseFocus(rel, s), fo.caseOther(rel, s)...)
+	return append(fo.caseFocus(dst, rel, s), fo.caseOther(rel, s))
 }
 
 // callState models an OpCall: callee references may fill, refresh and kill
 // arbitrarily. Only a definitely-uncached compiler-private block is safe —
 // with one-word lines no callee can fetch or name it.
-func (fo *focus) callState(s state) []state {
+func (fo *focus) callState(s state) state {
 	if s.kind == sNC && fo.lineExact && !fo.k.Uncertain && fo.k.Key.Private() {
-		return []state{s}
+		return s
 	}
-	return []state{maybeState}
+	return maybeState
 }
 
 // argState models an OpArg: staging an argument beyond the register window
 // stores through the cache into the outgoing-args frame area — a word that
 // is definitely not the focus block (the area is never address-taken and
 // distinct from every named frame offset) but may conflict with it.
-func (fo *focus) argState(s state) []state {
+func (fo *focus) argState(s state) state {
 	switch {
 	case s.kind == sRes && fo.lineExact:
 		ns := s
 		if ns.anon < 255 {
 			ns.anon++
 		}
-		return []state{fo.normalize(ns)}
+		return fo.normalize(ns)
 	case s.kind != sMaybe && !fo.lineExact:
-		return []state{maybeState}
+		return maybeState
 	}
-	return []state{s}
+	return s
 }
 
 // stateVote folds one state into a hit/miss vote; false means the state is

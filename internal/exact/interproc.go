@@ -3,37 +3,90 @@ package exact
 import (
 	"sort"
 
+	"repro/internal/cache"
+	"repro/internal/cfg"
 	"repro/internal/check"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
 )
 
-// fnCtx caches the per-function site facts every focus key of the function
-// shares: resolved site descriptions, O(1) may-target membership per
-// distinct access signature, and (in interprocedural mode) the call
-// summaries per call instruction. Without it, building the per-focus site
-// relations re-resolves and re-enumerates alias targets for every
-// (focus key × site) pair — quadratic in the number of keys, the PR-4
-// scaling wall on progen-size programs.
+// fnCtx holds the tables every focus key of one function shares, built
+// once per function instead of once per focus:
+//
+//   - positions: instruction i of block b sits at start[b.ID]+i, and ops
+//     gives each position its transfer (an access site, a distinct call
+//     summary, a blanket clobber, an argument store, or nothing) plus the
+//     register it defines;
+//   - sites: every classified reference site in program order, with its
+//     resolved description, its dense key index and its may-target set;
+//   - key indices: named blocks first, then the summarized global lines,
+//     then the remaining (pseudo) site keys, so a key's name bit is its
+//     index when that is below dataflow.WordBits;
+//   - may-target sets as bitsets over key indices, one per distinct access
+//     signature, so mayBe is two bit tests;
+//   - the reverse postorder and its index.
+//
+// It also owns the per-focus buffers (access and call relations, the
+// transfer scratch and the solver's chains), which every focus group of
+// the function reuses. Without the shared tables, building a focus
+// re-resolved sites and rebuilt hashed relations for every (focus key ×
+// instruction) pair: quadratic map work in the number of keys.
 type fnCtx struct {
-	sm    *check.SiteModel
-	fs    *check.FuncSites
-	f     *ir.Func
-	sites map[*ir.Instr]check.SiteInfo
+	sm  *check.SiteModel
+	fs  *check.FuncSites
+	f   *ir.Func
+	cfg cache.Config
 
-	namedKeys []check.SiteKey
+	start []int                // start[b.ID]: position of b's first instruction
+	ops   []instrOp            // per position
+	sites []siteRef            // per access site, in program order
+	sums  []*check.CallSummary // distinct non-clobber call summaries
 
-	// targets memoizes may-target membership by access signature: two
-	// sites with the same (key, uncertainty, alias set) have the same
-	// target set, and membership queries replace slice scans.
-	targets map[targetSig]map[check.SiteKey]bool
+	keyIdx map[check.SiteKey]int
+	named  int // key indices below named carry a name bit
 
-	// callSums maps each OpCall to its callee's effect summary (nil when
-	// interprocedural mode is off — the blanket clobber). summaryKeys are
-	// the global-line keys those summaries reference, sorted, for the
-	// focus name table.
-	callSums    map[*ir.Instr]*check.CallSummary
-	summaryKeys []check.SiteKey
+	// tbits holds the may-target bitsets, words uint64s each.
+	tbits []uint64
+	words int
+
+	rpo    []*ir.Block
+	rpoIdx []int
+
+	// Per-focus buffers, reused across the function's focus groups.
+	rels  []accessRel
+	calls []callRel
+	buf   []state // transfer output scratch
+	cur   achain  // the chain being stepped through a block
+	spare achain  // stepChain output, swapped with cur
+	merge achain  // successor join scratch
+	in    []achain
+	seen  []bool // in[b.ID] is reached
+}
+
+// Transfer kinds of an instruction position.
+const (
+	opNone    uint8 = iota // no effect on the focus
+	opAccess               // reference site: arg indexes sites
+	opSummary              // summarized call: arg indexes sums
+	opClobber              // blanket-clobber call
+	opArg                  // outgoing argument store
+)
+
+type instrOp struct {
+	kind uint8
+	arg  int32
+	def  ir.Reg // register the instruction defines (ir.NoReg if none)
+}
+
+// siteRef is one classified reference site of the function.
+type siteRef struct {
+	in    *ir.Instr
+	block int // b.ID
+	index int // instruction index within the block
+	info  check.SiteInfo
+	key   int // key index of info.Key
+	tset  int // may-target bitset; -1 when the site can only name its own block
+	slot  int // 1+index in its unknown group (see unknownGroups), 0 if none
 }
 
 type targetSig struct {
@@ -42,28 +95,52 @@ type targetSig struct {
 	set       int
 }
 
-func newFnCtx(sm *check.SiteModel, f *ir.Func) *fnCtx {
+func newFnCtx(sm *check.SiteModel, f *ir.Func, ccfg cache.Config) *fnCtx {
 	c := &fnCtx{
-		sm:       sm,
-		fs:       sm.Func(f),
-		f:        f,
-		sites:    make(map[*ir.Instr]check.SiteInfo),
-		targets:  make(map[targetSig]map[check.SiteKey]bool),
-		callSums: make(map[*ir.Instr]*check.CallSummary),
+		sm:     sm,
+		fs:     sm.Func(f),
+		f:      f,
+		cfg:    ccfg,
+		start:  make([]int, len(f.Blocks)),
+		keyIdx: make(map[check.SiteKey]int),
+		rpo:    cfg.ReversePostorder(f),
+		rpoIdx: cfg.RPOIndex(f),
 	}
-	c.namedKeys = c.fs.NamedKeys()
+	n := 0
+	for _, b := range f.Blocks {
+		c.start[b.ID] = n
+		n += len(b.Instrs)
+	}
+	c.ops = make([]instrOp, n)
+	sumIdx := make(map[*check.CallSummary]int)
 	seenLine := make(map[int64]bool)
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
+			op := &c.ops[c.start[b.ID]+i]
+			op.def = in.Def()
 			if si, ok := c.fs.Resolve(in); ok {
-				c.sites[in] = si
+				op.kind, op.arg = opAccess, int32(len(c.sites))
+				c.sites = append(c.sites, siteRef{in: in, block: b.ID, index: i, info: si})
 				continue
 			}
-			if in.Op == ir.OpCall && sm.Interproc() {
+			switch in.Op {
+			case ir.OpArg:
+				op.kind = opArg
+			case ir.OpCall:
+				op.kind = opClobber
+				if !sm.Interproc() {
+					continue
+				}
 				sum := sm.CallSummary(in)
-				c.callSums[in] = sum
-				if !sum.Clobber {
+				if sum.Clobber {
+					continue
+				}
+				j, ok := sumIdx[sum]
+				if !ok {
+					j = len(c.sums)
+					sumIdx[sum] = j
+					c.sums = append(c.sums, sum)
 					// Only single-line spans become named bits; wider spans
 					// age as anonymous traffic (one bit per array element
 					// would overflow any name table).
@@ -73,50 +150,125 @@ func newFnCtx(sm *check.SiteModel, f *ir.Func) *fnCtx {
 						}
 					}
 				}
+				op.kind, op.arg = opSummary, int32(j)
 			}
 		}
 	}
-	if len(seenLine) > 0 {
-		lines := make([]int64, 0, len(seenLine))
-		for l := range seenLine {
-			lines = append(lines, l)
-		}
-		sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-		for _, l := range lines {
-			c.summaryKeys = append(c.summaryKeys, check.GlobalLineKey(l))
-		}
+
+	// Key indices. The function's named blocks come first, then (in
+	// interprocedural mode) the callees' global lines, so a call's
+	// summarized traffic counts as definitely-distinct named blocks instead
+	// of fresh anonymous ones on every call, which is what lets residency
+	// bounds survive call-heavy loops. Lines the caller already tracks
+	// dedup to the caller's own key (same block, same bit). Blocks past the
+	// name table's width are counted as anon.
+	for _, k := range c.fs.NamedKeys() {
+		c.index(k)
 	}
+	lines := make([]int64, 0, len(seenLine))
+	for l := range seenLine {
+		lines = append(lines, l)
+	}
+	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
+	for _, l := range lines {
+		c.index(check.GlobalLineKey(l))
+	}
+	c.named = min(len(c.keyIdx), dataflow.WordBits)
+	for i := range c.sites {
+		c.sites[i].key = c.index(c.sites[i].info.Key)
+	}
+
+	// May-target bitsets, one per access signature: two sites with the
+	// same (key, uncertainty, alias set) have the same target set.
+	c.words = (len(c.keyIdx) + 63) / 64
+	tsets := make(map[targetSig]int)
+	for i := range c.sites {
+		s := &c.sites[i]
+		sig := targetSig{key: s.info.Key, uncertain: s.info.Uncertain, set: s.info.AliasSet}
+		t, ok := tsets[sig]
+		if !ok {
+			t = c.targetSet(s.info)
+			tsets[sig] = t
+		}
+		s.tset = t
+	}
+
+	c.rels = make([]accessRel, len(c.sites))
+	c.calls = make([]callRel, len(c.sums))
+	c.in = make([]achain, len(f.Blocks))
+	c.seen = make([]bool, len(f.Blocks))
 	return c
 }
 
-// site returns the memoized resolution of a reference instruction.
-func (c *fnCtx) site(in *ir.Instr) (check.SiteInfo, bool) {
-	si, ok := c.sites[in]
-	return si, ok
+// index returns the key index of k, assigning the next one on first sight.
+func (c *fnCtx) index(k check.SiteKey) int {
+	if i, ok := c.keyIdx[k]; ok {
+		return i
+	}
+	i := len(c.keyIdx)
+	c.keyIdx[k] = i
+	return i
 }
 
-// targetSet returns (memoizing per signature) the may-target membership set
-// of an access.
-func (c *fnCtx) targetSet(si check.SiteInfo) map[check.SiteKey]bool {
-	sig := targetSig{key: si.Key, uncertain: si.Uncertain, set: si.AliasSet}
-	if m, ok := c.targets[sig]; ok {
-		return m
+// targetSet builds the may-target bitset of an access and returns its
+// index, or -1 when the access can only name its own block (mayBe's key
+// equality already covers that). Targets outside the key index are never
+// the key of a site, so no query can ask for them.
+func (c *fnCtx) targetSet(si check.SiteInfo) int {
+	targets := c.fs.MayTargets(si)
+	if len(targets) == 1 && targets[0] == si.Key {
+		return -1
 	}
-	m := make(map[check.SiteKey]bool)
-	for _, t := range c.fs.MayTargets(si) {
-		m[t] = true
+	t := len(c.tbits) / c.words
+	c.tbits = append(c.tbits, make([]uint64, c.words)...)
+	bits := c.tbits[t*c.words:]
+	for _, k := range targets {
+		if i, ok := c.keyIdx[k]; ok {
+			bits[i/64] |= 1 << (i % 64)
+		}
 	}
-	c.targets[sig] = m
-	return m
+	return t
 }
 
-// mayBe reports, with O(1) membership, whether either access could name
-// the block the other one does.
-func (c *fnCtx) mayBe(a, b check.SiteInfo) bool {
-	if a.Key == b.Key {
-		return true
+// nameBit is the name-table slot of a key index, -1 past the table.
+func (c *fnCtx) nameBit(key int) int {
+	if key < c.named {
+		return key
 	}
-	return c.targetSet(a)[b.Key] || c.targetSet(b)[a.Key]
+	return -1
+}
+
+// hasTarget reports whether key index key is in may-target set t.
+func (c *fnCtx) hasTarget(t, key int) bool {
+	return t >= 0 && c.tbits[t*c.words+key/64]&(1<<(key%64)) != 0
+}
+
+// mayBe reports whether either access could name the block the other one
+// does.
+func (c *fnCtx) mayBe(a, b *siteRef) bool {
+	return a.key == b.key || c.hasTarget(a.tset, b.key) || c.hasTarget(b.tset, a.key)
+}
+
+// unknownGroups groups the sites the prefilter left unknown by focused
+// block, in first-appearance order; each group lists site indices in
+// program order, and each grouped site's slot records its place.
+func (c *fnCtx) unknownGroups(pre *check.CacheReport) [][]int {
+	var groups [][]int
+	slot := make(map[int]int) // key index → group
+	for i := range c.sites {
+		if v, classified := pre.Verdicts[c.sites[i].in.Ref]; !classified || v != check.Unknown {
+			continue
+		}
+		g, ok := slot[c.sites[i].key]
+		if !ok {
+			g = len(groups)
+			slot[c.sites[i].key] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+		c.sites[i].slot = len(groups[g])
+	}
+	return groups
 }
 
 // ---- interprocedural call transfer ----
@@ -138,8 +290,8 @@ type callRel struct {
 // Summaries only exist for one-word-line configurations, so the frame
 // disjointness argument holds: callee traffic can conflict with, but never
 // fetch or name, any frame-class block of this activation.
-func (fo *focus) relateCall(sum *check.CallSummary) *callRel {
-	rel := &callRel{uncertain: sum.Uncertain, kills: sum.Kills}
+func (fo *focus) relateCall(sum *check.CallSummary) callRel {
+	rel := callRel{uncertain: sum.Uncertain, kills: sum.Kills}
 	focusLine, focusGlobal := fo.k.Key.GlobalLine()
 	switch {
 	case fo.k.Uncertain:
@@ -178,8 +330,8 @@ func (fo *focus) relateCall(sum *check.CallSummary) *callRel {
 			if !fo.k.Uncertain && !fo.ctx.fs.MayConflict(k, fo.k.Key) {
 				continue
 			}
-			if bit, ok := fo.nameIdx[k]; ok {
-				rel.names = rel.names.With(bit)
+			if i, ok := fo.ctx.keyIdx[k]; ok && fo.ctx.nameBit(i) >= 0 {
+				rel.names = rel.names.With(i)
 			} else {
 				anon++
 			}
@@ -205,21 +357,21 @@ func (fo *focus) relateCall(sum *check.CallSummary) *callRel {
 // always-miss theorems that survive call boundaries — and a resident
 // block's counters absorb the callee's bounded traffic instead of
 // collapsing to unknown.
-func (fo *focus) callSummaryState(rel *callRel, s state) []state {
+func (fo *focus) callSummaryState(rel *callRel, s state) state {
 	switch s.kind {
 	case sNC:
 		if fo.lineExact && !fo.k.Uncertain && fo.k.Key.Private() {
-			return []state{ncState}
+			return ncState
 		}
 		if !rel.uncertain && !rel.mayFill {
-			return []state{ncState}
+			return ncState
 		}
-		return []state{maybeState}
+		return maybeState
 	case sRes:
 		if rel.uncertain || rel.mayTouch {
 			// The callee may refresh or kill the focus line itself: the
 			// counters since "last refresh" no longer mean anything.
-			return []state{maybeState}
+			return maybeState
 		}
 		ns := s
 		ns.names = ns.names.Union(rel.names)
@@ -233,8 +385,8 @@ func (fo *focus) callSummaryState(rel *callRel, s state) []state {
 		if rel.kills {
 			ns.freed = true
 		}
-		return []state{fo.normalize(ns)}
+		return fo.normalize(ns)
 	default:
-		return []state{maybeState}
+		return maybeState
 	}
 }

@@ -3,7 +3,6 @@ package exact
 import (
 	"repro/internal/cfg"
 	"repro/internal/check"
-	"repro/internal/ir"
 )
 
 // The power-set reference solver: the antichain solver's transfer functions
@@ -60,13 +59,17 @@ func setsEqual(a, b stateSet) bool {
 	return true
 }
 
-func (fo *focus) transferInstr(in *ir.Instr, ss stateSet) stateSet {
+// transferInstr maps a state set through the instruction at position pos,
+// by the antichain solver's positional transfer.
+func (fo *focus) transferInstr(pos int, ss stateSet) stateSet {
 	out := ss
-	if mapped := fo.maps[in]; mapped != nil {
+	op := fo.ctx.ops[pos]
+	if op.kind != opNone {
 		fo.stats.charge(len(ss))
 		out = make(stateSet, len(ss))
 		for s := range ss {
-			for _, ns := range mapped(s) {
+			fo.ctx.buf = fo.transfer(fo.ctx.buf[:0], op, s)
+			for _, ns := range fo.ctx.buf {
 				out[ns] = struct{}{}
 			}
 		}
@@ -75,16 +78,17 @@ func (fo *focus) transferInstr(in *ir.Instr, ss stateSet) stateSet {
 	}
 	// Redefining the focus pseudo-register retires the block: the register
 	// now names some other line, about which nothing is known.
-	if fo.k.Key.Pseudo() && in.Def() == fo.k.Key.PseudoReg() {
+	if fo.pseudo && op.def == fo.retire {
 		return single(maybeState)
 	}
 	return out
 }
 
-// solve runs the power-set fixed point and returns the verdict at every
-// wanted site; nil when the step budget ran out.
-func (fo *focus) solve(wanted map[*ir.Instr]bool) map[*ir.Instr]check.Verdict {
-	f := fo.f
+// solve runs the power-set fixed point and returns the verdict at each
+// site of the focus group, in group order; nil when the step budget ran
+// out.
+func (fo *focus) solve() []check.Verdict {
+	f := fo.ctx.f
 	in := make([]stateSet, len(f.Blocks))
 	rpo := cfg.ReversePostorder(f)
 	idx := cfg.RPOIndex(f)
@@ -106,8 +110,9 @@ func (fo *focus) solve(wanted map[*ir.Instr]bool) map[*ir.Instr]check.Verdict {
 				continue
 			}
 			cur := cloneSet(ss)
+			p := fo.ctx.start[b.ID]
 			for i := range b.Instrs {
-				cur = fo.transferInstr(&b.Instrs[i], cur)
+				cur = fo.transferInstr(p+i, cur)
 			}
 			if fo.stats.exhausted {
 				return nil
@@ -142,20 +147,20 @@ func (fo *focus) solve(wanted map[*ir.Instr]bool) map[*ir.Instr]check.Verdict {
 		}
 	}
 
-	// Replay once from the stable in-states, sampling the wanted sites.
-	out := make(map[*ir.Instr]check.Verdict, len(wanted))
+	// Replay once from the stable in-states, sampling the group's sites.
+	out := make([]check.Verdict, len(fo.group))
 	for _, b := range f.Blocks {
 		ss := in[b.ID]
 		if ss == nil {
 			continue
 		}
 		cur := cloneSet(ss)
+		p := fo.ctx.start[b.ID]
 		for i := range b.Instrs {
-			instr := &b.Instrs[i]
-			if wanted[instr] {
-				out[instr] = fo.verdictOf(cur)
+			if j := fo.sampled(p + i); j >= 0 {
+				out[j] = fo.verdictOf(cur)
 			}
-			cur = fo.transferInstr(instr, cur)
+			cur = fo.transferInstr(p+i, cur)
 		}
 		if fo.stats.exhausted {
 			return nil

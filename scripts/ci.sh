@@ -43,8 +43,9 @@ rm -f /tmp/unilint-ci /tmp/lint-ci.json
 echo "== go test -race =="
 go test -race ./...
 
-echo "== bench-smoke (webs pass micro-benchmark compiles and runs) =="
+echo "== bench-smoke (webs pass and exact analysis micro-benchmarks compile and run) =="
 go test -run '^$' -bench SplitWebs -benchtime 1x ./internal/dataflow
+go test -run '^$' -bench ExactProgen -benchtime 1x ./internal/exact
 
 echo "== unicheck (benchmark suite) =="
 go run ./cmd/unicheck

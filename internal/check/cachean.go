@@ -1,13 +1,14 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/cfg"
+	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/sem"
 )
@@ -182,15 +183,25 @@ const globalBase int64 = 64
 // indexing) and trust the alias sets; Differential cross-validates both
 // against the production cache model.
 func AnalyzeCache(p *ir.Program, ccfg cache.Config, opt Options) (*CacheReport, error) {
-	a, err := newAnalyzer(p, ccfg, opt)
+	m, err := NewSiteModel(p, ccfg, opt)
 	if err != nil {
 		return nil, err
 	}
+	return m.AnalyzeCache()
+}
 
-	rep := &CacheReport{Config: ccfg, Verdicts: make(map[*ir.MemRef]Verdict), MustHalf: a.mustOK}
-	for _, f := range p.Funcs {
-		a.analyzeFunc(f, rep)
-		if canceled(opt.Done) {
+// AnalyzeCache runs the must/may analysis (see the package-level
+// AnalyzeCache) over the model's program. It shares the model's
+// per-function key universes and call summaries, so a caller that needs
+// both the prefilter verdicts and the site model builds them once.
+func (m *SiteModel) AnalyzeCache() (*CacheReport, error) {
+	a := m.a
+	rep := &CacheReport{Config: a.cfg, Verdicts: make(map[*ir.MemRef]Verdict), MustHalf: a.mustOK}
+	for _, f := range a.prog.Funcs {
+		if p := a.newPrefilter(f); p.solve() {
+			p.record(rep)
+		}
+		if canceled(a.opt.Done) {
 			// All-or-nothing: a partial verdict map must never escape as
 			// if it were the fixpoint.
 			return nil, &CanceledError{Phase: "cachean"}
@@ -201,7 +212,7 @@ func AnalyzeCache(p *ir.Program, ccfg cache.Config, opt Options) (*CacheReport, 
 }
 
 // newAnalyzer validates the configuration and precomputes the program-wide
-// facts both AnalyzeCache and the exact refinement's SiteModel rely on:
+// facts both the prefilter and the exact refinement's SiteModel rely on:
 // absolute lines of one-word globals and whether main is ever re-entered.
 func newAnalyzer(p *ir.Program, ccfg cache.Config, opt Options) (*analyzer, error) {
 	probe := ccfg
@@ -213,6 +224,7 @@ func newAnalyzer(p *ir.Program, ccfg cache.Config, opt Options) (*analyzer, erro
 	}
 
 	a := &analyzer{
+		prog:        p,
 		cfg:         ccfg,
 		opt:         opt,
 		mustOK:      ccfg.Policy == cache.LRU,
@@ -247,6 +259,7 @@ func newAnalyzer(p *ir.Program, ccfg cache.Config, opt Options) (*analyzer, erro
 }
 
 type analyzer struct {
+	prog        *ir.Program
 	cfg         cache.Config
 	opt         Options
 	mustOK      bool
@@ -272,6 +285,10 @@ func (a *analyzer) funcState(f *ir.Func) *funcState {
 	return fs
 }
 
+// coldEntry reports whether f is entered with a definitely-empty cache:
+// only main, and only when nothing ever calls main again.
+func (a *analyzer) coldEntry(f *ir.Func) bool { return f.Name == "main" && !a.mainCalled }
+
 func (a *analyzer) killsMust() bool { return a.cfg.DeadKillsResidency() }
 func (a *analyzer) killsMay() bool  { return a.cfg.DeadKillsMembership() }
 
@@ -284,13 +301,16 @@ type access struct {
 	last      bool
 }
 
-// funcState carries the per-function universe of keys.
+// funcState carries the per-function universe of keys. A key's position
+// in allKeys is its dense index: the prefilter's states and op tables
+// speak in indices, and keyIdx maps back.
 type funcState struct {
 	a        *analyzer
 	f        *ir.Func
 	frameOff map[*sem.Object]int64
-	isPseudo map[ir.Reg]bool
 	allKeys  []blockKey
+	keyIdx   map[blockKey]int
+	sets     []setClass         // per key index: the key's cache-set facts
 	bySet    map[int][]blockKey // named keys by object alias set
 	// namedBy lists, per named key, the pseudo-blocks whose register may
 	// address that key's line (the converse of mayTargets).
@@ -300,7 +320,7 @@ type funcState struct {
 func (a *analyzer) newFuncState(f *ir.Func) *funcState {
 	fs := &funcState{a: a, f: f,
 		frameOff: make(map[*sem.Object]int64),
-		isPseudo: make(map[ir.Reg]bool),
+		keyIdx:   make(map[blockKey]int),
 		bySet:    make(map[int][]blockKey),
 		namedBy:  make(map[blockKey][]blockKey),
 	}
@@ -311,10 +331,9 @@ func (a *analyzer) newFuncState(f *ir.Func) *funcState {
 		fs.frameOff[obj] = off
 		off += int64(obj.Type.Words())
 	}
-	seen := make(map[blockKey]bool)
 	add := func(k blockKey, set int) {
-		if !seen[k] {
-			seen[k] = true
+		if _, ok := fs.keyIdx[k]; !ok {
+			fs.keyIdx[k] = len(fs.allKeys)
 			fs.allKeys = append(fs.allKeys, k)
 		}
 		if set >= 0 && (k.kind == kGlobal || k.kind == kFrame) {
@@ -335,19 +354,41 @@ func (a *analyzer) newFuncState(f *ir.Func) *funcState {
 			}
 			acc := fs.resolve(in)
 			if acc.key.kind == kPseudo {
-				fs.isPseudo[acc.key.reg] = true
 				pseudoAccs = append(pseudoAccs, acc)
 			}
 			add(acc.key, acc.set)
 		}
 	}
+	fs.sets = make([]setClass, len(fs.allKeys))
+	for i, k := range fs.allKeys {
+		fs.sets[i] = fs.setClassOf(k)
+	}
 	// With wider lines every through access already reaches every block,
-	// so namedBy is needed for one-word lines only.
+	// so namedBy is needed for one-word lines only. A pseudo-block's
+	// targets depend on its access's alias set alone, so they are listed
+	// once per alias set.
 	if a.cfg.LineWords == 1 {
+		var sets []int
+		pseudoBySet := make(map[int][]blockKey)
 		for _, acc := range pseudoAccs {
-			for _, t := range fs.mayTargets(acc) {
-				if t.kind != kPseudo && !slices.Contains(fs.namedBy[t], acc.key) {
-					fs.namedBy[t] = append(fs.namedBy[t], acc.key)
+			ps, ok := pseudoBySet[acc.set]
+			if !ok {
+				sets = append(sets, acc.set)
+			}
+			if !slices.Contains(ps, acc.key) {
+				pseudoBySet[acc.set] = append(ps, acc.key)
+			}
+		}
+		for _, set := range sets {
+			ps := pseudoBySet[set]
+			for _, t := range fs.mayTargets(access{key: ps[0], uncertain: true, set: set}) {
+				if t.kind == kPseudo {
+					continue
+				}
+				for _, p := range ps {
+					if !slices.Contains(fs.namedBy[t], p) {
+						fs.namedBy[t] = append(fs.namedBy[t], p)
+					}
 				}
 			}
 		}
@@ -381,198 +422,55 @@ func (fs *funcState) resolve(in *ir.Instr) access {
 	return acc
 }
 
-// conflict reports whether two distinct blocks may map to the same cache
-// set. Global lines have known sets; frame-class blocks of the same
-// activation have known set *deltas* when lines are one word (their
-// absolute base is unknown but shared); everything else may conflict.
-func (fs *funcState) conflict(x, y blockKey) bool {
+// Set classes: how much is known of the cache set a block maps to.
+const (
+	setAbsolute = iota // a global line: its set is known
+	setFrame           // a frame-class block: its set relative to the frame base is known
+	setUnknown
+)
+
+// setClass is the cache-set fact of one block. Global lines have known
+// sets; frame-class blocks (spill slots and this activation's frame
+// objects) have known set *deltas* when lines are one word (their
+// absolute base is unknown but shared); nothing is known of the rest.
+type setClass struct {
+	class int8
+	set   int64 // the set, absolute or frame-relative; 0 when unknown
+}
+
+func (fs *funcState) setClassOf(k blockKey) setClass {
 	sets := int64(fs.a.cfg.Sets)
-	if x.kind == kGlobal && y.kind == kGlobal {
-		return x.line%sets == y.line%sets
-	}
-	if fs.a.cfg.LineWords != 1 {
-		return true
-	}
-	xo, xok := fs.frameClassOff(x)
-	yo, yok := fs.frameClassOff(y)
-	if xok && yok {
-		return (xo-yo)%sets == 0
-	}
-	return true
-}
-
-func (fs *funcState) frameClassOff(k blockKey) (int64, bool) {
-	switch k.kind {
-	case kSpill:
-		return int64(k.slot), true
-	case kFrame:
-		off, ok := fs.frameOff[k.obj]
-		return off, ok
-	}
-	return 0, false
-}
-
-// ---- abstract states ----
-
-type mustState map[blockKey]int
-
-type mayState struct {
-	in      map[blockKey]bool
-	unknown bool // some line we cannot name may be cached
-}
-
-func (m mustState) clone() mustState {
-	c := make(mustState, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
-func (m mayState) clone() mayState {
-	c := mayState{in: make(map[blockKey]bool, len(m.in)), unknown: m.unknown}
-	for k := range m.in {
-		c.in[k] = true
-	}
-	return c
-}
-
-// joinMust intersects keys, taking the maximum (worst) age. Reports change.
-func joinMust(dst mustState, src mustState) (mustState, bool) {
-	changed := false
-	for k, v := range dst {
-		sv, ok := src[k]
-		if !ok {
-			delete(dst, k)
-			changed = true
-		} else if sv > v {
-			dst[k] = sv
-			changed = true
-		}
-	}
-	return dst, changed
-}
-
-// joinMay unions membership. Reports change.
-func (m *mayState) join(src mayState) bool {
-	changed := false
-	for k := range src.in {
-		if !m.in[k] {
-			m.in[k] = true
-			changed = true
-		}
-	}
-	if src.unknown && !m.unknown {
-		m.unknown = true
-		changed = true
-	}
-	return changed
-}
-
-// ---- transfer ----
-
-// anyCached reports whether the cache may hold anything at all.
-func (m *mayState) anyCached() bool { return m.unknown || len(m.in) > 0 }
-
-func (fs *funcState) transferInstr(in *ir.Instr, must mustState, may *mayState) {
-	a := fs.a
+	mod := func(v int64) int64 { return (v%sets + sets) % sets }
 	switch {
-	case in.Op == ir.OpCall:
-		if a.opt.Interproc {
-			if s := a.callSummary(in.Callee); !s.Clobber {
-				fs.transferCallSummary(s, must, may)
-				break
-			}
-		}
-		// Blanket clobber: a callee may touch globals, anything reachable
-		// through a pointer (address-taken frame objects), and lines named
-		// by pseudo-blocks; with one-word lines it can never fetch this
-		// frame's compiler-private words.
-		for k := range must {
-			delete(must, k)
-		}
-		coarse := a.cfg.LineWords != 1
-		for _, k := range fs.allKeys {
-			switch {
-			case coarse:
-				may.in[k] = true
-			case k.kind == kSpill:
-			case k.kind == kFrame && !k.obj.AddrTaken:
-			default:
-				may.in[k] = true
-			}
-		}
-		may.unknown = true
-
-	case in.Ref != nil && (in.Op == ir.OpLoad || in.Op == ir.OpStore):
-		fs.transferAccess(fs.resolve(in), must, may)
-	}
-
-	// Redefining a register retires its pseudo-block: the old line loses
-	// its name (but may still be cached), and the register's new value
-	// may address any line the cache could be holding.
-	if d := in.Def(); d != ir.NoReg && fs.isPseudo[d] {
-		k := blockKey{kind: kPseudo, reg: d}
-		delete(must, k)
-		if may.in[k] {
-			may.unknown = true
-		}
-		if may.anyCached() {
-			may.in[k] = true
-		} else {
-			delete(may.in, k)
+	case k.kind == kGlobal:
+		return setClass{setAbsolute, mod(k.line)}
+	case fs.a.cfg.LineWords != 1:
+	case k.kind == kSpill:
+		return setClass{setFrame, mod(int64(k.slot))}
+	case k.kind == kFrame:
+		if off, ok := fs.frameOff[k.obj]; ok {
+			return setClass{setFrame, mod(off)}
 		}
 	}
+	return setClass{class: setUnknown}
 }
 
-func (fs *funcState) transferAccess(acc access, must mustState, may *mayState) {
-	a := fs.a
-	through := !acc.bypass || !a.cfg.HonorBypass
-	k := acc.key
+// mayConflict reports whether two distinct blocks may map to the same
+// cache set: unless both sets are known, in the same frame of reference,
+// and differ.
+func (x setClass) mayConflict(y setClass) bool {
+	return x.class == setUnknown || x.class != y.class || x.set == y.set
+}
 
-	// Must half: age conflicting blocks younger than the target, then
-	// refresh the target. A bypass reference allocates nothing, but a
-	// bypass hit refreshes the line, so aging applies either way.
-	if a.mustOK {
-		ageC, resident := must[k]
-		if !resident {
-			ageC = a.cfg.Ways // acts as infinity: stored ages are < Ways
-		}
-		for b, ab := range must {
-			if b == k || ab >= ageC || !fs.conflict(b, k) {
-				continue
-			}
-			if ab+1 >= a.cfg.Ways {
-				delete(must, b)
-			} else {
-				must[b] = ab + 1
-			}
-		}
-		switch {
-		case acc.last && a.killsMust():
-			delete(must, k) // dead-marked: invalidated or demoted to victim
-		case through:
-			must[k] = 0 // fetched or refreshed: resident afterwards
-		case resident:
-			must[k] = 0 // bypass hit on a guaranteed-resident line
-		}
-	}
+// mustConflict reports whether two blocks definitely map to the same set.
+func (x setClass) mustConflict(y setClass) bool {
+	return x.class != setUnknown && x.class == y.class && x.set == y.set
+}
 
-	// May half. A named line coming in is also the line of every
-	// pseudo-block whose register may address it.
-	if through {
-		for _, t := range fs.mayTargets(acc) {
-			may.in[t] = true
-		}
-		for _, p := range fs.namedBy[k] {
-			may.in[p] = true
-		}
-	}
-	if acc.last && a.killsMay() {
-		// The access definitely leaves the target line uncached: killed
-		// if it was resident, not allocated if it was not.
-		delete(may.in, k)
-	}
+// conflict reports whether two distinct blocks may map to the same cache
+// set.
+func (fs *funcState) conflict(x, y blockKey) bool {
+	return fs.setClassOf(x).mayConflict(fs.setClassOf(y))
 }
 
 // mayTargets returns the blocks a through-cache access may bring into the
@@ -608,96 +506,413 @@ func (fs *funcState) mayTargets(acc access) []blockKey {
 	return out
 }
 
-// ---- fixpoint ----
+// ---- abstract states ----
 
-func (a *analyzer) analyzeFunc(f *ir.Func, rep *CacheReport) {
-	fs := a.funcState(f)
-	nb := len(f.Blocks)
-	inMust := make([]mustState, nb)
-	inMay := make([]mayState, nb)
-	seen := make([]bool, nb)
+// ageEntry is one must fact: the block with key index key is resident
+// with an age of at most age.
+type ageEntry struct {
+	key, age int32
+}
 
-	entry := f.Entry().ID
-	inMust[entry] = mustState{}
-	cold := f.Name == "main" && !a.mainCalled
-	em := mayState{in: make(map[blockKey]bool)}
-	if !cold {
-		for _, k := range fs.allKeys {
-			em.in[k] = true
-		}
-		em.unknown = true
+// cacheState is one abstract cache state over a function's key indices.
+// must lists the provably resident blocks, sorted by key index; may holds
+// the blocks possibly cached, and unknown whether some line no key names
+// may be cached too.
+type cacheState struct {
+	must    []ageEntry
+	may     dataflow.BitSet
+	unknown bool
+}
+
+// copyFrom overwrites s with t, reusing s's storage.
+func (s *cacheState) copyFrom(t *cacheState) {
+	s.must = append(s.must[:0], t.must...)
+	copy(s.may, t.may)
+	s.unknown = t.unknown
+}
+
+// find returns k's position in must (or where it would be inserted) and
+// whether k is resident.
+func (s *cacheState) find(k int32) (int, bool) {
+	return slices.BinarySearchFunc(s.must, k, func(e ageEntry, k int32) int { return cmp.Compare(e.key, k) })
+}
+
+// refresh makes k resident with age 0.
+func (s *cacheState) refresh(k int32) {
+	i, ok := s.find(k)
+	if !ok {
+		s.must = slices.Insert(s.must, i, ageEntry{key: k})
 	}
-	inMay[entry] = em
-	seen[entry] = true
+	s.must[i].age = 0
+}
 
-	rpo := cfg.ReversePostorder(f)
-	for changed := true; changed; {
-		if canceled(a.opt.Done) {
-			return // AnalyzeCache converts the abandonment into CanceledError
-		}
-		changed = false
-		for _, b := range rpo {
-			if !seen[b.ID] {
-				continue
-			}
-			must := inMust[b.ID].clone()
-			may := inMay[b.ID].clone()
-			for i := range b.Instrs {
-				fs.transferInstr(&b.Instrs[i], must, &may)
-			}
-			for _, s := range b.Succs {
-				if !seen[s.ID] {
-					seen[s.ID] = true
-					inMust[s.ID] = must.clone()
-					inMay[s.ID] = may.clone()
-					changed = true
-					continue
-				}
-				var ch1 bool
-				inMust[s.ID], ch1 = joinMust(inMust[s.ID], must)
-				ch2 := inMay[s.ID].join(may)
-				changed = changed || ch1 || ch2
-			}
-		}
+// evict drops k from must.
+func (s *cacheState) evict(k int32) {
+	if i, ok := s.find(k); ok {
+		s.must = slices.Delete(s.must, i, i+1)
 	}
+}
 
-	// Final pass: record verdicts from the stable in-states.
-	for _, b := range f.Blocks {
-		if !seen[b.ID] {
+// join merges t into s where control flow meets and reports whether s
+// changed: must keeps the blocks resident in both, at the older age
+// bound; may takes the union.
+func (s *cacheState) join(t *cacheState) bool {
+	changed := false
+	out, j := s.must[:0], 0
+	for _, e := range s.must {
+		for j < len(t.must) && t.must[j].key < e.key {
+			j++
+		}
+		if j == len(t.must) || t.must[j].key != e.key {
+			changed = true
 			continue
 		}
-		must := inMust[b.ID].clone()
-		may := inMay[b.ID].clone()
+		if age := t.must[j].age; age > e.age {
+			e.age = age
+			changed = true
+		}
+		out = append(out, e)
+	}
+	s.must = out
+	if s.may.UnionWith(t.may) {
+		changed = true
+	}
+	if t.unknown && !s.unknown {
+		s.unknown, changed = true, true
+	}
+	return changed
+}
+
+// ---- op table ----
+
+// Transfer kinds of an instruction position.
+const (
+	opNone    uint8 = iota // no cache effect
+	opAccess               // load/store site: arg indexes accs
+	opClobber              // call transferred as a blanket clobber
+	opSummary              // call transferred through a summary: arg indexes calls
+)
+
+// instrOp is the precomputed transfer of one instruction.
+type instrOp struct {
+	kind uint8
+	arg  int32
+	// retire is the key index of the pseudo-block the instruction's
+	// definition retires, -1 if none.
+	retire int32
+}
+
+// accessOp is one resolved reference site.
+type accessOp struct {
+	ref *ir.MemRef
+	key int32 // key index of the site's block
+	// fill indexes the prefilter's fills: the blocks a through access may
+	// bring into the cache. -1 for an access that bypasses the cache.
+	fill     int32
+	bypassed bool // skips the cache (bypass bit honored)
+	killMust bool // Last-tagged under residency-killing dead-marking
+	killMay  bool // Last-tagged under membership-killing dead-marking
+}
+
+// fillSig identifies the accesses that share a fill set: with wider lines
+// all of them, otherwise an uncertain access by its alias set and a
+// certain one by its block.
+type fillSig struct {
+	coarse, uncertain bool
+	n                 int // alias set (uncertain) or key index (certain)
+}
+
+// prefilter is one function's must/may fixed point in dense form: the
+// positional op table, built once per function, plus the per-block
+// in-states and the working state, allocated once and reused by every
+// pass.
+type prefilter struct {
+	fs      *funcState
+	start   []int     // start[b.ID]: position of b's first instruction
+	ops     []instrOp // per position
+	accs    []accessOp
+	calls   []callOp          // distinct non-clobber call summaries
+	fills   []dataflow.BitSet // shared access fill sets
+	clobber dataflow.BitSet   // what a blanket-clobber call may cache
+	rpo     []*ir.Block
+	in      []cacheState // per block ID
+	seen    []bool       // in[b.ID] is reached
+	cur     cacheState
+}
+
+func (a *analyzer) newPrefilter(f *ir.Func) *prefilter {
+	fs := a.funcState(f)
+	nkeys, nb := len(fs.allKeys), len(f.Blocks)
+	p := &prefilter{
+		fs:      fs,
+		start:   make([]int, nb),
+		clobber: dataflow.NewBitSet(nkeys),
+		rpo:     cfg.ReversePostorder(f),
+		in:      make([]cacheState, nb),
+		seen:    make([]bool, nb),
+		cur:     cacheState{must: make([]ageEntry, 0, nkeys), may: dataflow.NewBitSet(nkeys)},
+	}
+	n := 0
+	for _, b := range f.Blocks {
+		p.start[b.ID] = n
+		n += len(b.Instrs)
+	}
+	p.ops = make([]instrOp, n)
+	fillIdx := make(map[fillSig]int32)
+	callIdx := make(map[*CallSummary]int32)
+	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			if in.Ref != nil && (in.Op == ir.OpLoad || in.Op == ir.OpStore) {
-				acc := fs.resolve(in)
-				rep.Verdicts[in.Ref] = fs.verdict(acc, must, &may)
+			op := &p.ops[p.start[b.ID]+i]
+			op.retire = -1
+			switch {
+			case in.Op == ir.OpCall:
+				op.kind = opClobber
+				if !a.opt.Interproc {
+					break
+				}
+				if s := a.callSummary(in.Callee); !s.Clobber {
+					j, ok := callIdx[s]
+					if !ok {
+						j = int32(len(p.calls))
+						callIdx[s] = j
+						p.calls = append(p.calls, fs.callOp(s))
+					}
+					op.kind, op.arg = opSummary, j
+				}
+			case in.Ref != nil && (in.Op == ir.OpLoad || in.Op == ir.OpStore):
+				op.kind, op.arg = opAccess, int32(len(p.accs))
+				p.accs = append(p.accs, p.accessOp(in, fillIdx))
 			}
-			fs.transferInstr(in, must, &may)
+			if d := in.Def(); d != ir.NoReg {
+				if k, ok := fs.keyIdx[blockKey{kind: kPseudo, reg: d}]; ok {
+					op.retire = int32(k)
+				}
+			}
+		}
+	}
+
+	// A blanket-clobbered callee may touch globals, anything reachable
+	// through a pointer (address-taken frame objects), and lines named by
+	// pseudo-blocks; with one-word lines it can never fetch this frame's
+	// compiler-private words.
+	for i, k := range fs.allKeys {
+		if a.cfg.LineWords != 1 || !k.Private() {
+			p.clobber.Set(i)
+		}
+	}
+
+	// Per-block in-states: the may halves share one backing array; a must
+	// half is allocated when its block is first reached and only shrinks
+	// under joins afterwards.
+	words := len(p.clobber)
+	back := make([]uint64, nb*words)
+	for i := range p.in {
+		p.in[i].may = back[i*words : (i+1)*words : (i+1)*words]
+	}
+	entry := &p.in[f.Entry().ID]
+	if !a.coldEntry(f) {
+		for i := range fs.allKeys {
+			entry.may.Set(i)
+		}
+		entry.unknown = true
+	}
+	p.seen[f.Entry().ID] = true
+	return p
+}
+
+// accessOp resolves one reference site and finds (or builds) its shared
+// fill set.
+func (p *prefilter) accessOp(in *ir.Instr, fillIdx map[fillSig]int32) accessOp {
+	fs, a := p.fs, p.fs.a
+	acc := fs.resolve(in)
+	x := accessOp{
+		ref:      in.Ref,
+		key:      int32(fs.keyIdx[acc.key]),
+		fill:     -1,
+		bypassed: acc.bypass && a.cfg.HonorBypass,
+		killMust: acc.last && a.killsMust(),
+		killMay:  acc.last && a.killsMay(),
+	}
+	if x.bypassed {
+		return x
+	}
+	sig := fillSig{n: int(x.key)}
+	switch {
+	case a.cfg.LineWords != 1:
+		sig = fillSig{coarse: true}
+	case acc.uncertain:
+		sig = fillSig{uncertain: true, n: acc.set}
+	}
+	j, ok := fillIdx[sig]
+	if !ok {
+		// A named line coming in is also the line of every pseudo-block
+		// whose register may address it.
+		bits := dataflow.NewBitSet(len(fs.allKeys))
+		for _, t := range fs.mayTargets(acc) {
+			bits.Set(fs.keyIdx[t])
+		}
+		for _, t := range fs.namedBy[acc.key] {
+			bits.Set(fs.keyIdx[t])
+		}
+		j = int32(len(p.fills))
+		fillIdx[sig] = j
+		p.fills = append(p.fills, bits)
+	}
+	x.fill = j
+	return x
+}
+
+// ---- transfer ----
+
+// step applies one instruction's transfer to st.
+func (p *prefilter) step(op instrOp, st *cacheState) {
+	switch op.kind {
+	case opAccess:
+		p.access(&p.accs[op.arg], st)
+	case opSummary:
+		p.call(&p.calls[op.arg], st)
+	case opClobber:
+		st.must = st.must[:0]
+		st.may.UnionWith(p.clobber)
+		st.unknown = true
+	}
+
+	// Redefining a register retires its pseudo-block: the old line loses
+	// its name (but may still be cached), and the register's new value
+	// may address any line the cache could be holding.
+	if k := op.retire; k >= 0 {
+		st.evict(k)
+		if st.may.Has(int(k)) {
+			st.unknown = true
+		}
+		if st.unknown || !st.may.Empty() {
+			st.may.Set(int(k))
+		} else {
+			st.may.Clear(int(k))
 		}
 	}
 }
 
-func (fs *funcState) verdict(acc access, must mustState, may *mayState) Verdict {
-	if acc.bypass && fs.a.cfg.HonorBypass {
+func (p *prefilter) access(x *accessOp, st *cacheState) {
+	a := p.fs.a
+	k := x.key
+
+	// Must half: age conflicting blocks younger than the target, then
+	// refresh the target. A bypass reference allocates nothing, but a
+	// bypass hit refreshes the line, so aging applies either way.
+	if a.mustOK {
+		ageC := int32(a.cfg.Ways) // acts as infinity: stored ages are < Ways
+		i, resident := st.find(k)
+		if resident {
+			ageC = st.must[i].age
+		}
+		sk := p.fs.sets[k]
+		out := st.must[:0]
+		for _, e := range st.must {
+			if e.key != k && e.age < ageC && p.fs.sets[e.key].mayConflict(sk) {
+				if e.age+1 >= int32(a.cfg.Ways) {
+					continue // evicted
+				}
+				e.age++
+			}
+			out = append(out, e)
+		}
+		st.must = out
+		switch {
+		case x.killMust:
+			st.evict(k) // dead-marked: invalidated or demoted to victim
+		case x.fill >= 0 || resident:
+			// Fetched or refreshed, or a bypass hit on a
+			// guaranteed-resident line: resident afterwards.
+			st.refresh(k)
+		}
+	}
+
+	// May half.
+	if x.fill >= 0 {
+		st.may.UnionWith(p.fills[x.fill])
+	}
+	if x.killMay {
+		// The access definitely leaves the target line uncached: killed
+		// if it was resident, not allocated if it was not.
+		st.may.Clear(int(k))
+	}
+}
+
+// ---- fixpoint ----
+
+// solve iterates to the fixed point and reports false when Options.Done
+// abandoned it.
+func (p *prefilter) solve() bool {
+	for changed := true; changed; {
+		if canceled(p.fs.a.opt.Done) {
+			return false
+		}
+		changed = p.pass()
+	}
+	return true
+}
+
+// pass sweeps the reached blocks once in reverse postorder and reports
+// whether any in-state changed. Once every block has been reached it
+// allocates nothing.
+func (p *prefilter) pass() bool {
+	changed := false
+	for _, b := range p.rpo {
+		if !p.seen[b.ID] {
+			continue
+		}
+		p.cur.copyFrom(&p.in[b.ID])
+		p.run(b, nil)
+		for _, s := range b.Succs {
+			if !p.seen[s.ID] {
+				p.seen[s.ID] = true
+				p.in[s.ID].copyFrom(&p.cur)
+				changed = true
+				continue
+			}
+			if p.in[s.ID].join(&p.cur) {
+				changed = true
+			}
+		}
+	}
+	return changed
+}
+
+// record runs the final pass: each site's verdict is read from the state
+// before it, starting from the stable in-states.
+func (p *prefilter) record(rep *CacheReport) {
+	for _, b := range p.fs.f.Blocks {
+		if p.seen[b.ID] {
+			p.cur.copyFrom(&p.in[b.ID])
+			p.run(b, rep)
+		}
+	}
+}
+
+// run transfers the working state through block b, recording each site's
+// verdict into rep when it is non-nil.
+func (p *prefilter) run(b *ir.Block, rep *CacheReport) {
+	st := &p.cur
+	for _, op := range p.ops[p.start[b.ID] : p.start[b.ID]+len(b.Instrs)] {
+		if rep != nil && op.kind == opAccess {
+			x := &p.accs[op.arg]
+			rep.Verdicts[x.ref] = verdict(x, st)
+		}
+		p.step(op, st)
+	}
+}
+
+func verdict(x *accessOp, st *cacheState) Verdict {
+	if x.bypassed {
 		return Bypassed
 	}
-	if _, ok := must[acc.key]; ok {
+	if _, ok := st.find(x.key); ok {
 		return AlwaysHit
 	}
-	if !may.in[acc.key] {
+	if !st.may.Has(int(x.key)) {
 		return AlwaysMiss
 	}
 	return Unknown
-}
-
-// sortedKeys is a test/debug helper rendering a must state deterministically.
-func (m mustState) String() string {
-	var parts []string
-	for k, v := range m {
-		parts = append(parts, fmt.Sprintf("%s:%d", k, v))
-	}
-	sort.Strings(parts)
-	return "{" + strings.Join(parts, " ") + "}"
 }

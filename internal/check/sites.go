@@ -52,7 +52,8 @@ type SiteModel struct {
 	funcs map[*ir.Func]*FuncSites
 }
 
-// NewSiteModel validates the configuration and prepares resolution state.
+// NewSiteModel validates the configuration and prepares resolution state;
+// its AnalyzeCache method runs the must/may prefilter over the same state.
 func NewSiteModel(p *ir.Program, ccfg cache.Config, opt Options) (*SiteModel, error) {
 	a, err := newAnalyzer(p, ccfg, opt)
 	if err != nil {
@@ -67,9 +68,7 @@ func (m *SiteModel) MustHalf() bool { return m.a.mustOK }
 
 // ColdEntry reports whether f is entered with a definitely-empty cache
 // (only main, and only when nothing ever calls main again).
-func (m *SiteModel) ColdEntry(f *ir.Func) bool {
-	return f.Name == "main" && !m.a.mainCalled
-}
+func (m *SiteModel) ColdEntry(f *ir.Func) bool { return m.a.coldEntry(f) }
 
 // Func returns (and caches) the per-function site universe.
 func (m *SiteModel) Func(f *ir.Func) *FuncSites {
@@ -161,14 +160,5 @@ func (s *FuncSites) MayConflict(x, y SiteKey) bool {
 // activation by offset delta (one-word lines only — with wider lines frame
 // offsets are word offsets, not line offsets).
 func (s *FuncSites) MustConflict(x, y SiteKey) bool {
-	sets := int64(s.fs.a.cfg.Sets)
-	if x.kind == kGlobal && y.kind == kGlobal {
-		return x.line%sets == y.line%sets
-	}
-	if s.fs.a.cfg.LineWords != 1 {
-		return false
-	}
-	xo, xok := s.fs.frameClassOff(x)
-	yo, yok := s.fs.frameClassOff(y)
-	return xok && yok && (xo-yo)%sets == 0
+	return s.fs.setClassOf(x).mustConflict(s.fs.setClassOf(y))
 }

@@ -3,6 +3,7 @@ package check
 import (
 	"sort"
 
+	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/isa"
 	"repro/internal/sem"
@@ -396,57 +397,81 @@ func summaryMayTouch(s *CallSummary, k blockKey) bool {
 	return false
 }
 
-// transferCallSummary applies a non-clobber call summary to the must/may
-// state. It must only ever weaken: age or drop must entries, add may
-// entries.
-func (fs *funcState) transferCallSummary(s *CallSummary, must mustState, may *mayState) {
+// callOp is one distinct non-clobber call summary resolved against the
+// caller's key indices, so the transfer reads two tables instead of
+// walking the summary's spans per resident block.
+type callOp struct {
+	// age is, per key index, how much the call ages a resident block; a
+	// block whose bound reaches the associativity leaves must (an
+	// Uncertain call, or a killing one that may touch the block, ages it
+	// by the associativity itself). Nil when the must half is off.
+	age  []int32
+	fill dataflow.BitSet // blocks the call may make possibly-cached
+	// unknown: the call may cache lines no key of the caller names.
+	unknown bool
+}
+
+func (fs *funcState) callOp(s *CallSummary) callOp {
 	a := fs.a
+	ways := int32(a.cfg.Ways)
+	fills := len(s.FillSpans) > 0
+	c := callOp{
+		fill:    dataflow.NewBitSet(len(fs.allKeys)),
+		unknown: s.Uncertain || fills || s.Private > 0,
+	}
 	if a.mustOK {
-		if s.Uncertain {
-			for k := range must {
-				delete(must, k)
-			}
-		} else {
-			for k, age := range must {
-				if summaryMayTouch(s, k) && s.Kills {
-					delete(must, k)
-					continue
-				}
-				n := fs.summaryConflictBound(s, k)
-				if age+n >= a.cfg.Ways {
-					delete(must, k)
-				} else {
-					must[k] = age + n
-				}
+		c.age = make([]int32, len(fs.allKeys))
+	}
+	for i, k := range fs.allKeys {
+		if c.age != nil {
+			switch {
+			case s.Uncertain, summaryMayTouch(s, k) && s.Kills:
+				c.age[i] = ways
+			default:
+				c.age[i] = int32(fs.summaryConflictBound(s, k))
 			}
 		}
-	}
 
-	// May half: exactly the lines the call can allocate become possibly
-	// cached; every caller block the callee provably cannot fetch keeps
-	// its always-miss eligibility.
-	fills := len(s.FillSpans) > 0
-	for _, k := range fs.allKeys {
+		// May half: exactly the lines the call can allocate become
+		// possibly cached; every caller block the callee provably cannot
+		// fetch keeps its always-miss eligibility.
 		switch {
 		case s.Uncertain:
 			// Unnameable traffic: fall back to the coarse reachability
 			// rule (everything except provably private frame state).
 			if k.kind == kGlobal || k.kind == kPseudo || (k.kind == kFrame && k.obj.AddrTaken) {
-				may.in[k] = true
+				c.fill.Set(i)
 			}
 		case k.kind == kGlobal:
 			if s.MayFillLine(k.line) {
-				may.in[k] = true
+				c.fill.Set(i)
 			}
 		case k.kind == kPseudo:
 			// The pseudo-block's register may name one of the freshly
 			// cached globals.
 			if fills {
-				may.in[k] = true
+				c.fill.Set(i)
 			}
 		}
 	}
-	if s.Uncertain || fills || s.Private > 0 {
-		may.unknown = true
+	return c
+}
+
+// call applies a non-clobber call summary to st. It only ever weakens:
+// it ages or drops must entries and adds may entries.
+func (p *prefilter) call(c *callOp, st *cacheState) {
+	if c.age != nil {
+		ways := int32(p.fs.a.cfg.Ways)
+		out := st.must[:0]
+		for _, e := range st.must {
+			if e.age += c.age[e.key]; e.age < ways {
+				out = append(out, e)
+			}
+		}
+		st.must = out
+	}
+	st.may.UnionWith(c.fill)
+	if c.unknown {
+		st.unknown = true
 	}
 }

@@ -132,11 +132,11 @@ func AnalyzeWith(p *ir.Program, ccfg cache.Config, opt check.Options, xopt Optio
 // the step budget ran out.
 func analyze(p *ir.Program, ccfg cache.Config, opt check.Options, xopt Options,
 	fixpoint func(*focus) []check.Verdict) (*Report, error) {
-	pre, err := check.AnalyzeCache(p, ccfg, opt)
+	sm, err := check.NewSiteModel(p, ccfg, opt)
 	if err != nil {
 		return nil, err
 	}
-	sm, err := check.NewSiteModel(p, ccfg, opt)
+	pre, err := sm.AnalyzeCache()
 	if err != nil {
 		return nil, err
 	}

@@ -1,0 +1,5 @@
+//go:build !race
+
+package regalloc
+
+const raceEnabled = false

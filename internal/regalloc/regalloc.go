@@ -12,8 +12,10 @@
 package regalloc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/cfg"
 	"repro/internal/dataflow"
@@ -70,6 +72,10 @@ type Allocation struct {
 
 const maxRounds = 40
 
+// maxColor bounds the physical register numbers a Target may name: select
+// keeps the colors of a node's neighbours in one 64-bit mask.
+const maxColor = 64
+
 // Allocate colors f's virtual registers. The function is modified in place
 // when spill code is required. Call dataflow.SplitWebs(f) first for
 // value-grained live ranges.
@@ -77,16 +83,35 @@ func Allocate(f *ir.Func, tgt Target, strat Strategy) (*Allocation, error) {
 	if tgt.Colors() == 0 {
 		return nil, fmt.Errorf("regalloc: empty register palette")
 	}
-	res := &Allocation{F: f, Strategy: strat, PhysOf: make(map[ir.Reg]int)}
+	if strat != Chaitin && strat != UsageCount {
+		return nil, fmt.Errorf("regalloc: unknown strategy %d", int(strat))
+	}
+	for _, regs := range [2][]int{tgt.CallerSaved, tgt.CalleeSaved} {
+		for _, c := range regs {
+			if c < 0 || c >= maxColor {
+				return nil, fmt.Errorf("regalloc: register %d outside [0, %d)", c, maxColor)
+			}
+		}
+	}
+	res := &Allocation{F: f, Strategy: strat}
+	// Spill code rewrites instructions, never blocks or edges, so the loop
+	// depths hold for every round; liveness does not and is rebuilt.
+	depth := cfg.LoopDepth(f)
 	for round := 0; ; round++ {
 		if round >= maxRounds {
 			return nil, fmt.Errorf("regalloc: %s did not converge after %d rounds", f.Name, maxRounds)
 		}
 		res.Iterations = round + 1
-		g := buildGraph(f)
-		spilled := color(g, tgt, strat, res)
+		g := buildGraph(f, depth)
+		colorOf, spilled := color(g, tgt, strat)
 		if len(spilled) == 0 {
-			res.UsedCalleeSaved = usedCalleeSaved(res, tgt)
+			res.PhysOf = make(map[ir.Reg]int, len(g.nodes))
+			var used uint64
+			for i, r := range g.nodes {
+				res.PhysOf[r] = colorOf[i]
+				used |= 1 << colorOf[i]
+			}
+			res.UsedCalleeSaved = usedCalleeSaved(used, tgt)
 			return res, nil
 		}
 		res.SpilledWebs += len(spilled)
@@ -96,45 +121,49 @@ func Allocate(f *ir.Func, tgt Target, strat Strategy) (*Allocation, error) {
 
 // ---- interference graph ----
 
+// graph is the interference graph of one round. Nodes are numbered in
+// discovery order, which breaks simplify's ties; node i's neighbours are
+// adjList[adjOff[i]:adjOff[i+1]], without duplicates and in no set order
+// (simplify and select do not depend on it).
 type graph struct {
-	f          *ir.Func
-	nodes      []ir.Reg       // live virtual registers
-	index      map[ir.Reg]int // reg -> node index
-	adj        []map[int]bool // adjacency sets
-	degree     []int
+	nodes      []ir.Reg  // live virtual registers
+	adjOff     []int32   // CSR offsets, len(nodes)+1
+	adjList    []int32   // CSR neighbour lists
 	cost       []float64 // spill cost (10^loopdepth per reference)
 	acrossCall []bool    // must take a callee-saved color
 	noSpill    []bool    // spill temporaries must not re-spill
-	moves      [][2]int  // copy-related pairs (for diagnostics)
 }
 
-func buildGraph(f *ir.Func) *graph {
-	lv := dataflow.ComputeLiveness(f)
-	depth := cfg.LoopDepth(f)
-	g := &graph{f: f, index: make(map[ir.Reg]int)}
+// adj returns node i's neighbours.
+func (g *graph) adj(i int) []int32 { return g.adjList[g.adjOff[i]:g.adjOff[i+1]] }
 
-	touch := func(r ir.Reg) int {
-		if i, ok := g.index[r]; ok {
+func buildGraph(f *ir.Func, depth []int) *graph {
+	lv := dataflow.ComputeLiveness(f)
+	g := &graph{}
+	index := make([]int32, f.NReg) // reg -> node, -1 when not a node
+	for r := range index {
+		index[r] = -1
+	}
+
+	touch := func(r ir.Reg) int32 {
+		if i := index[r]; i >= 0 {
 			return i
 		}
-		i := len(g.nodes)
-		g.index[r] = i
+		i := int32(len(g.nodes))
+		index[r] = i
 		g.nodes = append(g.nodes, r)
-		g.adj = append(g.adj, make(map[int]bool))
-		g.degree = append(g.degree, 0)
 		g.cost = append(g.cost, 0)
 		g.acrossCall = append(g.acrossCall, false)
 		g.noSpill = append(g.noSpill, false)
 		return i
 	}
-	addEdge := func(a, b int) {
-		if a == b || g.adj[a][b] {
-			return
+	// Edges are collected as pairs, duplicates included; link dedups them
+	// once every node is known.
+	var edges []int32
+	addEdge := func(a, b int32) {
+		if a != b {
+			edges = append(edges, a, b)
 		}
-		g.adj[a][b] = true
-		g.adj[b][a] = true
-		g.degree[a]++
-		g.degree[b]++
 	}
 
 	// Ensure parameters are nodes even if unused; parameters spilled to a
@@ -182,9 +211,6 @@ func buildGraph(f *ir.Func) *graph {
 					}
 					addEdge(di, touch(r))
 				})
-				if copySrc != ir.NoReg {
-					g.moves = append(g.moves, [2]int{di, touch(copySrc)})
-				}
 			}
 			scratch = in.AppendUses(scratch[:0])
 			for _, u := range scratch {
@@ -208,7 +234,51 @@ func buildGraph(f *ir.Func) *graph {
 	// Parameters arrive in caller-saved argument registers but are moved
 	// into their colors at entry, so they do not need callee-saved colors
 	// unless live across a call, which the walk above already detected.
+	g.link(edges)
 	return g
+}
+
+// link lays the collected edge pairs out as CSR adjacency in O(n + pairs)
+// time and memory: a counting sort puts each pair's two entries in their
+// rows, then each row drops its repeats in place.
+func (g *graph) link(edges []int32) {
+	n := len(g.nodes)
+	off := make([]int32, n+1)
+	for _, a := range edges {
+		off[a+1]++
+	}
+	for i := range n {
+		off[i+1] += off[i]
+	}
+	list := make([]int32, len(edges))
+	next := slices.Clone(off[:n])
+	for k := 0; k < len(edges); k += 2 {
+		a, b := edges[k], edges[k+1]
+		list[next[a]] = b
+		next[a]++
+		list[next[b]] = a
+		next[b]++
+	}
+	// last[nb] == i once row i holds nb. Rows shrink toward the front, so
+	// the write cursor never passes the entries still to be read.
+	last := next
+	for i := range last {
+		last[i] = -1
+	}
+	w := int32(0)
+	for i := range n {
+		start, end := off[i], off[i+1]
+		off[i] = w
+		for _, nb := range list[start:end] {
+			if last[nb] != int32(i) {
+				last[nb] = int32(i)
+				list[w] = nb
+				w++
+			}
+		}
+	}
+	off[n] = w
+	g.adjOff, g.adjList = off, list[:w]
 }
 
 // paletteSize returns how many colors node i may take.
@@ -219,41 +289,36 @@ func (g *graph) paletteSize(i int, tgt Target) int {
 	return tgt.Colors()
 }
 
-// palette lists the allowed colors for node i, cheapest first: caller-saved
-// before callee-saved for values not live across calls, so leaf paths avoid
-// prologue save/restore traffic.
-func (g *graph) palette(i int, tgt Target) []int {
-	if g.acrossCall[i] {
-		return tgt.CalleeSaved
-	}
-	out := make([]int, 0, tgt.Colors())
-	out = append(out, tgt.CallerSaved...)
-	out = append(out, tgt.CalleeSaved...)
-	return out
-}
-
 // ---- coloring ----
 
-// color assigns PhysOf for all nodes or returns the webs to spill.
-func color(g *graph, tgt Target, strat Strategy, res *Allocation) []ir.Reg {
+// color returns every node's color, or the webs to spill in select order.
+func color(g *graph, tgt Target, strat Strategy) (colorOf []int, spilled []ir.Reg) {
 	n := len(g.nodes)
 	if n == 0 {
-		return nil
+		return nil, nil
 	}
 	order := make([]int, 0, n)
 
 	switch strat {
 	case Chaitin:
 		removed := make([]bool, n)
-		degree := append([]int(nil), g.degree...)
-		var stack []int
-		left := n
-		for left > 0 {
-			// Simplify: remove any node with degree < palette size.
+		degree := make([]int, n)
+		// Bit i of eligible is set while node i is not removed and has
+		// degree < palette size; no word below lo has a set bit.
+		eligible := make([]uint64, (n+63)/64)
+		lo := 0
+		for i := range degree {
+			degree[i] = int(g.adjOff[i+1] - g.adjOff[i])
+			if degree[i] < g.paletteSize(i, tgt) {
+				eligible[i/64] |= 1 << (i % 64)
+			}
+		}
+		for range n {
+			// Simplify: remove the lowest-index eligible node.
 			found := -1
-			for i := 0; i < n; i++ {
-				if !removed[i] && degree[i] < g.paletteSize(i, tgt) {
-					found = i
+			for ; lo < len(eligible); lo++ {
+				if x := eligible[lo]; x != 0 {
+					found = lo*64 + bits.TrailingZeros64(x)
 					break
 				}
 			}
@@ -283,80 +348,98 @@ func color(g *graph, tgt Target, strat Strategy, res *Allocation) []ir.Reg {
 				found = best
 			}
 			removed[found] = true
-			left--
-			stack = append(stack, found)
-			for nb := range g.adj[found] {
-				if !removed[nb] {
-					degree[nb]--
+			eligible[found/64] &^= 1 << (found % 64)
+			order = append(order, found)
+			for _, nb := range g.adj(found) {
+				if removed[nb] {
+					continue
+				}
+				degree[nb]--
+				if degree[nb] < g.paletteSize(int(nb), tgt) {
+					eligible[nb/64] |= 1 << (nb % 64)
+					lo = min(lo, int(nb)/64)
 				}
 			}
 		}
 		// Select order: reverse of removal.
-		for i := len(stack) - 1; i >= 0; i-- {
-			order = append(order, stack[i])
-		}
+		slices.Reverse(order)
 	case UsageCount:
 		for i := 0; i < n; i++ {
 			order = append(order, i)
 		}
-		sort.SliceStable(order, func(a, b int) bool {
-			ia, ib := order[a], order[b]
+		slices.SortStableFunc(order, func(a, b int) int {
 			// Spill temporaries first: they are mandatory short ranges.
-			if g.noSpill[ia] != g.noSpill[ib] {
-				return g.noSpill[ia]
+			if g.noSpill[a] != g.noSpill[b] {
+				if g.noSpill[a] {
+					return -1
+				}
+				return 1
 			}
-			return g.cost[ia] > g.cost[ib]
+			return cmp.Compare(g.cost[b], g.cost[a])
 		})
 	}
 
-	colorOf := make([]int, n)
+	colorOf = make([]int, n)
 	for i := range colorOf {
 		colorOf[i] = -1
 	}
-	var spilled []ir.Reg
+	nspill := 0
 	for _, i := range order {
-		used := make(map[int]bool)
-		for nb := range g.adj[i] {
+		var used uint64
+		for _, nb := range g.adj(i) {
 			if c := colorOf[nb]; c >= 0 {
-				used[c] = true
+				used |= 1 << c
 			}
 		}
-		got := -1
-		for _, c := range g.palette(i, tgt) {
-			if !used[c] {
-				got = c
-				break
-			}
+		// Cheapest first: caller-saved before callee-saved for values not
+		// live across calls, so leaf paths avoid prologue save/restore
+		// traffic; values live across a call take callee-saved only.
+		c := -1
+		if !g.acrossCall[i] {
+			c = firstFree(tgt.CallerSaved, used)
 		}
-		if got == -1 {
+		if c == -1 {
+			c = firstFree(tgt.CalleeSaved, used)
+		}
+		if c == -1 {
+			nspill++
+		}
+		colorOf[i] = c
+	}
+	if nspill == 0 {
+		return colorOf, nil
+	}
+	spilled = make([]ir.Reg, 0, nspill)
+	for _, i := range order {
+		if colorOf[i] == -1 {
 			spilled = append(spilled, g.nodes[i])
-			continue
 		}
-		colorOf[i] = got
 	}
-	if len(spilled) > 0 {
-		return spilled
-	}
-	for i, r := range g.nodes {
-		res.PhysOf[r] = colorOf[i]
-	}
-	return nil
+	return nil, spilled
 }
 
-func usedCalleeSaved(res *Allocation, tgt Target) []int {
-	calleeSet := make(map[int]bool, len(tgt.CalleeSaved))
-	for _, c := range tgt.CalleeSaved {
-		calleeSet[c] = true
-	}
-	seen := make(map[int]bool)
-	var out []int
-	for _, c := range res.PhysOf {
-		if calleeSet[c] && !seen[c] {
-			seen[c] = true
-			out = append(out, c)
+// firstFree returns the first register of regs whose bit in used is clear,
+// or -1.
+func firstFree(regs []int, used uint64) int {
+	for _, c := range regs {
+		if used&(1<<c) == 0 {
+			return c
 		}
 	}
-	sort.Ints(out)
+	return -1
+}
+
+// usedCalleeSaved lists, ascending, the callee-saved registers among the
+// colors whose bits are set in used.
+func usedCalleeSaved(used uint64, tgt Target) []int {
+	var callee uint64
+	for _, c := range tgt.CalleeSaved {
+		callee |= 1 << c
+	}
+	var out []int
+	for m := used & callee; m != 0; m &= m - 1 {
+		out = append(out, bits.TrailingZeros64(m))
+	}
 	return out
 }
 
@@ -367,7 +450,12 @@ func usedCalleeSaved(res *Allocation, tgt Target) []int {
 // use. The MemRefs are RefSpill; bypass/last bits are assigned later by the
 // unified-management pass.
 func insertSpillCode(f *ir.Func, spills []ir.Reg) {
-	slotOf := make(map[ir.Reg]int, len(spills))
+	// slotOf covers the registers that exist now; the temporaries made
+	// below are never spilled in this round.
+	slotOf := make([]int, f.NReg)
+	for r := range slotOf {
+		slotOf[r] = -1
+	}
 	for _, r := range spills {
 		slotOf[r] = f.SpillSlots
 		f.SpillSlots++
@@ -378,7 +466,7 @@ func insertSpillCode(f *ir.Func, spills []ir.Reg) {
 	// parameter register itself disappears from the body (all its uses
 	// become reloads) and needs no color.
 	for i, p := range f.Params {
-		if slot, ok := slotOf[p]; ok {
+		if slot := slotOf[p]; slot >= 0 {
 			if f.ParamSpillSlot == nil {
 				f.ParamSpillSlot = make(map[int]int)
 			}
@@ -387,6 +475,15 @@ func insertSpillCode(f *ir.Func, spills []ir.Reg) {
 	}
 
 	var scratch []ir.Reg
+	var reloaded [][2]ir.Reg // one instruction's (spilled use, temporary) pairs
+	reload := func(r ir.Reg) ir.Reg {
+		for _, p := range reloaded {
+			if p[0] == r {
+				return p[1]
+			}
+		}
+		return r
+	}
 	for _, b := range f.Blocks {
 		var out []ir.Instr
 		for i := range b.Instrs {
@@ -394,17 +491,14 @@ func insertSpillCode(f *ir.Func, spills []ir.Reg) {
 
 			// Reload each spilled use into its own temporary.
 			scratch = in.AppendUses(scratch[:0])
-			reloaded := make(map[ir.Reg]ir.Reg)
+			reloaded = reloaded[:0]
 			for _, u := range scratch {
-				slot, ok := slotOf[u]
-				if !ok {
-					continue
-				}
-				if _, done := reloaded[u]; done {
+				slot := slotOf[u]
+				if slot < 0 || reload(u) != u {
 					continue
 				}
 				tmp := f.NewReg()
-				reloaded[u] = tmp
+				reloaded = append(reloaded, [2]ir.Reg{u, tmp})
 				out = append(out, ir.Instr{
 					Op: ir.OpLoad, Dst: tmp, A: ir.NoReg,
 					Ref: &ir.MemRef{Kind: ir.RefSpill, Slot: slot, AliasSet: -1},
@@ -412,17 +506,12 @@ func insertSpillCode(f *ir.Func, spills []ir.Reg) {
 				})
 			}
 			if len(reloaded) > 0 {
-				in.MapUses(func(r ir.Reg) ir.Reg {
-					if t, ok := reloaded[r]; ok {
-						return t
-					}
-					return r
-				})
+				in.MapUses(reload)
 			}
 
 			// Redirect a spilled def into a temporary and store it.
 			if d := in.Def(); d != ir.NoReg {
-				if slot, ok := slotOf[d]; ok {
+				if slot := slotOf[d]; slot >= 0 {
 					tmp := f.NewReg()
 					in.Dst = tmp
 					out = append(out, in)

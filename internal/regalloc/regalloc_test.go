@@ -1,14 +1,23 @@
 package regalloc
 
 import (
+	"fmt"
+	"maps"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/ast"
+	"repro/internal/bench"
+	"repro/internal/cfg"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/irgen"
 	"repro/internal/irinterp"
 	"repro/internal/parser"
 	"repro/internal/progen"
+	"repro/internal/refint"
 	"repro/internal/sem"
 )
 
@@ -25,7 +34,21 @@ var tinyTarget = Target{
 	CalleeSaved: []int{16},
 }
 
-func build(t *testing.T, src string) *ir.Program {
+// e8Targets are the palettes of the register-pressure experiment (E8):
+// 4, 8 and 16 registers, half caller-saved, half callee-saved. The last
+// one is testTarget.
+var e8Targets = []Target{
+	{CallerSaved: []int{8, 9}, CalleeSaved: []int{16, 17}},
+	{CallerSaved: []int{8, 9, 10, 11}, CalleeSaved: []int{16, 17, 18, 19}},
+	testTarget,
+}
+
+func build(t testing.TB, src string) *ir.Program {
+	t.Helper()
+	return buildWith(t, src, irgen.Options{})
+}
+
+func buildWith(t testing.TB, src string, opt irgen.Options) *ir.Program {
 	t.Helper()
 	f, err := parser.Parse(src)
 	if err != nil {
@@ -35,7 +58,7 @@ func build(t *testing.T, src string) *ir.Program {
 	if err != nil {
 		t.Fatalf("check: %v", err)
 	}
-	prog, err := irgen.Build(info)
+	prog, err := irgen.BuildWithOptions(info, opt)
 	if err != nil {
 		t.Fatalf("irgen: %v", err)
 	}
@@ -63,7 +86,7 @@ func allocAll(t *testing.T, prog *ir.Program, tgt Target, strat Strategy) map[st
 // assignment is a proper coloring with palette constraints respected.
 func checkValidColoring(t *testing.T, f *ir.Func, a *Allocation, tgt Target) {
 	t.Helper()
-	g := buildGraph(f)
+	g := buildGraph(f, cfg.LoopDepth(f))
 	calleeSet := map[int]bool{}
 	for _, c := range tgt.CalleeSaved {
 		calleeSet[c] = true
@@ -73,7 +96,7 @@ func checkValidColoring(t *testing.T, f *ir.Func, a *Allocation, tgt Target) {
 		if !ok {
 			t.Fatalf("%s: register %s not colored", f.Name, r)
 		}
-		for nb := range g.adj[i] {
+		for _, nb := range g.adj(i) {
 			nr := g.nodes[nb]
 			if nc, ok := a.PhysOf[nr]; ok && nc == c {
 				t.Errorf("%s: interfering %s and %s share color %d", f.Name, r, nr, c)
@@ -301,6 +324,236 @@ func TestRandomProgramsColorValidly(t *testing.T) {
 							seed, strat, tgt.Colors(), f.Name, err)
 					}
 					checkValidColoring(t, f, a, tgt)
+				}
+			}
+		}
+	}
+}
+
+func TestTargetRegisterOutOfRangeRejected(t *testing.T) {
+	prog := build(t, `void main() { print(1); }`)
+	f := prog.Lookup("main")
+	for _, tgt := range []Target{
+		{CallerSaved: []int{8, 64}, CalleeSaved: []int{16}},
+		{CallerSaved: []int{8}, CalleeSaved: []int{-1}},
+	} {
+		if _, err := Allocate(f, tgt, Chaitin); err == nil {
+			t.Errorf("expected error for palette %v", tgt)
+		}
+	}
+	if _, err := Allocate(f, Target{CallerSaved: []int{0, 63}}, Chaitin); err != nil {
+		t.Errorf("registers 0 and 63 rejected: %v", err)
+	}
+}
+
+func TestUnknownStrategyRejected(t *testing.T) {
+	prog := build(t, `void main() { print(1); }`)
+	if _, err := Allocate(prog.Lookup("main"), testTarget, Strategy(2)); err == nil {
+		t.Error("expected error for an unknown strategy")
+	}
+}
+
+// allocationDiff reports how two allocations of the same function differ,
+// if they do: in the coloring, the spill and round counts, the callee-saved
+// set, the spill slots or the rewritten IR.
+func allocationDiff(f, g *ir.Func, a, b *Allocation, errA, errB error) string {
+	switch {
+	case errA != nil || errB != nil:
+		if fmt.Sprint(errA) != fmt.Sprint(errB) {
+			return fmt.Sprintf("error %v, oracle %v", errA, errB)
+		}
+	case !maps.Equal(a.PhysOf, b.PhysOf):
+		return fmt.Sprintf("colors %v, oracle %v", a.PhysOf, b.PhysOf)
+	case a.SpilledWebs != b.SpilledWebs || a.Iterations != b.Iterations:
+		return fmt.Sprintf("%d spills in %d rounds, oracle %d in %d",
+			a.SpilledWebs, a.Iterations, b.SpilledWebs, b.Iterations)
+	case !slices.Equal(a.UsedCalleeSaved, b.UsedCalleeSaved):
+		return fmt.Sprintf("callee-saved %v, oracle %v", a.UsedCalleeSaved, b.UsedCalleeSaved)
+	case f.SpillSlots != g.SpillSlots || !maps.Equal(f.ParamSpillSlot, g.ParamSpillSlot):
+		return fmt.Sprintf("slots %d %v, oracle %d %v", f.SpillSlots, f.ParamSpillSlot, g.SpillSlots, g.ParamSpillSlot)
+	case a.SpilledWebs > 0:
+		// Without spills neither allocator rewrites the IR.
+		if fs, gs := f.String(), g.String(); fs != gs {
+			return fmt.Sprintf("IR\n%s\noracle IR\n%s", fs, gs)
+		}
+	}
+	return ""
+}
+
+// TestAllocateMatchesMapOracle requires the dense allocator to make the
+// same decisions as the map-based one it replaced (allocateOracle): the
+// same colors, spills, rounds, callee-saved set and rewritten IR, for both
+// strategies, stack scalars on and off, and the palettes of testTarget,
+// tinyTarget and E8. Programs are the six benchmarks and the generated
+// ScaleKnobs(1) programs of seeds 1..24 (1..6 under -short or the race
+// detector).
+func TestAllocateMatchesMapOracle(t *testing.T) {
+	n := 24
+	if testing.Short() || raceEnabled {
+		n = 6
+	}
+	type program struct{ name, src string }
+	var progs []program
+	for _, b := range bench.All() {
+		progs = append(progs, program{b.Name, b.Source})
+	}
+	for seed := int64(1); seed <= int64(n); seed++ {
+		progs = append(progs, program{fmt.Sprintf("progen-%d", seed), progen.Source(seed, progen.ScaleKnobs(1))})
+	}
+	targets := append([]Target{tinyTarget}, e8Targets...)
+	for _, p := range progs {
+		t.Run(p.name, func(t *testing.T) {
+			t.Parallel()
+			for _, stack := range []bool{false, true} {
+				prog := buildWith(t, p.src, irgen.Options{StackScalars: stack})
+				for _, in := range prog.Funcs {
+					dataflow.SplitWebs(in)
+					for _, strat := range []Strategy{Chaitin, UsageCount} {
+						for _, tgt := range targets {
+							f, g := cloneFunc(in), cloneFunc(in)
+							a, errA := Allocate(f, tgt, strat)
+							b, errB := allocateOracle(g, tgt, strat)
+							if diff := allocationDiff(f, g, a, b, errA, errB); diff != "" {
+								t.Fatalf("stack scalars %v, %s, %d registers, %s: %s",
+									stack, strat, tgt.Colors(), f.Name, diff)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// cloneFunc copies f's blocks, instructions and references, so that two
+// allocators can rewrite the same input independently.
+func cloneFunc(f *ir.Func) *ir.Func {
+	c := *f
+	c.Params = slices.Clone(f.Params)
+	c.ParamSpillSlot = maps.Clone(f.ParamSpillSlot)
+	c.Blocks = make([]*ir.Block, len(f.Blocks))
+	to := make(map[*ir.Block]*ir.Block, len(f.Blocks))
+	for i, b := range f.Blocks {
+		c.Blocks[i] = &ir.Block{ID: b.ID, Instrs: slices.Clone(b.Instrs)}
+		to[b] = c.Blocks[i]
+	}
+	remap := func(bs []*ir.Block) []*ir.Block {
+		out := make([]*ir.Block, len(bs))
+		for i, b := range bs {
+			out[i] = to[b]
+		}
+		return out
+	}
+	for i, b := range f.Blocks {
+		nb := c.Blocks[i]
+		nb.Preds, nb.Succs = remap(b.Preds), remap(b.Succs)
+		for k := range nb.Instrs {
+			in := &nb.Instrs[k]
+			in.Then, in.Else = to[in.Then], to[in.Else]
+			if in.Ref != nil {
+				ref := *in.Ref
+				in.Ref = &ref
+			}
+		}
+	}
+	return &c
+}
+
+// TestBuildGraphBytesLinear requires buildGraph to allocate in proportion
+// to the webs and edges, not to their square. A straight-line main of
+// short-lived values has thousands of webs and a sparse graph; a structure
+// of n² bits over its nodes would cost n²/8 bytes.
+func TestBuildGraphBytesLinear(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("void main() {\n\tint x;\n\tx = 0;\n")
+	for range 4000 {
+		src.WriteString("\tx = x + 1;\n")
+	}
+	src.WriteString("\tprint(x);\n}\n")
+	f := build(t, src.String()).Lookup("main")
+	dataflow.SplitWebs(f)
+	depth := cfg.LoopDepth(f)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g := buildGraph(f, depth)
+	runtime.ReadMemStats(&after)
+	n, e := len(g.nodes), len(g.adjList)/2
+	if n < 4000 || e > 4*n {
+		t.Fatalf("want at least 4000 webs and a sparse graph, got %d webs and %d edges", n, e)
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d webs, %d edges, %d bytes", n, e, bytes)
+	if limit := uint64(128 * (f.NReg + n + e)); bytes > limit {
+		t.Errorf("buildGraph allocated %d bytes on %d webs and %d edges, want at most %d",
+			bytes, n, e, limit)
+	}
+}
+
+// TestColorAllocsIndependentOfSize requires color to allocate a fixed
+// number of slices per call, whatever the node count: no map and no
+// palette per node.
+func TestColorAllocsIndependentOfSize(t *testing.T) {
+	// The first generated function with 40 to 200 webs, then the first
+	// with at least twice its webs; both color without spilling.
+	var graphs []*graph
+	for seed := int64(1); seed < 200 && len(graphs) < 2; seed++ {
+		prog := build(t, progen.Source(seed, progen.ScaleKnobs(1)))
+		for _, f := range prog.Funcs {
+			dataflow.SplitWebs(f)
+			g := buildGraph(f, cfg.LoopDepth(f))
+			n := len(g.nodes)
+			fits := n >= 40 && n <= 200
+			if len(graphs) == 1 {
+				fits = n >= 2*len(graphs[0].nodes)
+			}
+			if _, spilled := color(g, testTarget, Chaitin); fits && len(graphs) < 2 && spilled == nil {
+				graphs = append(graphs, g)
+			}
+		}
+	}
+	if len(graphs) < 2 {
+		t.Fatal("no pair of generated functions with 40 to 200 and twice as many webs")
+	}
+	for _, strat := range []Strategy{Chaitin, UsageCount} {
+		var allocs [2]float64
+		for k, g := range graphs {
+			allocs[k] = testing.AllocsPerRun(10, func() { color(g, testTarget, strat) })
+		}
+		if allocs[0] != allocs[1] || allocs[1] > 5 {
+			t.Errorf("%s: color allocates %v times on %d webs and %v on %d, want the same count, at most 5",
+				strat, allocs[0], len(graphs[0].nodes), allocs[1], len(graphs[1].nodes))
+		}
+	}
+}
+
+// BenchmarkAllocateProgen splits webs and allocates registers in every
+// function of BenchmarkExactProgen's 12 generated programs (ScaleKnobs(1),
+// the first seeds the reference interpreter runs), with stack scalars as
+// that benchmark compiles them.
+func BenchmarkAllocateProgen(b *testing.B) {
+	var srcs []string
+	for seed := int64(1); len(srcs) < 12; seed++ {
+		file := progen.Generate(seed, progen.ScaleKnobs(1))
+		if _, err := refint.Run(file, refint.Config{}); err != nil {
+			continue
+		}
+		srcs = append(srcs, ast.Print(file))
+	}
+	opt := irgen.Options{StackScalars: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		progs := make([]*ir.Program, len(srcs))
+		for k, src := range srcs {
+			progs[k] = buildWith(b, src, opt)
+		}
+		b.StartTimer()
+		for _, prog := range progs {
+			for _, f := range prog.Funcs {
+				dataflow.SplitWebs(f)
+				if _, err := Allocate(f, testTarget, Chaitin); err != nil {
+					b.Fatal(err)
 				}
 			}
 		}

@@ -43,8 +43,9 @@ rm -f /tmp/unilint-ci /tmp/lint-ci.json
 echo "== go test -race =="
 go test -race ./...
 
-echo "== bench-smoke (webs pass, prefilter and exact analysis micro-benchmarks compile and run) =="
+echo "== bench-smoke (webs pass, register allocator, prefilter and exact analysis micro-benchmarks compile and run) =="
 go test -run '^$' -bench SplitWebs -benchtime 1x ./internal/dataflow
+go test -run '^$' -bench AllocateProgen -benchtime 1x ./internal/regalloc
 go test -run '^$' -bench AnalyzeCacheProgen -benchtime 1x ./internal/check
 go test -run '^$' -bench ExactProgen -benchtime 1x ./internal/exact
 

@@ -12,6 +12,35 @@ type BitSet []uint64
 // NewBitSet returns a set capable of holding n bits.
 func NewBitSet(n int) BitSet { return make(BitSet, (n+63)/64) }
 
+// slab carves equal-sized bit sets out of one allocation, for the
+// per-block sets of a dataflow problem.
+type slab struct {
+	words []uint64
+	w     int // words per set
+}
+
+// newSlab holds n sets of nbits bits each.
+func newSlab(n, nbits int) *slab {
+	w := (nbits + 63) / 64
+	return &slab{words: make([]uint64, n*w), w: w}
+}
+
+// next returns the slab's next empty set.
+func (s *slab) next() BitSet {
+	b := BitSet(s.words[:s.w:s.w])
+	s.words = s.words[s.w:]
+	return b
+}
+
+// sets returns the slab's next n sets.
+func (s *slab) sets(n int) []BitSet {
+	out := make([]BitSet, n)
+	for i := range out {
+		out[i] = s.next()
+	}
+	return out
+}
+
 // Set adds bit i.
 func (s BitSet) Set(i int) { s[i/64] |= 1 << uint(i%64) }
 

@@ -45,7 +45,7 @@ func chainsOracle(rd *ReachingDefs) *Chains {
 				}
 			}
 			if d := in.Def(); d != ir.NoReg {
-				id := rd.SiteAt[[2]int{b.ID, i}]
+				id := rd.Site(b, i)
 				cur[d] = cur[d][:0]
 				cur[d] = append(cur[d], id)
 			}

@@ -10,6 +10,8 @@ type Liveness struct {
 	F   *ir.Func
 	In  []BitSet // indexed by block ID
 	Out []BitSet
+
+	walk BitSet // WalkBackward's live set, reused across calls
 }
 
 // ComputeLiveness solves backward liveness over the function's virtual
@@ -17,15 +19,13 @@ type Liveness struct {
 func ComputeLiveness(f *ir.Func) *Liveness {
 	n := f.NReg
 	nb := len(f.Blocks)
-	lv := &Liveness{F: f, In: make([]BitSet, nb), Out: make([]BitSet, nb)}
-	use := make([]BitSet, nb)
-	def := make([]BitSet, nb)
+	slab := newSlab(4*nb+2, n)
+	lv := &Liveness{F: f, In: slab.sets(nb), Out: slab.sets(nb)}
+	use, def := slab.sets(nb), slab.sets(nb)
+	newIn := slab.next()
+	lv.walk = slab.next()
+	var scratch []ir.Reg
 	for _, b := range f.Blocks {
-		lv.In[b.ID] = NewBitSet(n)
-		lv.Out[b.ID] = NewBitSet(n)
-		use[b.ID] = NewBitSet(n)
-		def[b.ID] = NewBitSet(n)
-		var scratch []ir.Reg
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			scratch = in.AppendUses(scratch[:0])
@@ -52,11 +52,11 @@ func ComputeLiveness(f *ir.Func) *Liveness {
 					changed = true
 				}
 			}
-			newIn := out.Copy()
+			copy(newIn, out)
 			newIn.DiffWith(def[b.ID])
 			newIn.UnionWith(use[b.ID])
 			if !newIn.Equal(lv.In[b.ID]) {
-				lv.In[b.ID] = newIn
+				copy(lv.In[b.ID], newIn)
 				changed = true
 			}
 		}
@@ -66,9 +66,11 @@ func ComputeLiveness(f *ir.Func) *Liveness {
 
 // WalkBackward visits the instructions of block b from last to first,
 // passing the set of registers live *after* each instruction. The callback
-// may inspect but must not retain liveAfter; it is reused across calls.
+// may inspect but must not retain liveAfter; it is reused across calls, so
+// the callback must not start another walk of the same Liveness either.
 func (lv *Liveness) WalkBackward(b *ir.Block, visit func(i int, in *ir.Instr, liveAfter BitSet)) {
-	live := lv.Out[b.ID].Copy()
+	live := lv.walk
+	copy(live, lv.Out[b.ID])
 	var scratch []ir.Reg
 	for i := len(b.Instrs) - 1; i >= 0; i-- {
 		in := &b.Instrs[i]

@@ -16,13 +16,21 @@ type DefSite struct {
 
 // ReachingDefs is the solved forward reaching-definitions problem.
 type ReachingDefs struct {
-	F      *ir.Func
-	Sites  []DefSite
-	SiteAt map[[2]int]int // (blockID, instrIndex) -> site id
-	DefsOf [][]int        // register -> site ids defining it
-	In     []BitSet       // per block
+	F     *ir.Func
+	Sites []DefSite
+	// SiteAt is positional: the instruction at index i of block b sits at
+	// Start[b.ID]+i, and SiteAt holds its def site id, -1 if it defines
+	// nothing. Site looks one up.
+	Start  []int
+	SiteAt []int
+	DefsOf [][]int  // register -> site ids defining it
+	In     []BitSet // per block
 	Out    []BitSet
 }
+
+// Site returns the def site id of instruction i of block b, -1 if it
+// defines nothing.
+func (rd *ReachingDefs) Site(b *ir.Block, i int) int { return rd.SiteAt[rd.Start[b.ID]+i] }
 
 // ComputeReachingDefs numbers every definition site and solves the forward
 // union problem. Registers that are live into the entry block (parameters
@@ -31,15 +39,21 @@ type ReachingDefs struct {
 func ComputeReachingDefs(f *ir.Func, lv *Liveness) *ReachingDefs {
 	rd := &ReachingDefs{
 		F:      f,
-		SiteAt: make(map[[2]int]int),
+		Start:  make([]int, len(f.Blocks)),
 		DefsOf: make([][]int, f.NReg),
 	}
+	n := 0
+	for _, b := range f.Blocks {
+		rd.Start[b.ID] = n
+		n += len(b.Instrs)
+	}
+	rd.SiteAt = make([]int, n)
 	addSite := func(b *ir.Block, idx int, r ir.Reg) int {
 		id := len(rd.Sites)
 		rd.Sites = append(rd.Sites, DefSite{Block: b, Index: idx, Reg: r})
 		rd.DefsOf[r] = append(rd.DefsOf[r], id)
 		if idx >= 0 {
-			rd.SiteAt[[2]int{b.ID, idx}] = id
+			rd.SiteAt[rd.Start[b.ID]+idx] = id
 		}
 		return id
 	}
@@ -53,22 +67,17 @@ func ComputeReachingDefs(f *ir.Func, lv *Liveness) *ReachingDefs {
 		for i := range b.Instrs {
 			if d := b.Instrs[i].Def(); d != ir.NoReg {
 				addSite(b, i, d)
+			} else {
+				rd.SiteAt[rd.Start[b.ID]+i] = -1
 			}
 		}
 	}
 
 	ns := len(rd.Sites)
 	nb := len(f.Blocks)
-	gen := make([]BitSet, nb)
-	kill := make([]BitSet, nb)
-	rd.In = make([]BitSet, nb)
-	rd.Out = make([]BitSet, nb)
-	for _, b := range f.Blocks {
-		gen[b.ID] = NewBitSet(ns)
-		kill[b.ID] = NewBitSet(ns)
-		rd.In[b.ID] = NewBitSet(ns)
-		rd.Out[b.ID] = NewBitSet(ns)
-	}
+	slab := newSlab(4*nb+2, ns)
+	gen, kill := slab.sets(nb), slab.sets(nb)
+	rd.In, rd.Out = slab.sets(nb), slab.sets(nb)
 
 	// Per-block gen/kill: a def of r kills all other defs of r.
 	for _, b := range f.Blocks {
@@ -77,7 +86,7 @@ func ComputeReachingDefs(f *ir.Func, lv *Liveness) *ReachingDefs {
 			if d == ir.NoReg {
 				continue
 			}
-			id := rd.SiteAt[[2]int{b.ID, i}]
+			id := rd.Site(b, i)
 			for _, other := range rd.DefsOf[d] {
 				gen[b.ID].Clear(other)
 				kill[b.ID].Set(other)
@@ -88,7 +97,7 @@ func ComputeReachingDefs(f *ir.Func, lv *Liveness) *ReachingDefs {
 	}
 	// Entry pseudo-defs are generated at the top of the entry block; real
 	// defs in the entry block kill them through the normal kill sets.
-	entryGen := NewBitSet(ns)
+	entryGen, out := slab.next(), slab.next()
 	for _, id := range entrySites {
 		entryGen.Set(id)
 	}
@@ -104,11 +113,11 @@ func ComputeReachingDefs(f *ir.Func, lv *Liveness) *ReachingDefs {
 			for _, p := range b.Preds {
 				in.UnionWith(rd.Out[p.ID])
 			}
-			out := in.Copy()
+			copy(out, in)
 			out.DiffWith(kill[b.ID])
 			out.UnionWith(gen[b.ID])
 			if !out.Equal(rd.Out[b.ID]) {
-				rd.Out[b.ID] = out
+				copy(rd.Out[b.ID], out)
 				changed = true
 			}
 		}
@@ -168,7 +177,7 @@ func ComputeChains(rd *ReachingDefs) *Chains {
 				}
 			}
 			if d := in.Def(); d != ir.NoReg {
-				local[d] = rd.SiteAt[[2]int{b.ID, i}]
+				local[d] = rd.Site(b, i)
 			}
 		}
 	}

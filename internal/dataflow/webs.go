@@ -85,8 +85,8 @@ func SplitWebs(f *ir.Func) int {
 			if in.Def() == ir.NoReg {
 				continue
 			}
-			site, ok := rd.SiteAt[[2]int{b.ID, i}]
-			if !ok {
+			site := rd.Site(b, i)
+			if site < 0 {
 				continue
 			}
 			in.Dst = regOfSite(site)

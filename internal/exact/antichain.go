@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/check"
+	"repro/internal/ir"
 )
 
 // This file is the exact solver: the focused state domain and transfer
@@ -233,6 +234,51 @@ func (fo *focus) stepChain(pos int, cur *achain) {
 	}
 }
 
+// stepBlock transfers the chain at *cur through block b, sampling the
+// verdict at each of the group's sites into out when out is non-nil.
+//
+// Top is absorbing everywhere but at the focus key's own accesses: with a
+// top input, caseOther, the call transfers and argState all return top, an
+// access that only may be the focus adds caseOther's top, and retiring the
+// focus register sets top. So while the chain is top the step jumps to the
+// block's next focus-key access and charges the skipped positions in one
+// go: a width-1 chain per position that has a transfer, the steps and peak
+// width the per-instruction loop records. The group's sampled sites are
+// focus-key accesses, so no jump passes one.
+func (fo *focus) stepBlock(b *ir.Block, cur *achain, out []check.Verdict) {
+	c := fo.ctx
+	p, end := c.start[b.ID], c.start[b.ID]+len(b.Instrs)
+	for p < end {
+		if cur.top {
+			q := fo.nextAccess(p, end)
+			if n := int(c.active[q] - c.active[p]); n > 0 {
+				fo.stats.charge(n)
+				fo.stats.width(1)
+			}
+			if p = q; p == end {
+				return
+			}
+		}
+		if out != nil {
+			if j := fo.sampled(p); j >= 0 {
+				out[j] = fo.verdictChain(*cur)
+			}
+		}
+		fo.stepChain(p, cur)
+		p++
+	}
+}
+
+// nextAccess returns the first position in [p, end) that accesses the
+// focus key, or end when there is none.
+func (fo *focus) nextAccess(p, end int) int {
+	i, _ := slices.BinarySearch(fo.keyPos, int32(p))
+	if i < len(fo.keyPos) && int(fo.keyPos[i]) < end {
+		return int(fo.keyPos[i])
+	}
+	return end
+}
+
 // addTransfer folds into out every state s maps to through op (nothing
 // once out is top).
 func (fo *focus) addTransfer(out *achain, op instrOp, s state) {
@@ -269,10 +315,7 @@ func (fo *focus) solveAntichain() []check.Verdict {
 				continue
 			}
 			cur.copyFrom(&in[b.ID])
-			p := c.start[b.ID]
-			for i := range b.Instrs {
-				fo.stepChain(p+i, cur)
-			}
+			fo.stepBlock(b, cur, nil)
 			if fo.stats.exhausted {
 				return nil
 			}
@@ -315,13 +358,7 @@ func (fo *focus) solveAntichain() []check.Verdict {
 			continue
 		}
 		cur.copyFrom(&in[b.ID])
-		p := c.start[b.ID]
-		for i := range b.Instrs {
-			if j := fo.sampled(p + i); j >= 0 {
-				out[j] = fo.verdictChain(*cur)
-			}
-			fo.stepChain(p+i, cur)
-		}
+		fo.stepBlock(b, cur, out)
 		if fo.stats.exhausted {
 			return nil
 		}

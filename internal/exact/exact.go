@@ -63,13 +63,15 @@ func (d DecidedBy) String() string {
 	return "bypass"
 }
 
-// SiteVerdict is the final classification of one reference site.
+// SiteVerdict is the final classification of one reference site. It keeps
+// the instruction and its block key rather than their renderings; Render
+// formats them.
 type SiteVerdict struct {
 	Func    string
 	Block   int
 	Index   int // instruction index within the block
-	Key     string
-	Text    string // instruction rendering
+	Key     check.SiteKey
+	Instr   *ir.Instr
 	Verdict check.Verdict
 	By      DecidedBy
 }
@@ -211,8 +213,8 @@ func analyze(p *ir.Program, ccfg cache.Config, opt check.Options, xopt Options,
 				Func:    f.Name,
 				Block:   st.block,
 				Index:   st.index,
-				Key:     st.info.Key.String(),
-				Text:    in.String(),
+				Key:     st.info.Key,
+				Instr:   in,
 				Verdict: v,
 				By:      by,
 			})
@@ -353,13 +355,14 @@ type focus struct {
 	// (retire) ends.
 	pseudo bool
 	retire ir.Reg
-	group  []int // the group's site indices, sampled in this order
+	group  []int   // the group's site indices, sampled in this order
+	keyPos []int32 // the focus key's access positions, ascending
 	stats  *runStats
 }
 
-// newFocus relates every site and call summary of the function to the
-// group's focused block. It reuses the fnCtx's buffers, so at most one
-// focus of a function is live at a time.
+// newFocus relates every call summary of the function to the group's
+// focused block; sites are related on first use (rel). It reuses the
+// fnCtx's buffers, so at most one focus of a function is live at a time.
 func newFocus(ctx *fnCtx, group []int, stats *runStats) *focus {
 	site := &ctx.sites[group[0]]
 	fo := &focus{
@@ -372,14 +375,13 @@ func newFocus(ctx *fnCtx, group []int, stats *runStats) *focus {
 		pseudo:    site.info.Key.Pseudo(),
 		retire:    site.info.Key.PseudoReg(),
 		group:     group,
+		keyPos:    ctx.keyPos[ctx.keyOff[site.key]:ctx.keyOff[site.key+1]],
 		stats:     stats,
 	}
 	// A cold entry only stays cold at the machine level when lines are one
 	// word: wider lines let prologue traffic fetch neighbors of the focus.
 	fo.cold = ctx.sm.ColdEntry(ctx.f) && fo.lineExact
-	for i := range ctx.sites {
-		ctx.rels[i] = fo.relate(&ctx.sites[i])
-	}
+	ctx.epoch++
 	for i, sum := range ctx.sums {
 		ctx.calls[i] = fo.relateCall(sum)
 	}
@@ -398,6 +400,18 @@ func (fo *focus) sampled(pos int) int {
 		return -1
 	}
 	return st.slot - 1
+}
+
+// rel returns site i's relation to the focused block, relating it on the
+// focus's first use. A focus usually reaches few of its function's sites:
+// the solver skips top stretches without transferring them.
+func (fo *focus) rel(i int32) *accessRel {
+	c := fo.ctx
+	if c.relAt[i] != c.epoch {
+		c.rels[i] = fo.relate(&c.sites[i])
+		c.relAt[i] = c.epoch
+	}
+	return &c.rels[i]
 }
 
 func (fo *focus) relate(st *siteRef) accessRel {
@@ -467,7 +481,7 @@ func (fo *focus) normalize(s state) state {
 func (fo *focus) transfer(dst []state, op instrOp, s state) []state {
 	switch op.kind {
 	case opAccess:
-		return fo.transferAccess(dst, &fo.ctx.rels[op.arg], s)
+		return fo.transferAccess(dst, fo.rel(op.arg), s)
 	case opSummary:
 		return append(dst, fo.callSummaryState(&fo.ctx.calls[op.arg], s))
 	case opClobber:

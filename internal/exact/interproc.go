@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/cache"
@@ -24,7 +25,10 @@ import (
 //     index when that is below dataflow.WordBits;
 //   - may-target sets as bitsets over key indices, one per distinct access
 //     signature, so mayBe is two bit tests;
-//   - the reverse postorder and its index.
+//   - the reverse postorder and its index;
+//   - the sparse-stepping tables: active[p] counts the positions before p
+//     that have a transfer, and keyPos[keyOff[k]:keyOff[k+1]] lists the
+//     access positions of key index k in ascending order.
 //
 // It also owns the per-focus buffers (access and call relations, the
 // transfer scratch and the solver's chains), which every focus group of
@@ -52,8 +56,16 @@ type fnCtx struct {
 	rpo    []*ir.Block
 	rpoIdx []int
 
+	active []int32 // len(ops)+1 prefix counts of non-opNone positions
+	keyOff []int32 // per key index, its span of keyPos
+	keyPos []int32 // access positions grouped by key index
+
 	// Per-focus buffers, reused across the function's focus groups.
+	// rels[i] belongs to the current focus only when relAt[i] == epoch;
+	// each focus takes a fresh epoch and relates sites on first use.
 	rels  []accessRel
+	relAt []uint32
+	epoch uint32
 	calls []callRel
 	buf   []state // transfer output scratch
 	cur   achain  // the chain being stepped through a block
@@ -178,6 +190,30 @@ func newFnCtx(sm *check.SiteModel, f *ir.Func, ccfg cache.Config) *fnCtx {
 		c.sites[i].key = c.index(c.sites[i].info.Key)
 	}
 
+	// Sparse-stepping tables. Sites are in program order, so each key's
+	// positions come out ascending.
+	c.active = make([]int32, n+1)
+	for p, op := range c.ops {
+		c.active[p+1] = c.active[p]
+		if op.kind != opNone {
+			c.active[p+1]++
+		}
+	}
+	c.keyOff = make([]int32, len(c.keyIdx)+1)
+	for i := range c.sites {
+		c.keyOff[c.sites[i].key+1]++
+	}
+	for k := range len(c.keyIdx) {
+		c.keyOff[k+1] += c.keyOff[k]
+	}
+	next := slices.Clone(c.keyOff)
+	c.keyPos = make([]int32, len(c.sites))
+	for i := range c.sites {
+		s := &c.sites[i]
+		c.keyPos[next[s.key]] = int32(c.start[s.block] + s.index)
+		next[s.key]++
+	}
+
 	// May-target bitsets, one per access signature: two sites with the
 	// same (key, uncertainty, alias set) have the same target set.
 	c.words = (len(c.keyIdx) + 63) / 64
@@ -194,6 +230,7 @@ func newFnCtx(sm *check.SiteModel, f *ir.Func, ccfg cache.Config) *fnCtx {
 	}
 
 	c.rels = make([]accessRel, len(c.sites))
+	c.relAt = make([]uint32, len(c.sites))
 	c.calls = make([]callRel, len(c.sums))
 	c.in = make([]achain, len(f.Blocks))
 	c.seen = make([]bool, len(f.Blocks))

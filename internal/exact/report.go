@@ -40,7 +40,7 @@ func (r *Report) Render() string {
 		if s.By == ByIrreducible {
 			verdict = "unknown*" // not decided by the refinement (see ByIrreducible)
 		}
-		fmt.Fprintf(&sb, "  b%d i%d %-11s %s (%s)\n", s.Block, s.Index, verdict, s.Text, s.Key)
+		fmt.Fprintf(&sb, "  b%d i%d %-11s %s (%s)\n", s.Block, s.Index, verdict, s.Instr, s.Key)
 	}
 	return sb.String()
 }

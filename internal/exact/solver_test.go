@@ -2,6 +2,7 @@ package exact_test
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bench"
@@ -9,20 +10,24 @@ import (
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/exact"
+	"repro/internal/ir"
 	"repro/internal/progen"
 )
 
 // siteDiff compares the antichain report a with the power-set report p
 // of the same program site by site and describes the first divergence (""
 // when they agree). The solvers must agree exactly: same sites, same
-// verdicts, same deciding pass.
+// verdicts, same deciding pass. The reports may come from separate
+// compilations of one source, so sites are identified by their rendered
+// key and instruction.
 func siteDiff(a, p *exact.Report) string {
 	if len(a.Sites) != len(p.Sites) {
 		return fmt.Sprintf("%d vs %d sites", len(a.Sites), len(p.Sites))
 	}
 	for i := range a.Sites {
 		sa, sp := a.Sites[i], p.Sites[i]
-		if sa.Func != sp.Func || sa.Block != sp.Block || sa.Index != sp.Index || sa.Key != sp.Key {
+		if sa.Func != sp.Func || sa.Block != sp.Block || sa.Index != sp.Index ||
+			sa.Key.String() != sp.Key.String() || sa.Instr.String() != sp.Instr.String() {
 			return fmt.Sprintf("site %d identity: %s b%d i%d (%s) vs %s b%d i%d (%s)",
 				i, sa.Func, sa.Block, sa.Index, sa.Key, sp.Func, sp.Block, sp.Index, sp.Key)
 		}
@@ -32,6 +37,99 @@ func siteDiff(a, p *exact.Report) string {
 		}
 	}
 	return ""
+}
+
+// reportDiff compares the sparse report s with the dense reference d of
+// the same program and budget: the solver instrumentation, the summary
+// counts and every site must match ("" when they do).
+func reportDiff(s, d *exact.Report) string {
+	if s.Steps != d.Steps || s.PeakWidth != d.PeakWidth || s.Exhausted != d.Exhausted {
+		return fmt.Sprintf("steps/width/exhausted %d/%d/%v vs %d/%d/%v",
+			s.Steps, s.PeakWidth, s.Exhausted, d.Steps, d.PeakWidth, d.Exhausted)
+	}
+	if s.Summary() != d.Summary() {
+		return fmt.Sprintf("summary %q vs %q", s.Summary(), d.Summary())
+	}
+	return siteDiff(s, d)
+}
+
+// TestSparseMatchesDense pins the sparse antichain solver to the dense
+// reference, which steps every instruction and relates every site up
+// front: on the benchmarks and generated programs, in both modes, under
+// LRU, FIFO and a direct-mapped cache, with and without interprocedural
+// summaries, unbudgeted and under budgets that run out partway (a third
+// of the unbudgeted steps, and a small prime), the two reports must be
+// identical, steps, peak width and exhaustion included. Unified programs
+// keep scalars on the stack as progen-analyze compiles them;
+// conventional ones keep them in registers, which bounds the dense
+// solver's cost (stack scalars there take several times the steps, and the
+// generated-window differential covers them).
+func TestSparseMatchesDense(t *testing.T) {
+	type program struct{ name, src string }
+	var progs []program
+	for _, b := range bench.All() {
+		progs = append(progs, program{b.Name, b.Source})
+	}
+	seeds := int64(24)
+	if testing.Short() || raceEnabled {
+		seeds = 6
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		progs = append(progs, program{fmt.Sprintf("gen-%03d", seed), progen.Source(seed, progen.ScaleKnobs(1))})
+	}
+	var exhausted, refined atomic.Int64
+	t.Run("programs", func(t *testing.T) {
+		for _, pg := range progs {
+			t.Run(pg.name, func(t *testing.T) {
+				t.Parallel()
+				for _, mode := range []core.Mode{core.Unified, core.Conventional} {
+					comp, err := core.Compile(pg.src, core.Config{Mode: mode, StackScalars: mode == core.Unified})
+					if err != nil {
+						t.Fatalf("%s: %v", mode, err)
+					}
+					lru := modeConfig(mode)
+					fifo, direct := lru, lru
+					fifo.Policy = cache.FIFO
+					direct.Ways = 1
+					for _, cc := range []struct {
+						name string
+						cfg  cache.Config
+					}{{"lru", lru}, {"fifo", fifo}, {"direct", direct}} {
+						for _, interproc := range []bool{false, true} {
+							label := fmt.Sprintf("%s/%s interproc=%v", mode, cc.name, interproc)
+							opt := checkOptions(comp, mode, interproc)
+							run := func(solve func(*ir.Program, cache.Config, check.Options, exact.Options) (*exact.Report, error), budget int64) *exact.Report {
+								t.Helper()
+								rep, err := solve(comp.Prog, cc.cfg, opt, exact.Options{StepBudget: budget})
+								if err != nil {
+									t.Fatalf("%s budget=%d: %v", label, budget, err)
+								}
+								return rep
+							}
+							full := run(exact.AnalyzeDense, 0)
+							for _, budget := range []int64{0, full.Steps / 3, 97} {
+								d := full
+								if budget != 0 {
+									d = run(exact.AnalyzeDense, budget)
+								}
+								if diff := reportDiff(run(exact.AnalyzeWith, budget), d); diff != "" {
+									t.Errorf("%s budget=%d: sparse and dense diverge: %s", label, budget, diff)
+								}
+								if d.Exhausted {
+									exhausted.Add(1)
+								}
+								refined.Add(int64(d.ExactHit + d.ExactMiss))
+							}
+						}
+					}
+				}
+			})
+		}
+	})
+	if exhausted.Load() == 0 || refined.Load() == 0 {
+		t.Errorf("%d exhausted runs, %d exact verdicts: the differential compares nothing",
+			exhausted.Load(), refined.Load())
+	}
 }
 
 // bothSolvers classifies comp under the antichain solver and the power-set

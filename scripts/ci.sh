@@ -107,12 +107,17 @@ echo "== exact-smoke (refinement + static-vs-dynamic oracle) =="
 # The refinement must run clean over the examples and the benchmark
 # suite, the precision table must stay byte-identical to the checked-in
 # golden, and the oracle must confirm every verdict on the two smallest
-# benchmarks by replaying them on the production VM.
+# benchmarks by replaying them on the production VM. E12 is regenerated
+# too and must match BENCH_exact.json byte for byte: its records pin the
+# solver's step counts, peak widths and budget-exhaustion points.
 go run ./cmd/unicheck -exact examples/mc/*.mc
 go run ./cmd/unicheck -exact
 go run ./cmd/unibench -experiment precision > /tmp/precision-ci.txt
 diff -u BENCH_precision.txt /tmp/precision-ci.txt
 rm -f /tmp/precision-ci.txt
+go run ./cmd/unibench -experiment scaling -scaling-out /tmp/exact-ci.json >/dev/null
+cmp BENCH_exact.json /tmp/exact-ci.json
+rm -f /tmp/exact-ci.json
 go run ./cmd/unicheck -oracle -bench queen,sieve
 
 echo "== exact-scale-smoke (antichain vs power-set reference, generated programs) =="

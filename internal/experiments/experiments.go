@@ -85,9 +85,9 @@ type replayEntry struct {
 }
 
 // replayBatchStats replays the workload's trace under each configuration,
-// memoized per configuration: misses are replayed in one shared decoding pass
-// (replay.ReplayBatch), which is where experiments that sweep many cache
-// shapes spend most of their decode time.
+// memoized per configuration: misses are replayed in one replay.ReplayBatch
+// call, whose shared decoding pass is where experiments that sweep many
+// cache shapes save most of their decode time.
 func (w *Workload) replayBatchStats(cfgs []cache.Config) ([]cache.Stats, error) {
 	out := make([]cache.Stats, len(cfgs))
 	var miss []cache.Config

@@ -399,15 +399,13 @@ const never32 = int32(1<<31 - 1)
 // the per-record next-use index array MIN replay requires. This is the one
 // replay mode that inherently costs O(refs) memory — 4 bytes per
 // reference, a sixth of a materialized trace.Trace — because Belady
-// victims need per-line future knowledge, not just finality.
-func (e *Encoded) nextUses(lineWords int64) ([]int32, bool) {
-	if e.n >= int(never32) {
-		return nil, false
-	}
+// victims need per-line future knowledge, not just finality. The caller
+// has checked that every index fits below never32 (checkConfig).
+func (e *Encoded) nextUses(lineWords int64) []int32 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.nextUseArr != nil && e.nextUseLW == lineWords {
-		return e.nextUseArr, true
+		return e.nextUseArr
 	}
 	arr := make([]int32, e.n)
 	lastSeen := make(map[int64]int32)
@@ -426,5 +424,5 @@ func (e *Encoded) nextUses(lineWords int64) ([]int32, bool) {
 	}
 	e.nextUseLW = lineWords
 	e.nextUseArr = arr
-	return arr, true
+	return arr
 }

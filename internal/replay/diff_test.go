@@ -21,12 +21,14 @@ import (
 )
 
 // diffGeometries is the sweep each program goes through: the paper's
-// 2-way LRU shape with the full unified feature set, a FIFO variant, and
-// a direct-mapped cache with multi-word lines (exercising the word-offset
-// and demote-not-discard paths).
+// 2-way LRU shape with the full unified feature set, a 2-way Random
+// shape with demotion and two-word lines (the two-way kernel's other
+// paths), a FIFO variant, and a direct-mapped cache with multi-word
+// lines (exercising the word-offset and demote-not-discard paths).
 func diffGeometries() []cache.Config {
 	return []cache.Config{
 		{Sets: 32, Ways: 2, LineWords: 1, Policy: cache.LRU, Dead: cache.DeadInvalidate, HonorBypass: true, Seed: 1},
+		{Sets: 32, Ways: 2, LineWords: 2, Policy: cache.Random, Dead: cache.DeadDemote, HonorBypass: true, Seed: 1},
 		{Sets: 16, Ways: 4, LineWords: 1, Policy: cache.FIFO, Dead: cache.DeadOff, HonorBypass: true, Seed: 1},
 		{Sets: 64, Ways: 1, LineWords: 4, Policy: cache.LRU, Dead: cache.DeadDemote, HonorBypass: false, Seed: 1},
 	}

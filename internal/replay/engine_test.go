@@ -1,16 +1,18 @@
 package replay
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/trace"
 )
 
-// geometries is the cross-section of configs the synthetic differential
+// testConfigs is the cross-section of configs the synthetic differential
 // sweeps: every policy, every dead mode, bypass on/off, small and large
 // associativity (the latter exercises the hash tag index), direct-mapped
-// and fully-associative shapes, multi-word lines.
+// and fully-associative shapes, multi-word lines. The 2-way shapes run
+// on the two-way kernel wherever Replay uses one worker.
 func testConfigs() []cache.Config {
 	var out []cache.Config
 	base := []cache.Config{
@@ -20,6 +22,8 @@ func testConfigs() []cache.Config {
 		{Sets: 8, Ways: 2, LineWords: 4},
 		{Sets: 1, Ways: 64, LineWords: 1}, // fully associative, hash index
 		{Sets: 2, Ways: 16, LineWords: 2}, // hash index, sharded sets
+		{Sets: 4, Ways: 8, LineWords: 1},  // widest way scan (directLookupMaxWays)
+		{Sets: 8, Ways: 3, LineWords: 2},  // not a power of two: Random's % ways, the invalid-way mask
 	}
 	for _, g := range base {
 		for _, pol := range []cache.Policy{cache.LRU, cache.FIFO, cache.Random, cache.MIN} {
@@ -221,26 +225,54 @@ func TestReplayRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// TestReplayZeroAllocs is the satellite guard: the replay core must not
-// allocate per reference — decode, lookup, victim selection, and stats
-// all run on preallocated state. It covers both the scan path and the
-// hash-index path.
+// TestReplayZeroAllocs guards the per-reference cost: the engine's
+// replay loop allocates nothing at all, and the entry points allocate
+// per call only (the engine or the two-way kernel's set array, the
+// result slices), never per reference — the count is the same at 20k
+// and at 200k references. It covers the scan path, the hash-index path
+// and the kernel.
 func TestReplayZeroAllocs(t *testing.T) {
-	tr := randomTrace(13, 20000)
-	enc := EncodeTrace(tr)
-	for _, cfg := range []cache.Config{
-		{Sets: 32, Ways: 2, LineWords: 1, Policy: cache.LRU, Dead: cache.DeadInvalidate, HonorBypass: true, Seed: 1},
-		{Sets: 1, Ways: 64, LineWords: 1, Policy: cache.LRU, Seed: 1}, // tagIndex path
+	small := EncodeTrace(randomTrace(13, 20_000))
+	large := EncodeTrace(randomTrace(14, 200_000))
+	cfgs := []cache.Config{
+		{Sets: 32, Ways: 2, LineWords: 1, Policy: cache.LRU, Dead: cache.DeadInvalidate, HonorBypass: true, Seed: 1}, // kernel
+		{Sets: 8, Ways: 2, LineWords: 4, Policy: cache.Random, Dead: cache.DeadDemote, Seed: 1},                      // kernel
+		{Sets: 1, Ways: 64, LineWords: 1, Policy: cache.LRU, Seed: 1},                                                // tagIndex path
 		{Sets: 16, Ways: 4, LineWords: 1, Policy: cache.Random, Seed: 1},
-	} {
-		eng := newEngine(cfg, 0, cfg.Sets)
-		allocs := testing.AllocsPerRun(3, func() {
-			eng.run(enc)
-		})
-		if allocs != 0 {
-			t.Fatalf("cfg %+v: %v allocs per replay of %d refs, want 0", cfg, allocs, enc.Len())
+	}
+	perCall := func(name string, call func(enc *Encoded) error) {
+		t.Helper()
+		var allocs [2]float64
+		for k, enc := range []*Encoded{small, large} {
+			allocs[k] = testing.AllocsPerRun(1, func() {
+				if err := call(enc); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if allocs[0] != allocs[1] {
+			t.Errorf("%s: %v allocs per call at %d refs, %v at %d refs",
+				name, allocs[0], small.Len(), allocs[1], large.Len())
 		}
 	}
+	for _, cfg := range cfgs {
+		eng := newEngine(cfg, 0, cfg.Sets)
+		if allocs := testing.AllocsPerRun(3, func() { eng.run(small) }); allocs != 0 {
+			t.Fatalf("cfg %+v: %v allocs per engine run of %d refs, want 0", cfg, allocs, small.Len())
+		}
+		perCall(fmt.Sprintf("Replay %+v", cfg), func(enc *Encoded) error {
+			_, err := Replay(enc, cfg, 1)
+			return err
+		})
+		perCall(fmt.Sprintf("ReplayBatch %+v", cfg), func(enc *Encoded) error {
+			_, err := ReplayBatch(enc, []cache.Config{cfg})
+			return err
+		})
+	}
+	perCall("ReplayBatch of every cfg", func(enc *Encoded) error {
+		_, err := ReplayBatch(enc, cfgs)
+		return err
+	})
 }
 
 func BenchmarkReplay(b *testing.B) {

@@ -25,30 +25,35 @@ type TraceStats struct {
 	Samples int
 }
 
-// newReplayEngine is the one engine constructor behind every entry
-// point. It validates cfg — MIN is legal here (replay has future
-// knowledge), everything else defers to the cache package's rules — and
-// builds an engine over the set shard [lo, hi) with MIN's next-use array
-// wired in and, when measure is set, the occupancy machinery.
-func newReplayEngine(enc *Encoded, cfg cache.Config, lo, hi int, measure bool) (*engine, error) {
+// checkConfig is the one validation behind every entry point. MIN is
+// legal here (replay has future knowledge); everything else defers to
+// the cache package's rules. Measuring and MIN store record indexes as
+// int32, which bounds the trace length they accept.
+func checkConfig(enc *Encoded, cfg cache.Config, measure bool) error {
 	probe := cfg
 	if probe.Policy == cache.MIN {
 		probe.Policy = cache.LRU
 	}
 	if err := probe.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if measure && enc.Len() >= int(never32) {
-		// Final-reference indexes are stored as int32.
-		return nil, fmt.Errorf("replay: trace too long to measure (%d refs)", enc.Len())
+		return fmt.Errorf("replay: trace too long to measure (%d refs)", enc.Len())
 	}
+	if cfg.Policy == cache.MIN && enc.Len() >= int(never32) {
+		return fmt.Errorf("replay: trace too long for MIN (%d refs)", enc.Len())
+	}
+	return nil
+}
+
+// newReplayEngine is the one engine constructor behind every entry
+// point. It builds an engine for a checked cfg over the set shard
+// [lo, hi) with MIN's next-use array wired in and, when measure is set,
+// the occupancy machinery.
+func newReplayEngine(enc *Encoded, cfg cache.Config, lo, hi int, measure bool) *engine {
 	eng := newEngine(cfg, lo, hi)
 	if cfg.Policy == cache.MIN {
-		nu, ok := enc.nextUses(int64(cfg.LineWords))
-		if !ok {
-			return nil, fmt.Errorf("replay: trace too long for MIN (%d refs)", enc.Len())
-		}
-		eng.nextUse = nu
+		eng.nextUse = enc.nextUses(int64(cfg.LineWords))
 		eng.nuse = make([]int32, cfg.Lines())
 	}
 	if measure {
@@ -58,7 +63,7 @@ func newReplayEngine(enc *Encoded, cfg cache.Config, lo, hi int, measure bool) (
 			eng.finalBit = enc.finalBits(int64(cfg.LineWords))
 		}
 	}
-	return eng, nil
+	return eng
 }
 
 // Replay replays an encoded trace against cfg and returns the traffic
@@ -77,22 +82,28 @@ func newReplayEngine(enc *Encoded, cfg cache.Config, lo, hi int, measure bool) (
 // is the one exception: it consumes a single PRNG stream in global miss
 // order, which sharding would reorder, so it always runs on one worker.
 // MIN shards fine — its future-knowledge array is read-only and shared.
+//
+// On one worker a 2-way cache under LRU, FIFO or Random (the paper's
+// geometry) is replayed by the two-way kernel (twoway.go) instead of the
+// engine; the statistics are the same.
 func Replay(enc *Encoded, cfg cache.Config, workers int) (cache.Stats, error) {
+	if err := checkConfig(enc, cfg, false); err != nil {
+		return cache.Stats{}, err
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.Policy == cache.Random {
 		workers = 1
 	}
-	workers = min(workers, max(cfg.Sets, 1))
+	workers = min(workers, cfg.Sets)
+	if workers == 1 && twoWay(cfg) {
+		return replay2(enc, cfg), nil
+	}
 
 	engs := make([]*engine, workers)
 	for k := range engs {
-		eng, err := newReplayEngine(enc, cfg, k*cfg.Sets/workers, (k+1)*cfg.Sets/workers, false)
-		if err != nil {
-			return cache.Stats{}, err
-		}
-		engs[k] = eng
+		engs[k] = newReplayEngine(enc, cfg, k*cfg.Sets/workers, (k+1)*cfg.Sets/workers, false)
 	}
 	if workers == 1 {
 		engs[0].run(enc)
@@ -141,10 +152,10 @@ func addStats(a *cache.Stats, b cache.Stats) {
 // future-knowledge occupancy metrics (DeadOccupancy, AvgResidentLines).
 // Sampling is over global reference counts, so Measure never shards.
 func Measure(enc *Encoded, cfg cache.Config) (TraceStats, error) {
-	eng, err := newReplayEngine(enc, cfg, 0, cfg.Sets, true)
-	if err != nil {
+	if err := checkConfig(enc, cfg, true); err != nil {
 		return TraceStats{}, err
 	}
+	eng := newReplayEngine(enc, cfg, 0, cfg.Sets, true)
 	eng.run(enc)
 	return measureResult(eng), nil
 }
@@ -160,21 +171,6 @@ func measureResult(eng *engine) TraceStats {
 	return st
 }
 
-// batchEngines builds one full-cache engine per configuration and steps
-// them all through a single decoding pass of enc.
-func batchEngines(enc *Encoded, cfgs []cache.Config, measure bool) ([]*engine, error) {
-	engs := make([]*engine, len(cfgs))
-	for i, cfg := range cfgs {
-		eng, err := newReplayEngine(enc, cfg, 0, cfg.Sets, measure)
-		if err != nil {
-			return nil, err
-		}
-		engs[i] = eng
-	}
-	runBatch(enc, engs)
-	return engs, nil
-}
-
 // MeasureBatch is Measure over several configurations of the same trace
 // in a single decoding pass. The engines are fully independent — each
 // keeps its own statistics, sampling accumulators, and PRNG — so every
@@ -183,10 +179,14 @@ func batchEngines(enc *Encoded, cfgs []cache.Config, measure bool) ([]*engine, e
 // the stream once per configuration, which dominates experiments like
 // E2/E3 that sweep many cache shapes over one workload.
 func MeasureBatch(enc *Encoded, cfgs []cache.Config) ([]TraceStats, error) {
-	engs, err := batchEngines(enc, cfgs, true)
-	if err != nil {
-		return nil, err
+	engs := make([]*engine, len(cfgs))
+	for i, cfg := range cfgs {
+		if err := checkConfig(enc, cfg, true); err != nil {
+			return nil, err
+		}
+		engs[i] = newReplayEngine(enc, cfg, 0, cfg.Sets, true)
 	}
+	runBatch(enc, engs)
 	out := make([]TraceStats, len(engs))
 	for i, eng := range engs {
 		out[i] = measureResult(eng)
@@ -194,18 +194,36 @@ func MeasureBatch(enc *Encoded, cfgs []cache.Config) ([]TraceStats, error) {
 	return out, nil
 }
 
-// ReplayBatch is Replay over several configurations of the same trace in
-// a single decoding pass on one goroutine (use Replay for set-sharded
-// parallel replay of a single configuration). Each element of the result
-// is bit-identical to Replay's for the corresponding configuration.
+// ReplayBatch is Replay over several configurations of the same trace
+// on one goroutine (use Replay for set-sharded parallel replay of a
+// single configuration). Configurations the two-way kernel takes are
+// replayed by it one at a time, since its whole per-reference cost,
+// decode included, is below the engine's step alone; the rest share a
+// single decoding pass through their engines. Each element of the
+// result, in input order, is bit-identical to Replay's for the
+// corresponding configuration.
 func ReplayBatch(enc *Encoded, cfgs []cache.Config) ([]cache.Stats, error) {
-	engs, err := batchEngines(enc, cfgs, false)
-	if err != nil {
-		return nil, err
+	for _, cfg := range cfgs {
+		if err := checkConfig(enc, cfg, false); err != nil {
+			return nil, err
+		}
 	}
-	out := make([]cache.Stats, len(engs))
-	for i, eng := range engs {
-		out[i] = eng.st
+	out := make([]cache.Stats, len(cfgs))
+	var engs []*engine
+	var at []int // out index of each engine
+	for i, cfg := range cfgs {
+		if twoWay(cfg) {
+			out[i] = replay2(enc, cfg)
+			continue
+		}
+		engs = append(engs, newReplayEngine(enc, cfg, 0, cfg.Sets, false))
+		at = append(at, i)
+	}
+	if len(engs) > 0 {
+		runBatch(enc, engs)
+	}
+	for k, eng := range engs {
+		out[at[k]] = eng.st
 	}
 	return out, nil
 }

@@ -43,11 +43,12 @@ rm -f /tmp/unilint-ci /tmp/lint-ci.json
 echo "== go test -race =="
 go test -race ./...
 
-echo "== bench-smoke (webs pass, register allocator, prefilter and exact analysis micro-benchmarks compile and run) =="
+echo "== bench-smoke (webs pass, register allocator, prefilter, exact analysis and replay micro-benchmarks compile and run) =="
 go test -run '^$' -bench SplitWebs -benchtime 1x ./internal/dataflow
 go test -run '^$' -bench AllocateProgen -benchtime 1x ./internal/regalloc
 go test -run '^$' -bench AnalyzeCacheProgen -benchtime 1x ./internal/check
 go test -run '^$' -bench ExactProgen -benchtime 1x ./internal/exact
+go test -run '^$' -bench Replay -benchtime 1x ./internal/replay
 
 echo "== unicheck (benchmark suite) =="
 go run ./cmd/unicheck
@@ -95,6 +96,7 @@ go test -run 'xxx^' -fuzz 'FuzzCacheModel$' -fuzztime 10s ./internal/cache
 go test -run 'xxx^' -fuzz 'FuzzExact$' -fuzztime 10s ./internal/exact
 go test -run 'xxx^' -fuzz 'FuzzDiff$' -fuzztime 10s ./internal/difftest
 go test -run 'xxx^' -fuzz 'FuzzTraceCodec$' -fuzztime 10s ./internal/replay
+go test -run 'xxx^' -fuzz 'FuzzReplayKernel$' -fuzztime 10s ./internal/replay
 
 echo "== diff-smoke (differential conformance, fixed seed window) =="
 # 200 generated programs through every compile config x cache geometry

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/cache"
-	"repro/internal/cfg"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/sem"
@@ -301,20 +300,29 @@ type access struct {
 	last      bool
 }
 
-// funcState carries the per-function universe of keys. A key's position
-// in allKeys is its dense index: the prefilter's states and op tables
-// speak in indices, and keyIdx maps back.
+// isSite reports whether in is a classified reference site.
+func isSite(in *ir.Instr) bool {
+	return in.Ref != nil && (in.Op == ir.OpLoad || in.Op == ir.OpStore)
+}
+
+// funcState carries the per-function universe of site keys: the named
+// blocks in discovery order, then the pseudo-blocks. A key's position in
+// allKeys is its keyIdx; the function's table (tab, built on first use)
+// numbers its keys the same way, with the summarized lines inserted
+// between the two groups (FuncTable.KeyIndex).
 type funcState struct {
 	a        *analyzer
 	f        *ir.Func
 	frameOff map[*sem.Object]int64
 	allKeys  []blockKey
 	keyIdx   map[blockKey]int
-	sets     []setClass         // per key index: the key's cache-set facts
+	named    int                // allKeys[:named] are the named blocks
+	sites    int                // number of reference sites
 	bySet    map[int][]blockKey // named keys by object alias set
 	// namedBy lists, per named key, the pseudo-blocks whose register may
 	// address that key's line (the converse of mayTargets).
 	namedBy map[blockKey][]blockKey
+	tab     *FuncTable
 }
 
 func (a *analyzer) newFuncState(f *ir.Func) *funcState {
@@ -331,10 +339,16 @@ func (a *analyzer) newFuncState(f *ir.Func) *funcState {
 		fs.frameOff[obj] = off
 		off += int64(obj.Type.Words())
 	}
+	npseudo := 0
 	add := func(k blockKey, set int) {
 		if _, ok := fs.keyIdx[k]; !ok {
-			fs.keyIdx[k] = len(fs.allKeys)
-			fs.allKeys = append(fs.allKeys, k)
+			if k.kind == kPseudo {
+				fs.keyIdx[k] = -1 // numbered after every named key below
+				npseudo++
+			} else {
+				fs.keyIdx[k] = len(fs.allKeys)
+				fs.allKeys = append(fs.allKeys, k)
+			}
 		}
 		if set >= 0 && (k.kind == kGlobal || k.kind == kFrame) {
 			for _, e := range fs.bySet[set] {
@@ -349,9 +363,10 @@ func (a *analyzer) newFuncState(f *ir.Func) *funcState {
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			if in.Ref == nil {
+			if !isSite(in) {
 				continue
 			}
+			fs.sites++
 			acc := fs.resolve(in)
 			if acc.key.kind == kPseudo {
 				pseudoAccs = append(pseudoAccs, acc)
@@ -359,9 +374,13 @@ func (a *analyzer) newFuncState(f *ir.Func) *funcState {
 			add(acc.key, acc.set)
 		}
 	}
-	fs.sets = make([]setClass, len(fs.allKeys))
-	for i, k := range fs.allKeys {
-		fs.sets[i] = fs.setClassOf(k)
+	fs.named = len(fs.allKeys)
+	fs.allKeys = slices.Grow(fs.allKeys, npseudo)
+	for _, acc := range pseudoAccs {
+		if fs.keyIdx[acc.key] < 0 {
+			fs.keyIdx[acc.key] = len(fs.allKeys)
+			fs.allKeys = append(fs.allKeys, acc.key)
+		}
 	}
 	// With wider lines every through access already reaches every block,
 	// so namedBy is needed for one-word lines only. A pseudo-block's
@@ -583,120 +602,75 @@ func (s *cacheState) join(t *cacheState) bool {
 	return changed
 }
 
-// ---- op table ----
+// ---- prefilter ----
 
-// Transfer kinds of an instruction position.
-const (
-	opNone    uint8 = iota // no cache effect
-	opAccess               // load/store site: arg indexes accs
-	opClobber              // call transferred as a blanket clobber
-	opSummary              // call transferred through a summary: arg indexes calls
-)
-
-// instrOp is the precomputed transfer of one instruction.
-type instrOp struct {
-	kind uint8
-	arg  int32
-	// retire is the key index of the pseudo-block the instruction's
-	// definition retires, -1 if none.
-	retire int32
-}
-
-// accessOp is one resolved reference site.
-type accessOp struct {
-	ref *ir.MemRef
-	key int32 // key index of the site's block
-	// fill indexes the prefilter's fills: the blocks a through access may
-	// bring into the cache. -1 for an access that bypasses the cache.
-	fill     int32
-	bypassed bool // skips the cache (bypass bit honored)
-	killMust bool // Last-tagged under residency-killing dead-marking
-	killMay  bool // Last-tagged under membership-killing dead-marking
-}
-
-// fillSig identifies the accesses that share a fill set: with wider lines
-// all of them, otherwise an uncertain access by its alias set and a
-// certain one by its block.
-type fillSig struct {
-	coarse, uncertain bool
-	n                 int // alias set (uncertain) or key index (certain)
-}
-
-// prefilter is one function's must/may fixed point in dense form: the
-// positional op table, built once per function, plus the per-block
-// in-states and the working state, allocated once and reused by every
-// pass.
+// prefilter is one function's must/may fixed point in dense form: it steps
+// through the function's table, and its per-block in-states and working
+// state are allocated once and reused by every pass.
 type prefilter struct {
-	fs      *funcState
-	start   []int     // start[b.ID]: position of b's first instruction
-	ops     []instrOp // per position
-	accs    []accessOp
-	calls   []callOp          // distinct non-clobber call summaries
-	fills   []dataflow.BitSet // shared access fill sets
-	clobber dataflow.BitSet   // what a blanket-clobber call may cache
-	rpo     []*ir.Block
-	in      []cacheState // per block ID
-	seen    []bool       // in[b.ID] is reached
+	fs    *funcState
+	tab   *FuncTable
+	calls []callOp // per table summary
+	// fills holds, per site, the blocks a through access may bring into
+	// the cache besides its own: its may-target set, or for a named block
+	// the pseudo-blocks whose register may address it. Nil for none.
+	fills   []dataflow.BitSet
+	clobber dataflow.BitSet // what a blanket-clobber call may cache
+	in      []cacheState    // per block ID
+	seen    []bool          // in[b.ID] is reached
 	cur     cacheState
 }
 
 func (a *analyzer) newPrefilter(f *ir.Func) *prefilter {
-	fs := a.funcState(f)
-	nkeys, nb := len(fs.allKeys), len(f.Blocks)
+	tab := a.table(f)
+	fs := tab.fs
+	nkeys, nb := len(tab.Keys), len(f.Blocks)
 	p := &prefilter{
 		fs:      fs,
-		start:   make([]int, nb),
+		tab:     tab,
+		calls:   make([]callOp, len(tab.Sums)),
+		fills:   make([]dataflow.BitSet, len(tab.Sites)),
 		clobber: dataflow.NewBitSet(nkeys),
-		rpo:     cfg.ReversePostorder(f),
 		in:      make([]cacheState, nb),
 		seen:    make([]bool, nb),
 		cur:     cacheState{must: make([]ageEntry, 0, nkeys), may: dataflow.NewBitSet(nkeys)},
 	}
-	n := 0
-	for _, b := range f.Blocks {
-		p.start[b.ID] = n
-		n += len(b.Instrs)
+	for i, s := range tab.Sums {
+		p.calls[i] = tab.callOp(s)
 	}
-	p.ops = make([]instrOp, n)
-	fillIdx := make(map[fillSig]int32)
-	callIdx := make(map[*CallSummary]int32)
-	for _, b := range f.Blocks {
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			op := &p.ops[p.start[b.ID]+i]
-			op.retire = -1
-			switch {
-			case in.Op == ir.OpCall:
-				op.kind = opClobber
-				if !a.opt.Interproc {
-					break
-				}
-				if s := a.callSummary(in.Callee); !s.Clobber {
-					j, ok := callIdx[s]
-					if !ok {
-						j = int32(len(p.calls))
-						callIdx[s] = j
-						p.calls = append(p.calls, fs.callOp(s))
-					}
-					op.kind, op.arg = opSummary, j
-				}
-			case in.Ref != nil && (in.Op == ir.OpLoad || in.Op == ir.OpStore):
-				op.kind, op.arg = opAccess, int32(len(p.accs))
-				p.accs = append(p.accs, p.accessOp(in, fillIdx))
-			}
-			if d := in.Def(); d != ir.NoReg {
-				if k, ok := fs.keyIdx[blockKey{kind: kPseudo, reg: d}]; ok {
-					op.retire = int32(k)
-				}
-			}
+	// A site's may-target set, when it has one, already holds every block
+	// it may name (uncertain sites and wider lines); namedBy is only ever
+	// non-empty for a certain site with one-word lines, which has none.
+	var namedFill map[int32]dataflow.BitSet
+	for i := range tab.Sites {
+		s := &tab.Sites[i]
+		if s.TSet >= 0 {
+			p.fills[i] = tab.tsets[s.TSet]
+			continue
 		}
+		by := fs.namedBy[tab.Keys[s.Key]]
+		if len(by) == 0 {
+			continue
+		}
+		bits, ok := namedFill[s.Key]
+		if !ok {
+			bits = dataflow.NewBitSet(nkeys)
+			for _, k := range by {
+				bits.Set(tab.KeyIndex(k))
+			}
+			if namedFill == nil {
+				namedFill = make(map[int32]dataflow.BitSet)
+			}
+			namedFill[s.Key] = bits
+		}
+		p.fills[i] = bits
 	}
 
 	// A blanket-clobbered callee may touch globals, anything reachable
 	// through a pointer (address-taken frame objects), and lines named by
 	// pseudo-blocks; with one-word lines it can never fetch this frame's
 	// compiler-private words.
-	for i, k := range fs.allKeys {
+	for i, k := range tab.Keys {
 		if a.cfg.LineWords != 1 || !k.Private() {
 			p.clobber.Set(i)
 		}
@@ -712,7 +686,7 @@ func (a *analyzer) newPrefilter(f *ir.Func) *prefilter {
 	}
 	entry := &p.in[f.Entry().ID]
 	if !a.coldEntry(f) {
-		for i := range fs.allKeys {
+		for i := range nkeys {
 			entry.may.Set(i)
 		}
 		entry.unknown = true
@@ -721,58 +695,17 @@ func (a *analyzer) newPrefilter(f *ir.Func) *prefilter {
 	return p
 }
 
-// accessOp resolves one reference site and finds (or builds) its shared
-// fill set.
-func (p *prefilter) accessOp(in *ir.Instr, fillIdx map[fillSig]int32) accessOp {
-	fs, a := p.fs, p.fs.a
-	acc := fs.resolve(in)
-	x := accessOp{
-		ref:      in.Ref,
-		key:      int32(fs.keyIdx[acc.key]),
-		fill:     -1,
-		bypassed: acc.bypass && a.cfg.HonorBypass,
-		killMust: acc.last && a.killsMust(),
-		killMay:  acc.last && a.killsMay(),
-	}
-	if x.bypassed {
-		return x
-	}
-	sig := fillSig{n: int(x.key)}
-	switch {
-	case a.cfg.LineWords != 1:
-		sig = fillSig{coarse: true}
-	case acc.uncertain:
-		sig = fillSig{uncertain: true, n: acc.set}
-	}
-	j, ok := fillIdx[sig]
-	if !ok {
-		// A named line coming in is also the line of every pseudo-block
-		// whose register may address it.
-		bits := dataflow.NewBitSet(len(fs.allKeys))
-		for _, t := range fs.mayTargets(acc) {
-			bits.Set(fs.keyIdx[t])
-		}
-		for _, t := range fs.namedBy[acc.key] {
-			bits.Set(fs.keyIdx[t])
-		}
-		j = int32(len(p.fills))
-		fillIdx[sig] = j
-		p.fills = append(p.fills, bits)
-	}
-	x.fill = j
-	return x
-}
-
 // ---- transfer ----
 
-// step applies one instruction's transfer to st.
-func (p *prefilter) step(op instrOp, st *cacheState) {
-	switch op.kind {
-	case opAccess:
-		p.access(&p.accs[op.arg], st)
-	case opSummary:
-		p.call(&p.calls[op.arg], st)
-	case opClobber:
+// step applies one position's transfer to st. An argument store touches
+// no block the prefilter tracks.
+func (p *prefilter) step(op InstrOp, st *cacheState) {
+	switch op.Kind {
+	case OpAccess:
+		p.access(op.Arg, st)
+	case OpSummary:
+		p.call(&p.calls[op.Arg], st)
+	case OpClobber:
 		st.must = st.must[:0]
 		st.may.UnionWith(p.clobber)
 		st.unknown = true
@@ -781,7 +714,7 @@ func (p *prefilter) step(op instrOp, st *cacheState) {
 	// Redefining a register retires its pseudo-block: the old line loses
 	// its name (but may still be cached), and the register's new value
 	// may address any line the cache could be holding.
-	if k := op.retire; k >= 0 {
+	if k := op.Retire; k >= 0 {
 		st.evict(k)
 		if st.may.Has(int(k)) {
 			st.unknown = true
@@ -794,23 +727,26 @@ func (p *prefilter) step(op instrOp, st *cacheState) {
 	}
 }
 
-func (p *prefilter) access(x *accessOp, st *cacheState) {
+// access applies site i's transfer to st.
+func (p *prefilter) access(i int32, st *cacheState) {
 	a := p.fs.a
-	k := x.key
+	s := &p.tab.Sites[i]
+	k := s.Key
+	through := !s.Bypass || !a.cfg.HonorBypass
 
 	// Must half: age conflicting blocks younger than the target, then
 	// refresh the target. A bypass reference allocates nothing, but a
 	// bypass hit refreshes the line, so aging applies either way.
 	if a.mustOK {
 		ageC := int32(a.cfg.Ways) // acts as infinity: stored ages are < Ways
-		i, resident := st.find(k)
+		j, resident := st.find(k)
 		if resident {
-			ageC = st.must[i].age
+			ageC = st.must[j].age
 		}
-		sk := p.fs.sets[k]
+		sk := p.tab.sets[k]
 		out := st.must[:0]
 		for _, e := range st.must {
-			if e.key != k && e.age < ageC && p.fs.sets[e.key].mayConflict(sk) {
+			if e.key != k && e.age < ageC && p.tab.sets[e.key].mayConflict(sk) {
 				if e.age+1 >= int32(a.cfg.Ways) {
 					continue // evicted
 				}
@@ -820,9 +756,9 @@ func (p *prefilter) access(x *accessOp, st *cacheState) {
 		}
 		st.must = out
 		switch {
-		case x.killMust:
+		case s.Last && a.killsMust():
 			st.evict(k) // dead-marked: invalidated or demoted to victim
-		case x.fill >= 0 || resident:
+		case through || resident:
 			// Fetched or refreshed, or a bypass hit on a
 			// guaranteed-resident line: resident afterwards.
 			st.refresh(k)
@@ -830,10 +766,13 @@ func (p *prefilter) access(x *accessOp, st *cacheState) {
 	}
 
 	// May half.
-	if x.fill >= 0 {
-		st.may.UnionWith(p.fills[x.fill])
+	if through {
+		st.may.Set(int(k))
+		if f := p.fills[i]; f != nil {
+			st.may.UnionWith(f)
+		}
 	}
-	if x.killMay {
+	if s.Last && a.killsMay() {
 		// The access definitely leaves the target line uncached: killed
 		// if it was resident, not allocated if it was not.
 		st.may.Clear(int(k))
@@ -859,7 +798,7 @@ func (p *prefilter) solve() bool {
 // allocates nothing.
 func (p *prefilter) pass() bool {
 	changed := false
-	for _, b := range p.rpo {
+	for _, b := range p.tab.RPO {
 		if !p.seen[b.ID] {
 			continue
 		}
@@ -895,23 +834,23 @@ func (p *prefilter) record(rep *CacheReport) {
 // verdict into rep when it is non-nil.
 func (p *prefilter) run(b *ir.Block, rep *CacheReport) {
 	st := &p.cur
-	for _, op := range p.ops[p.start[b.ID] : p.start[b.ID]+len(b.Instrs)] {
-		if rep != nil && op.kind == opAccess {
-			x := &p.accs[op.arg]
-			rep.Verdicts[x.ref] = verdict(x, st)
+	for _, op := range p.tab.Ops[p.tab.Start[b.ID] : p.tab.Start[b.ID]+len(b.Instrs)] {
+		if rep != nil && op.Kind == OpAccess {
+			s := &p.tab.Sites[op.Arg]
+			rep.Verdicts[s.In.Ref] = p.verdict(s, st)
 		}
 		p.step(op, st)
 	}
 }
 
-func verdict(x *accessOp, st *cacheState) Verdict {
-	if x.bypassed {
+func (p *prefilter) verdict(s *Site, st *cacheState) Verdict {
+	if s.Bypass && p.fs.a.cfg.HonorBypass {
 		return Bypassed
 	}
-	if _, ok := st.find(x.key); ok {
+	if _, ok := st.find(s.Key); ok {
 		return AlwaysHit
 	}
-	if !st.may.Has(int(x.key)) {
+	if !st.may.Has(int(s.Key)) {
 		return AlwaysMiss
 	}
 	return Unknown

@@ -9,15 +9,15 @@ import (
 // point of cachean_oracle_test.go.
 var AnalyzeCacheOracle = analyzeCacheOracle
 
-// PrefilterPass runs the must/may fixed point of function fn to
-// convergence and returns a function that sweeps its stable in-states
-// once more, for allocation tests of the transfer loop.
+// PrefilterPass runs the must/may fixed point of function fn over its
+// site table to convergence and returns a function that sweeps its stable
+// in-states once more, for allocation tests of the transfer loop.
 func PrefilterPass(p *ir.Program, ccfg cache.Config, opt Options, fn string) (func(), error) {
-	a, err := newAnalyzer(p, ccfg, opt)
+	m, err := NewSiteModel(p, ccfg, opt)
 	if err != nil {
 		return nil, err
 	}
-	pf := a.newPrefilter(p.Lookup(fn))
+	pf := m.a.newPrefilter(p.Lookup(fn))
 	pf.solve()
 	return func() { pf.pass() }, nil
 }

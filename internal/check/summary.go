@@ -411,18 +411,18 @@ type callOp struct {
 	unknown bool
 }
 
-func (fs *funcState) callOp(s *CallSummary) callOp {
-	a := fs.a
+func (t *FuncTable) callOp(s *CallSummary) callOp {
+	fs, a := t.fs, t.fs.a
 	ways := int32(a.cfg.Ways)
 	fills := len(s.FillSpans) > 0
 	c := callOp{
-		fill:    dataflow.NewBitSet(len(fs.allKeys)),
+		fill:    dataflow.NewBitSet(len(t.Keys)),
 		unknown: s.Uncertain || fills || s.Private > 0,
 	}
 	if a.mustOK {
-		c.age = make([]int32, len(fs.allKeys))
+		c.age = make([]int32, len(t.Keys))
 	}
-	for i, k := range fs.allKeys {
+	for i, k := range t.Keys {
 		if c.age != nil {
 			switch {
 			case s.Uncertain, summaryMayTouch(s, k) && s.Kills:

@@ -208,8 +208,8 @@ func (fo *focus) widenChain(a *achain, cap int) {
 // position pos, in place: the transfer writes into the fnCtx's spare chain,
 // which then swaps storage with *cur.
 func (fo *focus) stepChain(pos int, cur *achain) {
-	op := fo.ctx.ops[pos]
-	if op.kind != opNone {
+	op := fo.ctx.tab.Ops[pos]
+	if op.Kind != check.OpNone {
 		fo.stats.charge(cur.size())
 		out := &fo.ctx.spare
 		out.reset()
@@ -228,8 +228,9 @@ func (fo *focus) stepChain(pos int, cur *achain) {
 		*cur, *out = *out, *cur
 	}
 	// Redefining the focus pseudo-register retires the block: the register
-	// now names some other line, about which nothing is known.
-	if fo.pseudo && op.def == fo.retire {
+	// now names some other line, about which nothing is known. Retire only
+	// ever names a pseudo-block, so no other focus is retired.
+	if op.Retire == fo.site.Key {
 		cur.setTop()
 	}
 }
@@ -247,7 +248,7 @@ func (fo *focus) stepChain(pos int, cur *achain) {
 // focus-key accesses, so no jump passes one.
 func (fo *focus) stepBlock(b *ir.Block, cur *achain, out []check.Verdict) {
 	c := fo.ctx
-	p, end := c.start[b.ID], c.start[b.ID]+len(b.Instrs)
+	p, end := c.tab.Start[b.ID], c.tab.Start[b.ID]+len(b.Instrs)
 	for p < end {
 		if cur.top {
 			q := fo.nextAccess(p, end)
@@ -281,7 +282,7 @@ func (fo *focus) nextAccess(p, end int) int {
 
 // addTransfer folds into out every state s maps to through op (nothing
 // once out is top).
-func (fo *focus) addTransfer(out *achain, op instrOp, s state) {
+func (fo *focus) addTransfer(out *achain, op check.InstrOp, s state) {
 	if out.top {
 		return
 	}
@@ -310,7 +311,7 @@ func (fo *focus) solveAntichain() []check.Verdict {
 	const maxPasses = 1 << 12
 	for pass, changed := 0, true; changed; pass++ {
 		changed = false
-		for _, b := range c.rpo {
+		for _, b := range c.tab.RPO {
 			if !seen[b.ID] {
 				continue
 			}

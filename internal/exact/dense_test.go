@@ -9,7 +9,7 @@ import "repro/internal/check"
 // step count, the peak width and the exhaustion point.
 func (fo *focus) solveDense() []check.Verdict {
 	c := fo.ctx
-	for i := range c.sites {
+	for i := range c.tab.Sites {
 		fo.rel(int32(i))
 	}
 	in, seen, cur := c.in, c.seen, &c.cur
@@ -26,12 +26,12 @@ func (fo *focus) solveDense() []check.Verdict {
 	const maxPasses = 1 << 12
 	for pass, changed := 0, true; changed; pass++ {
 		changed = false
-		for _, b := range c.rpo {
+		for _, b := range c.tab.RPO {
 			if !seen[b.ID] {
 				continue
 			}
 			cur.copyFrom(&in[b.ID])
-			p := c.start[b.ID]
+			p := c.tab.Start[b.ID]
 			for i := range b.Instrs {
 				fo.stepChain(p+i, cur)
 			}
@@ -73,7 +73,7 @@ func (fo *focus) solveDense() []check.Verdict {
 			continue
 		}
 		cur.copyFrom(&in[b.ID])
-		p := c.start[b.ID]
+		p := c.tab.Start[b.ID]
 		for i := range b.Instrs {
 			if j := fo.sampled(p + i); j >= 0 {
 				out[j] = fo.verdictChain(*cur)

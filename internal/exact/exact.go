@@ -152,19 +152,20 @@ func analyze(p *ir.Program, ccfg cache.Config, opt check.Options, xopt Options,
 
 	stats := &runStats{budget: xopt.StepBudget, done: opt.Done}
 
-	// The report needs only each function's site table.
-	sites := make([][]siteRef, len(p.Funcs))
-	for fi, f := range p.Funcs {
-		ctx := newFnCtx(sm, f, ccfg)
-		sites[fi] = ctx.sites
-		for _, group := range ctx.unknownGroups(pre) {
+	for _, f := range p.Funcs {
+		groups, slot := unknownGroups(sm.Table(f), pre)
+		if len(groups) == 0 {
+			continue
+		}
+		ctx := newFnCtx(sm, f, ccfg, slot)
+		for _, group := range groups {
 			if stats.exhausted {
 				break
 			}
 			verdicts := fixpoint(newFocus(ctx, group, stats))
 			for j, v := range verdicts {
 				if v != check.Unknown {
-					ref := ctx.sites[group[j]].in.Ref
+					ref := ctx.tab.Sites[group[j]].In.Ref
 					r.Verdicts[ref] = v
 					refined[ref] = true
 				}
@@ -177,9 +178,10 @@ func analyze(p *ir.Program, ccfg cache.Config, opt check.Options, xopt Options,
 	r.Steps, r.PeakWidth, r.Exhausted = stats.steps, stats.peak, stats.exhausted
 
 	// Per-site report and summary, in program order.
-	for fi, f := range p.Funcs {
-		for _, st := range sites[fi] {
-			in := st.in
+	for _, f := range p.Funcs {
+		tab := sm.Table(f)
+		for _, st := range tab.Sites {
+			in := st.In
 			preV, classified := pre.Verdicts[in.Ref]
 			if !classified {
 				continue // unreachable site: the prefilter skipped it
@@ -211,9 +213,9 @@ func analyze(p *ir.Program, ccfg cache.Config, opt check.Options, xopt Options,
 			r.Total++
 			r.Sites = append(r.Sites, SiteVerdict{
 				Func:    f.Name,
-				Block:   st.block,
-				Index:   st.index,
-				Key:     st.info.Key,
+				Block:   int(st.Block),
+				Index:   int(st.Index),
+				Key:     tab.Keys[st.Key],
 				Instr:   in,
 				Verdict: v,
 				By:      by,
@@ -345,44 +347,38 @@ func (st *runStats) width(n int) {
 // site and one callRel per distinct call summary.
 type focus struct {
 	ctx       *fnCtx
-	site      *siteRef // the focused block's first unknown site
-	k         check.SiteInfo
+	site      *check.Site // the focused block's first unknown site
+	key       check.SiteKey
 	cfg       cache.Config
 	mustOK    bool // LRU: age reasoning and eviction proofs are sound
 	lineExact bool // one-word lines: distinct blocks are distinct lines
 	cold      bool
-	// pseudo: the focus is a pseudo-block, which redefining its register
-	// (retire) ends.
-	pseudo bool
-	retire ir.Reg
-	group  []int   // the group's site indices, sampled in this order
-	keyPos []int32 // the focus key's access positions, ascending
-	stats  *runStats
+	group     []int   // the group's site indices, sampled in this order
+	keyPos    []int32 // the focus key's access positions, ascending
+	stats     *runStats
 }
 
 // newFocus relates every call summary of the function to the group's
 // focused block; sites are related on first use (rel). It reuses the
 // fnCtx's buffers, so at most one focus of a function is live at a time.
 func newFocus(ctx *fnCtx, group []int, stats *runStats) *focus {
-	site := &ctx.sites[group[0]]
+	site := &ctx.tab.Sites[group[0]]
 	fo := &focus{
 		ctx:       ctx,
 		site:      site,
-		k:         site.info,
+		key:       ctx.tab.Keys[site.Key],
 		cfg:       ctx.cfg,
 		mustOK:    ctx.sm.MustHalf(),
 		lineExact: ctx.cfg.LineWords == 1,
-		pseudo:    site.info.Key.Pseudo(),
-		retire:    site.info.Key.PseudoReg(),
 		group:     group,
-		keyPos:    ctx.keyPos[ctx.keyOff[site.key]:ctx.keyOff[site.key+1]],
+		keyPos:    ctx.keyPos[ctx.keyOff[site.Key]:ctx.keyOff[site.Key+1]],
 		stats:     stats,
 	}
 	// A cold entry only stays cold at the machine level when lines are one
 	// word: wider lines let prologue traffic fetch neighbors of the focus.
 	fo.cold = ctx.sm.ColdEntry(ctx.f) && fo.lineExact
 	ctx.epoch++
-	for i, sum := range ctx.sums {
+	for i, sum := range ctx.tab.Sums {
 		ctx.calls[i] = fo.relateCall(sum)
 	}
 	return fo
@@ -391,15 +387,15 @@ func newFocus(ctx *fnCtx, group []int, stats *runStats) *focus {
 // sampled returns the group index of the site at position pos, or -1 when
 // the focus group does not sample it.
 func (fo *focus) sampled(pos int) int {
-	op := fo.ctx.ops[pos]
-	if op.kind != opAccess {
+	op := fo.ctx.tab.Ops[pos]
+	if op.Kind != check.OpAccess {
 		return -1
 	}
-	st := &fo.ctx.sites[op.arg]
-	if st.slot == 0 || st.key != fo.site.key {
+	slot := fo.ctx.slot[op.Arg]
+	if slot == 0 || fo.ctx.tab.Sites[op.Arg].Key != fo.site.Key {
 		return -1
 	}
-	return st.slot - 1
+	return int(slot - 1)
 }
 
 // rel returns site i's relation to the focused block, relating it on the
@@ -408,30 +404,30 @@ func (fo *focus) sampled(pos int) int {
 func (fo *focus) rel(i int32) *accessRel {
 	c := fo.ctx
 	if c.relAt[i] != c.epoch {
-		c.rels[i] = fo.relate(&c.sites[i])
+		c.rels[i] = fo.relate(&c.tab.Sites[i])
 		c.relAt[i] = c.epoch
 	}
 	return &c.rels[i]
 }
 
-func (fo *focus) relate(st *siteRef) accessRel {
-	si := st.info
+func (fo *focus) relate(st *check.Site) accessRel {
 	rel := accessRel{
-		defFocus: st.key == fo.site.key,
-		through:  !si.Bypass || !fo.cfg.HonorBypass,
-		killMem:  si.Last && fo.cfg.DeadKillsMembership(),
-		killRes:  si.Last && fo.cfg.DeadKillsResidency(),
+		defFocus: st.Key == fo.site.Key,
+		through:  !st.Bypass || !fo.cfg.HonorBypass,
+		killMem:  st.Last && fo.cfg.DeadKillsMembership(),
+		killRes:  st.Last && fo.cfg.DeadKillsResidency(),
 		nameBit:  -1,
 	}
 	rel.mayFocus = rel.defFocus || fo.ctx.mayBe(st, fo.site)
-	if !si.Uncertain && !fo.k.Uncertain {
-		rel.conflict = fo.ctx.fs.MayConflict(si.Key, fo.k.Key)
-		rel.mustConf = fo.ctx.fs.MustConflict(si.Key, fo.k.Key)
+	if !st.Uncertain && !fo.site.Uncertain {
+		key := fo.ctx.tab.Keys[st.Key]
+		rel.conflict = fo.ctx.tab.MayConflict(key, fo.key)
+		rel.mustConf = fo.ctx.tab.MustConflict(key, fo.key)
 	} else {
 		rel.conflict = true
 	}
-	if !si.Uncertain && !rel.defFocus {
-		rel.nameBit = fo.ctx.nameBit(st.key)
+	if !st.Uncertain && !rel.defFocus {
+		rel.nameBit = fo.ctx.nameBit(st.Key)
 	}
 	return rel
 }
@@ -478,15 +474,15 @@ func (fo *focus) normalize(s state) state {
 
 // transfer appends to dst the states one input state maps to through the
 // instruction at a position of kind op.
-func (fo *focus) transfer(dst []state, op instrOp, s state) []state {
-	switch op.kind {
-	case opAccess:
-		return fo.transferAccess(dst, fo.rel(op.arg), s)
-	case opSummary:
-		return append(dst, fo.callSummaryState(&fo.ctx.calls[op.arg], s))
-	case opClobber:
+func (fo *focus) transfer(dst []state, op check.InstrOp, s state) []state {
+	switch op.Kind {
+	case check.OpAccess:
+		return fo.transferAccess(dst, fo.rel(op.Arg), s)
+	case check.OpSummary:
+		return append(dst, fo.callSummaryState(&fo.ctx.calls[op.Arg], s))
+	case check.OpClobber:
 		return append(dst, fo.callState(s))
-	case opArg:
+	case check.OpArg:
 		return append(dst, fo.argState(s))
 	}
 	return append(dst, s)
@@ -581,7 +577,7 @@ func (fo *focus) transferAccess(dst []state, rel *accessRel, s state) []state {
 // arbitrarily. Only a definitely-uncached compiler-private block is safe —
 // with one-word lines no callee can fetch or name it.
 func (fo *focus) callState(s state) state {
-	if s.kind == sNC && fo.lineExact && !fo.k.Uncertain && fo.k.Key.Private() {
+	if s.kind == sNC && fo.lineExact && !fo.site.Uncertain && fo.key.Private() {
 		return s
 	}
 	return maybeState

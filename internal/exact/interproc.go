@@ -2,61 +2,37 @@ package exact
 
 import (
 	"slices"
-	"sort"
 
 	"repro/internal/cache"
-	"repro/internal/cfg"
 	"repro/internal/check"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
 )
 
-// fnCtx holds the tables every focus key of one function shares, built
-// once per function instead of once per focus:
+// fnCtx is the exact refinement's view of one function. It reads the
+// function's site table (positions, ops, sites, call summaries, key order
+// and may-target sets), which check builds once per SiteModel and the
+// prefilter has already filled, and adds what only the refinement needs:
 //
-//   - positions: instruction i of block b sits at start[b.ID]+i, and ops
-//     gives each position its transfer (an access site, a distinct call
-//     summary, a blanket clobber, an argument store, or nothing) plus the
-//     register it defines;
-//   - sites: every classified reference site in program order, with its
-//     resolved description, its dense key index and its may-target set;
-//   - key indices: named blocks first, then the summarized global lines,
-//     then the remaining (pseudo) site keys, so a key's name bit is its
-//     index when that is below dataflow.WordBits;
-//   - may-target sets as bitsets over key indices, one per distinct access
-//     signature, so mayBe is two bit tests;
-//   - the reverse postorder and its index;
 //   - the sparse-stepping tables: active[p] counts the positions before p
 //     that have a transfer, and keyPos[keyOff[k]:keyOff[k+1]] lists the
-//     access positions of key index k in ascending order.
-//
-// It also owns the per-focus buffers (access and call relations, the
-// transfer scratch and the solver's chains), which every focus group of
-// the function reuses. Without the shared tables, building a focus
-// re-resolved sites and rebuilt hashed relations for every (focus key ×
-// instruction) pair: quadratic map work in the number of keys.
+//     access positions of key index k in ascending order;
+//   - each site's place in its unknown group (slot) and the reverse
+//     postorder index;
+//   - the per-focus buffers (access and call relations, the transfer
+//     scratch and the solver's chains), which every focus group of the
+//     function reuses.
 type fnCtx struct {
-	sm  *check.SiteModel
-	fs  *check.FuncSites
-	f   *ir.Func
-	cfg cache.Config
+	sm    *check.SiteModel
+	tab   *check.FuncTable
+	f     *ir.Func
+	cfg   cache.Config
+	named int // key indices below named carry a name bit
 
-	start []int                // start[b.ID]: position of b's first instruction
-	ops   []instrOp            // per position
-	sites []siteRef            // per access site, in program order
-	sums  []*check.CallSummary // distinct non-clobber call summaries
-
-	keyIdx map[check.SiteKey]int
-	named  int // key indices below named carry a name bit
-
-	// tbits holds the may-target bitsets, words uint64s each.
-	tbits []uint64
-	words int
-
-	rpo    []*ir.Block
+	slot   []int32 // per site: 1+index in its unknown group, 0 if none
 	rpoIdx []int
 
-	active []int32 // len(ops)+1 prefix counts of non-opNone positions
+	active []int32 // len(Ops)+1 prefix counts of non-OpNone positions
 	keyOff []int32 // per key index, its span of keyPos
 	keyPos []int32 // access positions grouped by key index
 
@@ -75,237 +51,95 @@ type fnCtx struct {
 	seen  []bool // in[b.ID] is reached
 }
 
-// Transfer kinds of an instruction position.
-const (
-	opNone    uint8 = iota // no effect on the focus
-	opAccess               // reference site: arg indexes sites
-	opSummary              // summarized call: arg indexes sums
-	opClobber              // blanket-clobber call
-	opArg                  // outgoing argument store
-)
-
-type instrOp struct {
-	kind uint8
-	arg  int32
-	def  ir.Reg // register the instruction defines (ir.NoReg if none)
+// unknownGroups groups the sites of tab the prefilter left unknown by
+// focused block, in first-appearance order; each group lists site indices
+// in program order, and slot records each grouped site's place.
+func unknownGroups(tab *check.FuncTable, pre *check.CacheReport) (groups [][]int, slot []int32) {
+	var group []int32 // key index → 1+group, 0 if none
+	for i := range tab.Sites {
+		s := &tab.Sites[i]
+		if v, classified := pre.Verdicts[s.In.Ref]; !classified || v != check.Unknown {
+			continue
+		}
+		if group == nil {
+			group = make([]int32, len(tab.Keys))
+			slot = make([]int32, len(tab.Sites))
+		}
+		if group[s.Key] == 0 {
+			groups = append(groups, nil)
+			group[s.Key] = int32(len(groups))
+		}
+		g := group[s.Key] - 1
+		groups[g] = append(groups[g], i)
+		slot[i] = int32(len(groups[g]))
+	}
+	return groups, slot
 }
 
-// siteRef is one classified reference site of the function.
-type siteRef struct {
-	in    *ir.Instr
-	block int // b.ID
-	index int // instruction index within the block
-	info  check.SiteInfo
-	key   int // key index of info.Key
-	tset  int // may-target bitset; -1 when the site can only name its own block
-	slot  int // 1+index in its unknown group (see unknownGroups), 0 if none
-}
-
-type targetSig struct {
-	key       check.SiteKey
-	uncertain bool
-	set       int
-}
-
-func newFnCtx(sm *check.SiteModel, f *ir.Func, ccfg cache.Config) *fnCtx {
+// newFnCtx builds the refinement's tables for a function with unknown
+// groups, taking its site table from sm.
+func newFnCtx(sm *check.SiteModel, f *ir.Func, ccfg cache.Config, slot []int32) *fnCtx {
+	tab := sm.Table(f)
 	c := &fnCtx{
 		sm:     sm,
-		fs:     sm.Func(f),
+		tab:    tab,
 		f:      f,
 		cfg:    ccfg,
-		start:  make([]int, len(f.Blocks)),
-		keyIdx: make(map[check.SiteKey]int),
-		rpo:    cfg.ReversePostorder(f),
-		rpoIdx: cfg.RPOIndex(f),
+		named:  min(tab.Named, dataflow.WordBits),
+		slot:   slot,
+		rpoIdx: make([]int, len(f.Blocks)),
 	}
-	n := 0
-	for _, b := range f.Blocks {
-		c.start[b.ID] = n
-		n += len(b.Instrs)
+	for i := range c.rpoIdx {
+		c.rpoIdx[i] = -1
 	}
-	c.ops = make([]instrOp, n)
-	sumIdx := make(map[*check.CallSummary]int)
-	seenLine := make(map[int64]bool)
-	for _, b := range f.Blocks {
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			op := &c.ops[c.start[b.ID]+i]
-			op.def = in.Def()
-			if si, ok := c.fs.Resolve(in); ok {
-				op.kind, op.arg = opAccess, int32(len(c.sites))
-				c.sites = append(c.sites, siteRef{in: in, block: b.ID, index: i, info: si})
-				continue
-			}
-			switch in.Op {
-			case ir.OpArg:
-				op.kind = opArg
-			case ir.OpCall:
-				op.kind = opClobber
-				if !sm.Interproc() {
-					continue
-				}
-				sum := sm.CallSummary(in)
-				if sum.Clobber {
-					continue
-				}
-				j, ok := sumIdx[sum]
-				if !ok {
-					j = len(c.sums)
-					sumIdx[sum] = j
-					c.sums = append(c.sums, sum)
-					// Only single-line spans become named bits; wider spans
-					// age as anonymous traffic (one bit per array element
-					// would overflow any name table).
-					for _, sp := range sum.RefSpans {
-						if sp.Lo == sp.Hi {
-							seenLine[sp.Lo] = true
-						}
-					}
-				}
-				op.kind, op.arg = opSummary, int32(j)
-			}
-		}
-	}
-
-	// Key indices. The function's named blocks come first, then (in
-	// interprocedural mode) the callees' global lines, so a call's
-	// summarized traffic counts as definitely-distinct named blocks instead
-	// of fresh anonymous ones on every call, which is what lets residency
-	// bounds survive call-heavy loops. Lines the caller already tracks
-	// dedup to the caller's own key (same block, same bit). Blocks past the
-	// name table's width are counted as anon.
-	for _, k := range c.fs.NamedKeys() {
-		c.index(k)
-	}
-	lines := make([]int64, 0, len(seenLine))
-	for l := range seenLine {
-		lines = append(lines, l)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	for _, l := range lines {
-		c.index(check.GlobalLineKey(l))
-	}
-	c.named = min(len(c.keyIdx), dataflow.WordBits)
-	for i := range c.sites {
-		c.sites[i].key = c.index(c.sites[i].info.Key)
+	for i, b := range tab.RPO {
+		c.rpoIdx[b.ID] = i
 	}
 
 	// Sparse-stepping tables. Sites are in program order, so each key's
 	// positions come out ascending.
-	c.active = make([]int32, n+1)
-	for p, op := range c.ops {
+	c.active = make([]int32, len(tab.Ops)+1)
+	for p, op := range tab.Ops {
 		c.active[p+1] = c.active[p]
-		if op.kind != opNone {
+		if op.Kind != check.OpNone {
 			c.active[p+1]++
 		}
 	}
-	c.keyOff = make([]int32, len(c.keyIdx)+1)
-	for i := range c.sites {
-		c.keyOff[c.sites[i].key+1]++
+	c.keyOff = make([]int32, len(tab.Keys)+1)
+	for i := range tab.Sites {
+		c.keyOff[tab.Sites[i].Key+1]++
 	}
-	for k := range len(c.keyIdx) {
+	for k := range len(tab.Keys) {
 		c.keyOff[k+1] += c.keyOff[k]
 	}
 	next := slices.Clone(c.keyOff)
-	c.keyPos = make([]int32, len(c.sites))
-	for i := range c.sites {
-		s := &c.sites[i]
-		c.keyPos[next[s.key]] = int32(c.start[s.block] + s.index)
-		next[s.key]++
+	c.keyPos = make([]int32, len(tab.Sites))
+	for i := range tab.Sites {
+		s := &tab.Sites[i]
+		c.keyPos[next[s.Key]] = int32(tab.Start[s.Block]) + s.Index
+		next[s.Key]++
 	}
 
-	// May-target bitsets, one per access signature: two sites with the
-	// same (key, uncertainty, alias set) have the same target set.
-	c.words = (len(c.keyIdx) + 63) / 64
-	tsets := make(map[targetSig]int)
-	for i := range c.sites {
-		s := &c.sites[i]
-		sig := targetSig{key: s.info.Key, uncertain: s.info.Uncertain, set: s.info.AliasSet}
-		t, ok := tsets[sig]
-		if !ok {
-			t = c.targetSet(s.info)
-			tsets[sig] = t
-		}
-		s.tset = t
-	}
-
-	c.rels = make([]accessRel, len(c.sites))
-	c.relAt = make([]uint32, len(c.sites))
-	c.calls = make([]callRel, len(c.sums))
+	c.rels = make([]accessRel, len(tab.Sites))
+	c.relAt = make([]uint32, len(tab.Sites))
+	c.calls = make([]callRel, len(tab.Sums))
 	c.in = make([]achain, len(f.Blocks))
 	c.seen = make([]bool, len(f.Blocks))
 	return c
 }
 
-// index returns the key index of k, assigning the next one on first sight.
-func (c *fnCtx) index(k check.SiteKey) int {
-	if i, ok := c.keyIdx[k]; ok {
-		return i
-	}
-	i := len(c.keyIdx)
-	c.keyIdx[k] = i
-	return i
-}
-
-// targetSet builds the may-target bitset of an access and returns its
-// index, or -1 when the access can only name its own block (mayBe's key
-// equality already covers that). Targets outside the key index are never
-// the key of a site, so no query can ask for them.
-func (c *fnCtx) targetSet(si check.SiteInfo) int {
-	targets := c.fs.MayTargets(si)
-	if len(targets) == 1 && targets[0] == si.Key {
-		return -1
-	}
-	t := len(c.tbits) / c.words
-	c.tbits = append(c.tbits, make([]uint64, c.words)...)
-	bits := c.tbits[t*c.words:]
-	for _, k := range targets {
-		if i, ok := c.keyIdx[k]; ok {
-			bits[i/64] |= 1 << (i % 64)
-		}
-	}
-	return t
-}
-
 // nameBit is the name-table slot of a key index, -1 past the table.
-func (c *fnCtx) nameBit(key int) int {
-	if key < c.named {
-		return key
+func (c *fnCtx) nameBit(key int32) int {
+	if int(key) < c.named {
+		return int(key)
 	}
 	return -1
 }
 
-// hasTarget reports whether key index key is in may-target set t.
-func (c *fnCtx) hasTarget(t, key int) bool {
-	return t >= 0 && c.tbits[t*c.words+key/64]&(1<<(key%64)) != 0
-}
-
 // mayBe reports whether either access could name the block the other one
 // does.
-func (c *fnCtx) mayBe(a, b *siteRef) bool {
-	return a.key == b.key || c.hasTarget(a.tset, b.key) || c.hasTarget(b.tset, a.key)
-}
-
-// unknownGroups groups the sites the prefilter left unknown by focused
-// block, in first-appearance order; each group lists site indices in
-// program order, and each grouped site's slot records its place.
-func (c *fnCtx) unknownGroups(pre *check.CacheReport) [][]int {
-	var groups [][]int
-	slot := make(map[int]int) // key index → group
-	for i := range c.sites {
-		if v, classified := pre.Verdicts[c.sites[i].in.Ref]; !classified || v != check.Unknown {
-			continue
-		}
-		g, ok := slot[c.sites[i].key]
-		if !ok {
-			g = len(groups)
-			slot[c.sites[i].key] = g
-			groups = append(groups, nil)
-		}
-		groups[g] = append(groups[g], i)
-		c.sites[i].slot = len(groups[g])
-	}
-	return groups
+func (c *fnCtx) mayBe(a, b *check.Site) bool {
+	return a.Key == b.Key || c.tab.HasTarget(a.TSet, b.Key) || c.tab.HasTarget(b.TSet, a.Key)
 }
 
 // ---- interprocedural call transfer ----
@@ -329,9 +163,9 @@ type callRel struct {
 // fetch or name, any frame-class block of this activation.
 func (fo *focus) relateCall(sum *check.CallSummary) callRel {
 	rel := callRel{uncertain: sum.Uncertain, kills: sum.Kills}
-	focusLine, focusGlobal := fo.k.Key.GlobalLine()
+	focusLine, focusGlobal := fo.key.GlobalLine()
 	switch {
-	case fo.k.Uncertain:
+	case fo.site.Uncertain:
 		// Pseudo focus: the register may name any addressable line — any
 		// of the callee's globals, but never its private words (no defined
 		// program holds a pointer into a frame that does not yet exist,
@@ -361,13 +195,13 @@ func (fo *focus) relateCall(sum *check.CallSummary) callRel {
 	for _, sp := range spans {
 		if sp.Lo == sp.Hi {
 			k := check.GlobalLineKey(sp.Lo)
-			if k == fo.k.Key {
+			if k == fo.key {
 				continue // the focus itself: covered by mayTouch
 			}
-			if !fo.k.Uncertain && !fo.ctx.fs.MayConflict(k, fo.k.Key) {
+			if !fo.site.Uncertain && !fo.ctx.tab.MayConflict(k, fo.key) {
 				continue
 			}
-			if i, ok := fo.ctx.keyIdx[k]; ok && fo.ctx.nameBit(i) >= 0 {
+			if i := fo.ctx.tab.KeyIndex(k); i >= 0 && fo.ctx.nameBit(int32(i)) >= 0 {
 				rel.names = rel.names.With(i)
 			} else {
 				anon++
@@ -397,7 +231,7 @@ func (fo *focus) relateCall(sum *check.CallSummary) callRel {
 func (fo *focus) callSummaryState(rel *callRel, s state) state {
 	switch s.kind {
 	case sNC:
-		if fo.lineExact && !fo.k.Uncertain && fo.k.Key.Private() {
+		if fo.lineExact && !fo.site.Uncertain && fo.key.Private() {
 			return ncState
 		}
 		if !rel.uncertain && !rel.mayFill {

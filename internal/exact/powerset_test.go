@@ -63,8 +63,8 @@ func setsEqual(a, b stateSet) bool {
 // by the antichain solver's positional transfer.
 func (fo *focus) transferInstr(pos int, ss stateSet) stateSet {
 	out := ss
-	op := fo.ctx.ops[pos]
-	if op.kind != opNone {
+	op := fo.ctx.tab.Ops[pos]
+	if op.Kind != check.OpNone {
 		fo.stats.charge(len(ss))
 		out = make(stateSet, len(ss))
 		for s := range ss {
@@ -77,8 +77,9 @@ func (fo *focus) transferInstr(pos int, ss stateSet) stateSet {
 		fo.stats.width(len(out))
 	}
 	// Redefining the focus pseudo-register retires the block: the register
-	// now names some other line, about which nothing is known.
-	if fo.pseudo && op.def == fo.retire {
+	// now names some other line, about which nothing is known. Retire only
+	// ever names a pseudo-block, so no other focus is retired.
+	if op.Retire == fo.site.Key {
 		return single(maybeState)
 	}
 	return out
@@ -110,7 +111,7 @@ func (fo *focus) solve() []check.Verdict {
 				continue
 			}
 			cur := cloneSet(ss)
-			p := fo.ctx.start[b.ID]
+			p := fo.ctx.tab.Start[b.ID]
 			for i := range b.Instrs {
 				cur = fo.transferInstr(p+i, cur)
 			}
@@ -155,7 +156,7 @@ func (fo *focus) solve() []check.Verdict {
 			continue
 		}
 		cur := cloneSet(ss)
-		p := fo.ctx.start[b.ID]
+		p := fo.ctx.tab.Start[b.ID]
 		for i := range b.Instrs {
 			if j := fo.sampled(p + i); j >= 0 {
 				out[j] = fo.verdictOf(cur)

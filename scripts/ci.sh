@@ -89,14 +89,28 @@ echo "== lifecycle race (serve, campaign, artifact; repeated, shuffled) =="
 # detector so a lifecycle ordering bug fails CI, not an occasional run.
 go test -race -count=20 -shuffle=on ./internal/serve ./internal/campaign ./internal/artifact
 
+# fuzz_smoke runs one fuzz target for 10 s and prints its last progress
+# line, so the log shows how many inputs each window executed. Minimizing
+# a new input is capped at 100 runs: uncapped, a minimization can take
+# most of the window while the exec count stands still. On failure it
+# prints the whole run.
+fuzz_smoke() {
+    local out
+    if ! out=$(go test -run 'xxx^' -fuzz "$1\$" -fuzztime 10s -fuzzminimizetime 100x "$2" 2>&1); then
+        echo "$out"
+        return 1
+    fi
+    echo "$1: $(echo "$out" | grep 'execs:' | tail -n 1)"
+}
+
 echo "== fuzz smoke (10s per target) =="
-go test -run 'xxx^' -fuzz 'FuzzCompile$' -fuzztime 10s .
-go test -run 'xxx^' -fuzz 'FuzzAsmRoundTrip$' -fuzztime 10s ./internal/isa
-go test -run 'xxx^' -fuzz 'FuzzCacheModel$' -fuzztime 10s ./internal/cache
-go test -run 'xxx^' -fuzz 'FuzzExact$' -fuzztime 10s ./internal/exact
-go test -run 'xxx^' -fuzz 'FuzzDiff$' -fuzztime 10s ./internal/difftest
-go test -run 'xxx^' -fuzz 'FuzzTraceCodec$' -fuzztime 10s ./internal/replay
-go test -run 'xxx^' -fuzz 'FuzzReplayKernel$' -fuzztime 10s ./internal/replay
+fuzz_smoke FuzzCompile .
+fuzz_smoke FuzzAsmRoundTrip ./internal/isa
+fuzz_smoke FuzzCacheModel ./internal/cache
+fuzz_smoke FuzzExact ./internal/exact
+fuzz_smoke FuzzDiff ./internal/difftest
+fuzz_smoke FuzzTraceCodec ./internal/replay
+fuzz_smoke FuzzReplayKernel ./internal/replay
 
 echo "== diff-smoke (differential conformance, fixed seed window) =="
 # 200 generated programs through every compile config x cache geometry
@@ -132,7 +146,7 @@ echo "== exact-scale-smoke (antichain vs power-set reference, generated programs
 # (SmallKnobs) for a few seconds.
 go test -count=1 -run 'TestSolversAgreeOnGeneratedWindow$' ./internal/exact
 go run ./cmd/unicheck -oracle -interproc -bench sieve -gen 3,5,8 -gen-scale 2
-go test -run 'xxx^' -fuzz 'FuzzExactAntichain$' -fuzztime 10s ./internal/exact
+fuzz_smoke FuzzExactAntichain ./internal/exact
 
 echo "== fault campaigns (bubble, sieve) =="
 go run ./cmd/unibench -experiment resilience -bench bubble,sieve

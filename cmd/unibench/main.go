@@ -9,6 +9,7 @@
 //	          promotion|linesize|regs|deadmode|icache|precision|scaling|resilience]
 //	         [-sets N -ways N -line N] [-bench a,b,...] [-json] [-list]
 //	         [-scaling-out FILE]
+//	unibench -verify FILE...
 //
 // With -json, experiments backed by Record streams (E1–E6) emit one JSON
 // record per line — the same Record schema unisweep writes — instead of
@@ -22,6 +23,10 @@
 // never under `-experiment all`. -scaling-out FILE additionally writes the
 // byte-stable BENCH_exact.json artifact.
 //
+// -verify strictly reads back each named JSON artifact, with the checks
+// its schema tag names, and exits 1 on the first that fails them (a lint
+// report fails while it holds unsuppressed findings).
+//
 // The resilience experiment sweeps the fault-injection campaigns of
 // internal/experiments over the benchmark suite (optionally restricted
 // with -bench) and exits nonzero if any campaign violates the fault
@@ -30,16 +35,22 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
 	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/cache"
+	"repro/internal/campaign"
 	"repro/internal/cli"
 	"repro/internal/experiments"
+	"repro/internal/ledger"
+	"repro/internal/lint"
+	"repro/internal/serve/loadtest"
 	"repro/internal/sweep"
 )
 
@@ -66,7 +77,13 @@ func main() {
 	scalingOut := flag.String("scaling-out", "", "with -experiment scaling: also write the BENCH_exact.json artifact to FILE")
 	list := flag.Bool("list", false, "list experiment names and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to FILE (performance work on the experiment pipeline)")
+	verify := flag.Bool("verify", false, "strictly verify the JSON artifacts named as arguments and exit")
 	flag.Parse()
+
+	if *verify {
+		runVerify(flag.Args())
+		return
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -227,13 +244,7 @@ func main() {
 			return
 		}
 		emitted[stream] = true
-		for _, r := range recs {
-			b, err := r.MarshalLine()
-			if err != nil {
-				cli.Fatal(tool, "experiment", err)
-			}
-			fmt.Println(string(b))
-		}
+		printRecords(recs)
 	}
 	for i, e := range selected {
 		runOne(e)
@@ -266,28 +277,26 @@ func runScaling(asJSON bool, out string) {
 		cli.Fatal(tool, "scaling", err)
 	}
 	if out != "" {
-		f, err := os.Create(out)
+		err := ledger.WriteFile(out, func(w io.Writer) error { return experiments.WriteScalingJSON(w, spec, recs) })
 		if err != nil {
 			cli.Fatal(tool, "scaling", err)
 		}
-		werr := experiments.WriteScalingJSON(f, spec, recs)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			cli.Fatal(tool, "scaling", werr)
-		}
 	}
 	if asJSON {
-		for _, r := range recs {
-			b, err := r.MarshalLine()
-			if err != nil {
-				cli.Fatal(tool, "scaling", err)
-			}
-			fmt.Println(string(b))
-		}
+		printRecords(recs)
 	} else {
 		fmt.Print(experiments.ScalingTable{Rows: recs}.String())
+	}
+}
+
+// printRecords writes a -json record stream: one record per line.
+func printRecords(recs []sweep.Record) {
+	for _, r := range recs {
+		b, err := r.MarshalLine()
+		if err != nil {
+			cli.Fatal(tool, "json", err)
+		}
+		fmt.Println(string(b))
 	}
 }
 
@@ -316,4 +325,45 @@ func runResilience(benchList string) {
 		cli.Fatalf(tool, "resilience", "%d campaign violation(s)", len(vs))
 	}
 	fmt.Printf("resilience: ok (%d campaign runs, 0 violations)\n", len(rep.Results))
+}
+
+// verifiers maps each artifact schema to its strict reader.
+var verifiers = map[string]func(io.Reader) error{
+	sweep.Schema:              func(r io.Reader) error { _, err := sweep.Verify(r); return err },
+	experiments.ScalingSchema: func(r io.Reader) error { _, err := experiments.VerifyScaling(r); return err },
+	loadtest.BenchSchema:      func(r io.Reader) error { _, err := loadtest.VerifyBench(r); return err },
+	campaign.BenchSchema:      func(r io.Reader) error { _, err := campaign.VerifyBench(r); return err },
+	lint.Schema: func(r io.Reader) error {
+		rep, err := lint.Verify(r)
+		if err == nil && rep.Unsuppressed > 0 {
+			err = fmt.Errorf("%d unsuppressed findings", rep.Unsuppressed)
+		}
+		return err
+	},
+}
+
+// runVerify checks each artifact with the verifier its schema names.
+func runVerify(paths []string) {
+	if len(paths) == 0 {
+		cli.Usage(tool+" -verify FILE...", nil)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			cli.Fatal(tool, "verify", err)
+		}
+		schema, err := ledger.SchemaOf(data)
+		verify := verifiers[schema]
+		switch {
+		case err != nil:
+		case verify == nil:
+			err = fmt.Errorf("no verifier for schema %q", schema)
+		default:
+			err = verify(bytes.NewReader(data))
+		}
+		if err != nil {
+			cli.Fatalf(tool, "verify", "%s: %v", path, err)
+		}
+		fmt.Printf("%s: ok (%s)\n", path, schema)
+	}
 }

@@ -21,8 +21,8 @@
 //	-min-dedup N      after -n repeats, require >= N deduplicated responses
 //	                  (exit 1 otherwise) — the CI single-flight probe
 //	-bench FILE       loadtest: write BENCH_serve.json-format report to FILE
+//	                  (unibench -verify reads it back)
 //	-requests/-seed   loadtest: size and seed of the mix
-//	-verify-bench F   validate an existing bench file's schema and exit
 package main
 
 import (
@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -38,6 +39,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/cli"
+	"repro/internal/ledger"
 	"repro/internal/serve"
 	"repro/internal/serve/loadtest"
 )
@@ -64,19 +66,8 @@ func main() {
 	benchOut := flag.String("bench", "", "loadtest: write the report here")
 	requests := flag.Int("requests", 0, "loadtest: total requests (0 = default)")
 	seed := flag.Int64("seed", 0, "loadtest: traffic seed (0 = default)")
-	verifyBench := flag.String("verify-bench", "", "validate a bench report file and exit")
 	gcBudget := flag.Int64("budget", 0, "gc: byte budget (0 = the daemon's configured budget)")
 	flag.Parse()
-
-	if *verifyBench != "" {
-		rep, err := loadtest.VerifyBench(*verifyBench)
-		if err != nil {
-			cli.Fatal(tool, "bench", err)
-		}
-		fmt.Printf("%s: ok (%d requests, %.0f req/s, p99 %.1fms)\n",
-			*verifyBench, rep.Requests, rep.Throughput, float64(rep.P99NS)/1e6)
-		return
-	}
 
 	base := strings.TrimRight(*server, "/")
 	if *addrFile != "" {
@@ -219,10 +210,10 @@ func runLoadtest(base string, requests int, seed int64, conc int, benchOut strin
 		float64(rep.P50NS)/1e6, float64(rep.P99NS)/1e6,
 		rep.Deduped, rep.PanicsIsolated, rep.PanicsInjected, rep.PanicsShed, rep.TransportErrors)
 	if benchOut != "" {
-		if err := loadtest.WriteBench(benchOut, rep); err != nil {
+		if err := rep.Check(); err != nil {
 			cli.Fatal(tool, "bench", err)
 		}
-		if _, err := loadtest.VerifyBench(benchOut); err != nil {
+		if err := ledger.WriteFile(benchOut, func(w io.Writer) error { return ledger.WriteIndent(w, rep) }); err != nil {
 			cli.Fatal(tool, "bench", err)
 		}
 		fmt.Println("wrote", benchOut)

@@ -16,8 +16,8 @@
 // unused suppressions are themselves findings.
 //
 //	-run a,b     run only the named analyzers (default: all)
-//	-json FILE   also write the unicache-lint/v1 artifact ('-' = stdout)
-//	-verify FILE strictly read an artifact instead of analyzing
+//	-json FILE   also write the unicache-lint/v1 artifact ('-' = stdout);
+//	             unibench -verify FILE reads it back strictly
 //	-list        print the analyzer catalog and exit
 //	-suppressed  print suppressed findings too
 //	-q           summary line only
@@ -30,6 +30,7 @@ import (
 	"strings"
 
 	"repro/internal/cli"
+	"repro/internal/ledger"
 	"repro/internal/lint"
 )
 
@@ -38,7 +39,6 @@ const tool = "unilint"
 func main() {
 	runNames := flag.String("run", "", "comma-separated analyzer subset (default: all)")
 	jsonOut := flag.String("json", "", "write the unicache-lint/v1 artifact to this file ('-' = stdout)")
-	verify := flag.String("verify", "", "strictly read an artifact instead of analyzing")
 	list := flag.Bool("list", false, "print the analyzer catalog and exit")
 	showSup := flag.Bool("suppressed", false, "print suppressed findings too")
 	quiet := flag.Bool("q", false, "summary line only")
@@ -48,10 +48,6 @@ func main() {
 		for _, az := range lint.All() {
 			fmt.Printf("%-12s %s\n", az.Name, az.Doc)
 		}
-		return
-	}
-	if *verify != "" {
-		verifyArtifact(*verify)
 		return
 	}
 
@@ -78,17 +74,7 @@ func main() {
 	res := lint.Run(pkgs, analyzers)
 
 	if *jsonOut != "" {
-		rep := lint.NewReport(mod.Path, res)
-		w := os.Stdout
-		if *jsonOut != "-" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				cli.Fatal(tool, "json", err)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := rep.WriteJSON(w); err != nil {
+		if err := ledger.WriteFile(*jsonOut, lint.NewReport(mod.Path, res).WriteJSON); err != nil {
 			cli.Fatal(tool, "json", err)
 		}
 	}
@@ -105,23 +91,6 @@ func main() {
 	fmt.Printf("%s: %d packages, %d analyzers: %d findings (%d suppressed, %d unsuppressed)\n",
 		tool, res.Packages, len(res.Analyzers), len(res.Diags), res.SuppressedCount(), len(bad))
 	if len(bad) > 0 {
-		os.Exit(1)
-	}
-}
-
-func verifyArtifact(path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		cli.Fatal(tool, "verify", err)
-	}
-	defer f.Close()
-	rep, err := lint.Verify(f)
-	if err != nil {
-		cli.Fatal(tool, "verify", err)
-	}
-	fmt.Printf("%s: %s verified: %s, module %s, %d packages, %d findings (%d suppressed, %d unsuppressed)\n",
-		tool, path, rep.Schema, rep.Module, rep.Packages, rep.Total, rep.Suppressed, rep.Unsuppressed)
-	if rep.Unsuppressed > 0 {
 		os.Exit(1)
 	}
 }

@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -30,6 +31,7 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/ledger"
 	"repro/internal/replay"
 	"repro/internal/vm"
 )
@@ -109,7 +111,7 @@ func main() {
 		}
 	}
 	if *saveFile != "" {
-		if err := os.WriteFile(*saveFile, []byte(prog.Save()), 0o644); err != nil {
+		if err := ledger.WriteFile(*saveFile, func(w io.Writer) error { _, err := io.WriteString(w, prog.Save()); return err }); err != nil {
 			cli.Fatal(tool, "save", err)
 		}
 		fmt.Fprintf(os.Stderr, "saved assembly -> %s\n", *saveFile)
@@ -145,12 +147,7 @@ func main() {
 
 	if sink != nil {
 		enc := sink.Finish()
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			cli.Fatal(tool, "trace", err)
-		}
-		defer f.Close()
-		if err := enc.WriteText(f); err != nil {
+		if err := ledger.WriteFile(*traceFile, enc.WriteText); err != nil {
 			cli.Fatal(tool, "trace", err)
 		}
 		fmt.Printf("trace:           %d records -> %s\n", enc.Len(), *traceFile)

@@ -12,8 +12,6 @@
 //	         [-json=false] [-list] [-quiet]
 //	unisweep -remote URL | -remote-addr-file FILE [grid flags]
 //	         [-remote-gc] [-campaign-bench BENCH_campaign.json]
-//	unisweep -verify BENCH_sweep.json
-//	unisweep -verify-campaign BENCH_campaign.json
 //
 // The artifact is byte-identical for any -workers value: units are merged
 // in canonical grid order and wall-clock time is excluded from the
@@ -42,6 +40,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/campaign"
 	"repro/internal/cli"
+	"repro/internal/ledger"
 	"repro/internal/sweep"
 )
 
@@ -63,30 +62,15 @@ func main() {
 		asJSON    = flag.Bool("json", true, "write the JSON artifact (false: print a compact table)")
 		list      = flag.Bool("list", false, "print the canonical unit keys and exit")
 		quiet     = flag.Bool("quiet", false, "suppress per-unit progress lines")
-		verify    = flag.String("verify", "", "strictly verify an existing artifact and exit")
 
 		remote         = flag.String("remote", "", "run the grid through a unicached daemon at this base URL")
 		remoteAddrFile = flag.String("remote-addr-file", "", "read the daemon address from this file (unicached -addr-file)")
 		remoteGC       = flag.Bool("remote-gc", false, "ask the daemon for a store-GC cycle after the campaign")
 		campaignBench  = flag.String("campaign-bench", "", "write a BENCH_campaign.json transfer report here (remote mode)")
-		verifyCampaign = flag.String("verify-campaign", "", "strictly verify a campaign bench report and exit")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
 		cli.Usage(tool+" [flags]", flag.PrintDefaults)
-	}
-
-	if *verify != "" {
-		runVerify(*verify)
-		return
-	}
-	if *verifyCampaign != "" {
-		b, err := campaign.VerifyBench(*verifyCampaign)
-		if err != nil {
-			cli.Fatal(tool, "verify-campaign", err)
-		}
-		fmt.Printf("%s: ok (%d units, %d resumes, %d bytes)\n", *verifyCampaign, b.Units, b.Resumes, b.Bytes)
-		return
 	}
 
 	g := sweep.Grid{
@@ -163,7 +147,9 @@ func main() {
 	}
 
 	if *asJSON {
-		writeArtifact(*out, res)
+		if err := ledger.WriteFile(*out, func(w io.Writer) error { return sweep.WriteJSON(w, res.Grid, res.Records) }); err != nil {
+			cli.Fatal(tool, "write", err)
+		}
 	} else {
 		printTable(res)
 	}
@@ -253,7 +239,9 @@ func runRemote(base string, g sweep.Grid, units int, out string, gc bool, benchP
 	}
 	durMS := time.Since(start).Milliseconds() //unilint:ok wallclock campaign bench duration; transfer measurement, not part of the sweep artifact
 
-	writeTo(out, func(w io.Writer) error { return res.WriteArtifact(w) })
+	if err := ledger.WriteFile(out, res.WriteArtifact); err != nil {
+		cli.Fatal(tool, "write", err)
+	}
 
 	b := campaign.NewBench(res, durMS)
 	if gc {
@@ -266,49 +254,16 @@ func runRemote(base string, g sweep.Grid, units int, out string, gc bool, benchP
 			tool, rep.EvictedBypass+rep.EvictedLive, rep.EvictedBytes, rep.RemainingBytes)
 	}
 	if benchPath != "" {
-		if err := campaign.WriteBench(benchPath, b); err != nil {
+		if err := b.Check(); err != nil {
 			cli.Fatal(tool, "campaign-bench", err)
 		}
-		if _, err := campaign.VerifyBench(benchPath); err != nil {
+		if err := ledger.WriteFile(benchPath, func(w io.Writer) error { return ledger.WriteIndent(w, b) }); err != nil {
 			cli.Fatal(tool, "campaign-bench", err)
 		}
 		fmt.Fprintf(os.Stderr, "%s: wrote %s\n", tool, benchPath)
 	}
 	fmt.Fprintf(os.Stderr, "%s: remote: %d units streamed (%d resumes, %d bytes) in %s\n",
 		tool, units, res.Resumes, res.Bytes, time.Duration(durMS)*time.Millisecond)
-}
-
-// writeArtifact writes the canonical artifact atomically: a temp file in
-// the same directory, renamed over the target, so readers (and -resume)
-// never see a half-written canonical file.
-func writeArtifact(out string, res *sweep.Result) {
-	writeTo(out, func(w io.Writer) error { return sweep.WriteJSON(w, res.Grid, res.Records) })
-}
-
-// writeTo streams write into out ("-" for stdout) atomically: a temp file
-// in the same directory, renamed over the target.
-func writeTo(out string, write func(io.Writer) error) {
-	if out == "-" {
-		if err := write(os.Stdout); err != nil {
-			cli.Fatal(tool, "write", err)
-		}
-		return
-	}
-	tmp := out + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		cli.Fatal(tool, "write", err)
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		cli.Fatal(tool, "write", err)
-	}
-	if err := f.Close(); err != nil {
-		cli.Fatal(tool, "write", err)
-	}
-	if err := os.Rename(tmp, out); err != nil {
-		cli.Fatal(tool, "write", err)
-	}
 }
 
 func printTable(res *sweep.Result) {
@@ -318,17 +273,4 @@ func printTable(res *sweep.Result) {
 		fmt.Printf("%-55s %12d %10d %10d %12d %7.2f%%\n",
 			r.Key, r.Refs, r.Hits, r.Misses, r.DRAMWords, 100*r.MissRatio)
 	}
-}
-
-func runVerify(path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		cli.Fatal(tool, "verify", err)
-	}
-	defer f.Close()
-	n, err := sweep.Verify(f)
-	if err != nil {
-		cli.Fatal(tool, "verify", err)
-	}
-	fmt.Printf("%s: ok (%d records)\n", path, n)
 }

@@ -1,11 +1,11 @@
 package campaign
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 
 	"repro/internal/artifact"
+	"repro/internal/ledger"
 	"repro/internal/sweep"
 )
 
@@ -40,58 +40,42 @@ func NewBench(res *Result, durationMS int64) *Bench {
 	}
 }
 
-// WriteBench writes the report as indented JSON.
-func WriteBench(path string, b *Bench) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o666)
-}
+// VerifyBench strictly reads a bench report (ledger.Verify). The CI
+// campaign-smoke stage runs it against both the freshly generated and the
+// committed artifact.
+func VerifyBench(r io.Reader) (*Bench, error) { return ledger.Verify[Bench](r, BenchSchema) }
 
-// VerifyBench strictly validates a bench report: schema, internal
-// consistency (a complete campaign streamed every unit of a valid grid),
-// and GC-report sanity when present. The CI campaign-smoke stage runs it
-// against both the freshly generated and the committed artifact.
-func VerifyBench(path string) (*Bench, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var b Bench
-	if err := json.Unmarshal(raw, &b); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if b.Schema != BenchSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, b.Schema, BenchSchema)
-	}
+// Check reports whether a campaign was complete and its store GC sane: a
+// valid grid, every unit streamed, and a GC report (when present) that
+// flags any budget it left exceeded.
+func (b *Bench) Check() error {
 	units, err := b.Grid.Units()
 	if err != nil {
-		return nil, fmt.Errorf("%s: grid: %w", path, err)
+		return fmt.Errorf("campaign bench: grid: %w", err)
 	}
 	if b.Units != len(units) {
-		return nil, fmt.Errorf("%s: says %d units, grid expands to %d", path, b.Units, len(units))
+		return fmt.Errorf("campaign bench: says %d units, grid expands to %d", b.Units, len(units))
 	}
 	if b.Streamed != b.Units {
-		return nil, fmt.Errorf("%s: streamed %d of %d units", path, b.Streamed, b.Units)
+		return fmt.Errorf("campaign bench: streamed %d of %d units", b.Streamed, b.Units)
 	}
 	if b.Resumes < 0 {
-		return nil, fmt.Errorf("%s: negative resume count %d", path, b.Resumes)
+		return fmt.Errorf("campaign bench: negative resume count %d", b.Resumes)
 	}
 	if b.Bytes <= 0 {
-		return nil, fmt.Errorf("%s: implausible stream size %d bytes", path, b.Bytes)
+		return fmt.Errorf("campaign bench: implausible stream size %d bytes", b.Bytes)
 	}
 	if b.DurationMS < 0 {
-		return nil, fmt.Errorf("%s: negative duration", path)
+		return fmt.Errorf("campaign bench: negative duration")
 	}
 	if g := b.GC; g != nil {
 		if g.Budget <= 0 {
-			return nil, fmt.Errorf("%s: gc report without a budget", path)
+			return fmt.Errorf("campaign bench: gc report without a budget")
 		}
 		if g.RemainingBytes > g.Budget && !g.OverBudget {
-			return nil, fmt.Errorf("%s: gc left %d bytes over a %d budget without flagging over_budget",
-				path, g.RemainingBytes, g.Budget)
+			return fmt.Errorf("campaign bench: gc left %d bytes over a %d budget without flagging over_budget",
+				g.RemainingBytes, g.Budget)
 		}
 	}
-	return &b, nil
+	return nil
 }

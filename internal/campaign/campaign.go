@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/artifact"
+	"repro/internal/ledger"
 	"repro/internal/serve"
 	"repro/internal/sweep"
 )
@@ -62,9 +63,9 @@ type Options struct {
 type Result struct {
 	Grid    sweep.Grid
 	Units   int
-	Lines   [][]byte // raw record lines, canonical order, len == Units
-	Resumes int      // streams re-opened after a mid-stream break
-	Bytes   int64    // stream bytes received, all pages
+	Lines   []json.RawMessage // raw record lines, canonical order, len == Units
+	Resumes int               // streams re-opened after a mid-stream break
+	Bytes   int64             // stream bytes received, all pages
 }
 
 // WriteArtifact writes the canonical sweep artifact from the streamed
@@ -145,7 +146,7 @@ func Fetch(opt Options) (*Result, error) {
 // delivered, and the trailer if the stream completed.
 type page struct {
 	header  serve.CampaignHeader
-	lines   [][]byte
+	lines   []json.RawMessage
 	trailer *serve.CampaignTrailer
 }
 
@@ -250,11 +251,8 @@ func RunGC(hc *http.Client, baseURL string, budget int64) (*artifact.GCReport, e
 		Schema string `json:"schema"`
 		artifact.GCReport
 	}
-	if err := json.NewDecoder(hr.Body).Decode(&out); err != nil {
+	if err := ledger.Decode(hr.Body, serve.GCSchema, &out); err != nil {
 		return nil, fmt.Errorf("campaign: gc response: %w", err)
-	}
-	if out.Schema != serve.GCSchema {
-		return nil, fmt.Errorf("campaign: gc response schema %q, want %q", out.Schema, serve.GCSchema)
 	}
 	return &out.GCReport, nil
 }

@@ -8,11 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/artifact"
+	"repro/internal/ledger"
 	"repro/internal/serve"
 	"repro/internal/sweep"
 )
@@ -96,8 +98,12 @@ func TestRemoteLocalConformance(t *testing.T) {
 	}
 
 	// The reassembled artifact must also satisfy the strict verifier.
-	if n, err := sweep.Verify(bytes.NewReader(got.Bytes())); err != nil || n != len(units) {
-		t.Fatalf("verify: %d records, err %v", n, err)
+	a, err := sweep.Verify(bytes.NewReader(got.Bytes()))
+	if err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	if len(a.Records) != len(units) {
+		t.Fatalf("verify: %d records, want %d", len(a.Records), len(units))
 	}
 }
 
@@ -206,13 +212,25 @@ func TestCampaignBenchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := t.TempDir() + "/BENCH_campaign.json"
-	b := NewBench(res, 12)
-	if err := WriteBench(path, b); err != nil {
+	var buf bytes.Buffer
+	if err := ledger.WriteIndent(&buf, NewBench(res, 12)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := VerifyBench(path); err != nil {
+	doc := buf.String()
+	if _, err := VerifyBench(strings.NewReader(doc)); err != nil {
 		t.Fatalf("verify: %v", err)
+	}
+	for name, bad := range map[string]string{
+		"short stream":  strings.Replace(doc, `"streamed": 8`, `"streamed": 7`, 1),
+		"unknown field": strings.Replace(doc, `"resumes":`, `"host": "ci", "resumes":`, 1),
+		"wrong schema":  strings.Replace(doc, BenchSchema, "unicache-campaign-bench/v0", 1),
+	} {
+		if bad == doc {
+			t.Fatalf("%s: the edit did not apply", name)
+		}
+		if _, err := VerifyBench(strings.NewReader(bad)); err == nil {
+			t.Errorf("verify accepted a report with a %s", name)
+		}
 	}
 }
 

@@ -178,6 +178,7 @@ func analyze(p *ir.Program, ccfg cache.Config, opt check.Options, xopt Options,
 	r.Steps, r.PeakWidth, r.Exhausted = stats.steps, stats.peak, stats.exhausted
 
 	// Per-site report and summary, in program order.
+	r.Sites = make([]SiteVerdict, 0, len(pre.Verdicts))
 	for _, f := range p.Funcs {
 		tab := sm.Table(f)
 		for _, st := range tab.Sites {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/exact"
+	"repro/internal/ledger"
 	"repro/internal/progen"
 	"repro/internal/sweep"
 )
@@ -26,9 +27,9 @@ const ScalingSchema = "unicache-exact-scale/v1"
 
 // ScalingSpec parameterizes the campaign.
 type ScalingSpec struct {
-	Seeds  []int64 // progen seeds, one program each
-	Scale  int     // progen.ScaleKnobs factor
-	Budget int64   // per-program step budget; 0 unlimited
+	Seeds  []int64 `json:"seeds"`  // progen seeds, one program each
+	Scale  int     `json:"scale"`  // progen.ScaleKnobs factor
+	Budget int64   `json:"budget"` // per-program step budget; 0 unlimited
 }
 
 // DefaultScalingSpec is the checked-in campaign: twenty generated programs
@@ -106,29 +107,32 @@ func RecordsScaling(spec ScalingSpec) ([]sweep.Record, error) {
 // wall time, machine, or map order, so two runs of the same spec produce
 // byte-identical files.
 func WriteScalingJSON(w io.Writer, spec ScalingSpec, recs []sweep.Record) error {
-	seeds := make([]string, len(spec.Seeds))
-	for i, s := range spec.Seeds {
-		seeds[i] = fmt.Sprint(s)
+	return ledger.WriteLines(w, ScalingSchema, []ledger.Field{
+		{Name: "scale", Value: spec.Scale},
+		{Name: "budget", Value: spec.Budget},
+		{Name: "seeds", Value: spec.Seeds},
+	}, "records", recs)
+}
+
+// ScalingArtifact is the decoded form of BENCH_exact.json.
+type ScalingArtifact struct {
+	Schema string `json:"schema"`
+	ScalingSpec
+	Records []sweep.Record `json:"records"`
+}
+
+// VerifyScaling strictly reads an E12 artifact (ledger.Verify).
+func VerifyScaling(r io.Reader) (*ScalingArtifact, error) {
+	return ledger.Verify[ScalingArtifact](r, ScalingSchema)
+}
+
+// Check requires one record per seed, and the records to pass
+// sweep.CheckKeys.
+func (a *ScalingArtifact) Check() error {
+	if len(a.Records) != len(a.Seeds) {
+		return fmt.Errorf("exact-scale: %d seeds but %d records", len(a.Seeds), len(a.Records))
 	}
-	if _, err := fmt.Fprintf(w, "{\n\"schema\": %q,\n\"scale\": %d,\n\"budget\": %d,\n\"seeds\": [%s],\n\"records\": [\n",
-		ScalingSchema, spec.Scale, spec.Budget, strings.Join(seeds, ",")); err != nil {
-		return err
-	}
-	for i, r := range recs {
-		b, err := r.MarshalLine()
-		if err != nil {
-			return err
-		}
-		sep := ","
-		if i == len(recs)-1 {
-			sep = ""
-		}
-		if _, err := fmt.Fprintf(w, "%s%s\n", b, sep); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprint(w, "]}\n")
-	return err
+	return sweep.CheckKeys(a.Records)
 }
 
 // ScalingTable is the E12 result: one record per program.

@@ -99,4 +99,18 @@ func TestScalingJSONByteStable(t *testing.T) {
 	if dropped != 0 || len(got) != 1 {
 		t.Errorf("sweep salvage recovered %d records (%d dropped), want 1 (0)", len(got), dropped)
 	}
+	if _, err := VerifyScaling(strings.NewReader(docs[0])); err != nil {
+		t.Errorf("strict reader rejected the artifact: %v", err)
+	}
+	for name, bad := range map[string]string{
+		"seed without a record": strings.Replace(docs[0], `"seeds": [3]`, `"seeds": [3,4]`, 1),
+		"tampered record key":   strings.Replace(docs[0], `"bench":"progen-003"`, `"bench":"progen-004"`, 1),
+	} {
+		if bad == docs[0] {
+			t.Fatalf("%s: the edit did not apply", name)
+		}
+		if _, err := VerifyScaling(strings.NewReader(bad)); err == nil {
+			t.Errorf("strict reader accepted an artifact with a %s", name)
+		}
+	}
 }

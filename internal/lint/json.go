@@ -1,13 +1,13 @@
 package lint
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"path"
 	"sort"
 	"strings"
+
+	"repro/internal/ledger"
 )
 
 // Schema identifies the lint artifact format, mirroring the sweep/replay
@@ -47,63 +47,37 @@ func NewReport(module string, r *Result) *Report {
 // then one finding per line (the unit a human diffs and a reader can
 // salvage), like the sweep artifact.
 func (rep *Report) WriteJSON(w io.Writer) error {
-	ab, err := json.Marshal(rep.Analyzers)
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w,
-		"{\n\"schema\": %q,\n\"module\": %q,\n\"analyzers\": %s,\n\"packages\": %d,\n\"total\": %d,\n\"suppressed\": %d,\n\"unsuppressed\": %d,\n\"findings\": [\n",
-		rep.Schema, rep.Module, ab, rep.Packages, rep.Total, rep.Suppressed, rep.Unsuppressed); err != nil {
-		return err
-	}
-	for i, d := range rep.Findings {
-		b, err := json.Marshal(d)
-		if err != nil {
-			return err
-		}
-		sep := ","
-		if i == len(rep.Findings)-1 {
-			sep = ""
-		}
-		if _, err := fmt.Fprintf(w, "%s%s\n", b, sep); err != nil {
-			return err
-		}
-	}
-	_, err = fmt.Fprint(w, "]}\n")
-	return err
+	return ledger.WriteLines(w, rep.Schema, []ledger.Field{
+		{Name: "module", Value: rep.Module},
+		{Name: "analyzers", Value: rep.Analyzers},
+		{Name: "packages", Value: rep.Packages},
+		{Name: "total", Value: rep.Total},
+		{Name: "suppressed", Value: rep.Suppressed},
+		{Name: "unsuppressed", Value: rep.Unsuppressed},
+	}, "findings", rep.Findings)
 }
 
-// Verify strictly reads a lint artifact: unknown fields, a wrong schema,
-// inconsistent counts, findings by unlisted analyzers, absolute or empty
-// paths, out-of-range positions, suppression/reason mismatches, and
-// non-canonical ordering are all errors. It returns the decoded report.
-func Verify(r io.Reader) (*Report, error) {
-	dec := json.NewDecoder(bufio.NewReader(r))
-	dec.DisallowUnknownFields()
-	var rep Report
-	if err := dec.Decode(&rep); err != nil {
-		return nil, fmt.Errorf("lint artifact: %w", err)
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return nil, fmt.Errorf("lint artifact: trailing data after document")
-	}
-	if rep.Schema != Schema {
-		return nil, fmt.Errorf("lint artifact: schema %q, want %q", rep.Schema, Schema)
-	}
+// Verify strictly reads a lint artifact (ledger.Verify) and returns it.
+func Verify(r io.Reader) (*Report, error) { return ledger.Verify[Report](r, Schema) }
+
+// Check rejects inconsistent counts, findings by unlisted analyzers,
+// absolute or empty paths, out-of-range positions, suppression/reason
+// mismatches, and non-canonical ordering.
+func (rep *Report) Check() error {
 	if rep.Module == "" {
-		return nil, fmt.Errorf("lint artifact: empty module")
+		return fmt.Errorf("lint artifact: empty module")
 	}
 	if !sort.StringsAreSorted(rep.Analyzers) || len(rep.Analyzers) == 0 {
-		return nil, fmt.Errorf("lint artifact: analyzers list must be non-empty and sorted")
+		return fmt.Errorf("lint artifact: analyzers list must be non-empty and sorted")
 	}
 	if rep.Packages <= 0 {
-		return nil, fmt.Errorf("lint artifact: packages %d, want > 0", rep.Packages)
+		return fmt.Errorf("lint artifact: packages %d, want > 0", rep.Packages)
 	}
 	if rep.Total != len(rep.Findings) {
-		return nil, fmt.Errorf("lint artifact: total %d but %d findings", rep.Total, len(rep.Findings))
+		return fmt.Errorf("lint artifact: total %d but %d findings", rep.Total, len(rep.Findings))
 	}
 	if rep.Suppressed+rep.Unsuppressed != rep.Total {
-		return nil, fmt.Errorf("lint artifact: suppressed %d + unsuppressed %d != total %d",
+		return fmt.Errorf("lint artifact: suppressed %d + unsuppressed %d != total %d",
 			rep.Suppressed, rep.Unsuppressed, rep.Total)
 	}
 	known := make(map[string]bool, len(rep.Analyzers)+1)
@@ -114,19 +88,19 @@ func Verify(r io.Reader) (*Report, error) {
 	sup := 0
 	for i, d := range rep.Findings {
 		if err := verifyFinding(d, known); err != nil {
-			return nil, fmt.Errorf("lint artifact: finding %d: %w", i, err)
+			return fmt.Errorf("lint artifact: finding %d: %w", i, err)
 		}
 		if d.Suppressed {
 			sup++
 		}
 		if i > 0 && diagLess(d, rep.Findings[i-1]) {
-			return nil, fmt.Errorf("lint artifact: findings %d and %d out of canonical order", i-1, i)
+			return fmt.Errorf("lint artifact: findings %d and %d out of canonical order", i-1, i)
 		}
 	}
 	if sup != rep.Suppressed {
-		return nil, fmt.Errorf("lint artifact: header claims %d suppressed, findings hold %d", rep.Suppressed, sup)
+		return fmt.Errorf("lint artifact: header claims %d suppressed, findings hold %d", rep.Suppressed, sup)
 	}
-	return &rep, nil
+	return nil
 }
 
 func verifyFinding(d Diagnostic, known map[string]bool) error {
@@ -151,7 +125,8 @@ func verifyFinding(d Diagnostic, known map[string]bool) error {
 	return nil
 }
 
-// diagLess is the canonical artifact order (same key sortDiags uses).
+// diagLess is the canonical artifact order: Run sorts findings by it and
+// Verify requires it.
 func diagLess(a, b Diagnostic) bool {
 	if a.File != b.File {
 		return a.File < b.File

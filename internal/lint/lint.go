@@ -155,27 +155,8 @@ func Run(pkgs []*Package, analyzers []*Analyzer) *Result {
 		}
 		diags = append(diags, applySuppressions(pkg, diags, known, ran)...)
 	}
-	sortDiags(diags)
+	sort.Slice(diags, func(i, j int) bool { return diagLess(diags[i], diags[j]) })
 	return &Result{Analyzers: names, Packages: len(pkgs), Diags: diags}
-}
-
-func sortDiags(diags []Diagnostic) {
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Message < b.Message
-	})
 }
 
 // suppression is one parsed //unilint:ok comment.

@@ -17,14 +17,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/ledger"
 	"repro/internal/serve"
 )
 
@@ -97,7 +98,7 @@ type Report struct {
 	PanicsShed int64 `json:"panics_shed"`
 	// Dials counts TCP connections the harness opened. With keep-alives a
 	// storm should reuse roughly one connection per concurrent client, so
-	// the acceptance bar is dials ≪ requests (VerifyBench enforces it) —
+	// the acceptance bar is dials ≪ requests (Report.Check enforces it) —
 	// the regression this catches is a client stack quietly falling back
 	// to a dial per request.
 	Dials int64 `json:"dials"`
@@ -325,54 +326,39 @@ func postEval(client *http.Client, base string, rq *serve.Request) (*serve.Respo
 	return &resp, nil
 }
 
-// WriteBench persists the report (pretty-printed, trailing newline).
-func WriteBench(path string, rep *Report) error {
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o666)
-}
+// VerifyBench strictly reads a persisted report (ledger.Verify): the CI
+// gate for the checked-in BENCH_serve.json.
+func VerifyBench(r io.Reader) (*Report, error) { return ledger.Verify[Report](r, BenchSchema) }
 
-// VerifyBench validates a persisted report's schema and basic sanity —
-// the CI gate for the checked-in BENCH_serve.json.
-func VerifyBench(path string) (*Report, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep Report
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Schema != BenchSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, BenchSchema)
-	}
+// Check reports whether the run behind a report was sound: requests were
+// measured, none was lost in transport, and every injected panic, budget
+// bomb and dial is accounted for.
+func (rep *Report) Check() error {
 	if rep.Requests <= 0 || rep.Throughput <= 0 || rep.Latency == nil || rep.Latency.Count <= 0 {
-		return nil, fmt.Errorf("%s: degenerate report (requests=%d, rps=%.1f)", path, rep.Requests, rep.Throughput)
+		return fmt.Errorf("serve bench: degenerate report (requests=%d, rps=%.1f)", rep.Requests, rep.Throughput)
 	}
 	if rep.TransportErrors > 0 {
-		return nil, fmt.Errorf("%s: %d transport errors — the daemon dropped requests", path, rep.TransportErrors)
+		return fmt.Errorf("serve bench: %d transport errors — the daemon dropped requests", rep.TransportErrors)
 	}
 	if rep.Outcomes["ok"] <= 0 {
-		return nil, fmt.Errorf("%s: no successful requests", path)
+		return fmt.Errorf("serve bench: no successful requests")
 	}
 	if rep.PanicsInjected != rep.PanicsIsolated+rep.PanicsShed {
-		return nil, fmt.Errorf("%s: %d panics injected but only %d isolated and %d shed — one was swallowed",
-			path, rep.PanicsInjected, rep.PanicsIsolated, rep.PanicsShed)
+		return fmt.Errorf("serve bench: %d panics injected but only %d isolated and %d shed — one was swallowed",
+			rep.PanicsInjected, rep.PanicsIsolated, rep.PanicsShed)
 	}
 	if rep.BudgetsInjected != rep.BudgetsStructured {
-		return nil, fmt.Errorf("%s: %d budget bombs injected but only %d came back structured",
-			path, rep.BudgetsInjected, rep.BudgetsStructured)
+		return fmt.Errorf("serve bench: %d budget bombs injected but only %d came back structured",
+			rep.BudgetsInjected, rep.BudgetsStructured)
 	}
 	if rep.Requests >= 100 {
 		if rep.Dials < 1 {
-			return nil, fmt.Errorf("%s: no dial accounting (dials=%d)", path, rep.Dials)
+			return fmt.Errorf("serve bench: no dial accounting (dials=%d)", rep.Dials)
 		}
 		if rep.Dials*8 > int64(rep.Requests) {
-			return nil, fmt.Errorf("%s: %d dials for %d requests — connection reuse is broken",
-				path, rep.Dials, rep.Requests)
+			return fmt.Errorf("serve bench: %d dials for %d requests — connection reuse is broken",
+				rep.Dials, rep.Requests)
 		}
 	}
-	return &rep, nil
+	return nil
 }

@@ -1,12 +1,13 @@
 package loadtest
 
 import (
+	"bytes"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/ledger"
 	"repro/internal/serve"
 )
 
@@ -59,11 +60,7 @@ func TestRunMixedStorm(t *testing.T) {
 	}
 
 	// Round-trip through the persisted form and the CI verifier.
-	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	if err := WriteBench(path, rep); err != nil {
-		t.Fatal(err)
-	}
-	got, err := VerifyBench(path)
+	got, err := VerifyBench(encode(t, rep))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,29 +100,39 @@ func TestDeterministicMix(t *testing.T) {
 	}
 }
 
-// TestVerifyBenchRejects: the verifier refuses wrong schemas and
-// transport errors.
+// TestVerifyBenchRejects: the verifier refuses wrong schemas, transport
+// errors and unknown fields.
 func TestVerifyBenchRejects(t *testing.T) {
-	dir := t.TempDir()
 	bad := &Report{Schema: "wrong/v0", Requests: 1, Throughput: 1,
 		Latency: serve.NewHistogram()}
 	bad.Latency.Observe(int64(time.Millisecond))
-	p := filepath.Join(dir, "bad.json")
-	if err := WriteBench(p, bad); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := VerifyBench(p); err == nil {
+	if _, err := VerifyBench(encode(t, bad)); err == nil {
 		t.Error("wrong schema accepted")
 	}
 	crashy := &Report{Schema: BenchSchema, Requests: 10, Throughput: 5,
 		TransportErrors: 2, Latency: serve.NewHistogram(),
 		Outcomes: map[string]int64{"ok": 8}}
 	crashy.Latency.Observe(int64(time.Millisecond))
-	p2 := filepath.Join(dir, "crashy.json")
-	if err := WriteBench(p2, crashy); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := VerifyBench(p2); err == nil {
+	if _, err := VerifyBench(encode(t, crashy)); err == nil {
 		t.Error("report with transport errors accepted")
 	}
+	good := *crashy
+	good.TransportErrors = 0
+	if _, err := VerifyBench(encode(t, &good)); err != nil {
+		t.Fatalf("sound report rejected: %v", err)
+	}
+	foreign := strings.Replace(encode(t, &good).String(), `"seed":`, `"host": "ci", "seed":`, 1)
+	if _, err := VerifyBench(strings.NewReader(foreign)); err == nil {
+		t.Error("report with an unknown field accepted")
+	}
+}
+
+// encode writes a report in its persisted layout.
+func encode(t *testing.T, rep *Report) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ledger.WriteIndent(&buf, rep); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
 }

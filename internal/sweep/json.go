@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"repro/internal/ledger"
 )
 
 // Schema identifies the sweep artifact format. Bump on any change to the
@@ -18,43 +20,20 @@ const Schema = "unicache-sweep/v1"
 // ReadRecords salvages every complete line — and the encoding contains no
 // timestamps, map iterations or float formatting ambiguity, so two sweeps
 // of the same grid produce byte-identical files at any worker count.
-func WriteJSON(w io.Writer, g Grid, recs []Record) error {
-	lines := make([][]byte, len(recs))
-	for i, r := range recs {
-		b, err := r.MarshalLine()
-		if err != nil {
-			return err
-		}
-		lines[i] = b
-	}
-	return WriteJSONLines(w, g, lines)
-}
+func WriteJSON(w io.Writer, g Grid, recs []Record) error { return writeJSON(w, g, recs) }
 
 // WriteJSONLines is WriteJSON over already-marshaled record lines. It is
 // the single source of truth for the artifact layout: the remote campaign
 // client assembles its artifact from the raw lines the daemon streamed,
 // through this writer, so remote and local artifacts agree byte-for-byte
-// by construction rather than by re-marshaling.
-func WriteJSONLines(w io.Writer, g Grid, lines [][]byte) error {
-	gb, err := json.Marshal(g)
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "{\n\"schema\": %q,\n\"grid\": %s,\n\"units\": %d,\n\"records\": [\n",
-		Schema, gb, len(lines)); err != nil {
-		return err
-	}
-	for i, b := range lines {
-		sep := ","
-		if i == len(lines)-1 {
-			sep = ""
-		}
-		if _, err := fmt.Fprintf(w, "%s%s\n", b, sep); err != nil {
-			return err
-		}
-	}
-	_, err = fmt.Fprint(w, "]}\n")
-	return err
+// by construction rather than by re-marshaling records.
+func WriteJSONLines(w io.Writer, g Grid, lines []json.RawMessage) error {
+	return writeJSON(w, g, lines)
+}
+
+func writeJSON[T any](w io.Writer, g Grid, items []T) error {
+	return ledger.WriteLines(w, Schema,
+		[]ledger.Field{{Name: "grid", Value: g}, {Name: "units", Value: len(items)}}, "records", items)
 }
 
 // MarshalLine encodes the record as the single JSON line WriteJSON emits
@@ -99,39 +78,40 @@ func ReadRecords(r io.Reader) (map[string]Record, int, error) {
 	return out, dropped, sc.Err()
 }
 
-// Verify strictly parses a complete sweep artifact: schema and unit count
-// must match, every record's key must re-derive from its fields, and keys
-// must be unique. It returns the record count. CI's sweep-smoke stage uses
-// it as the "is this valid JSON with the schema we promised" gate.
-func Verify(r io.Reader) (int, error) {
-	var doc struct {
-		Schema  string   `json:"schema"`
-		Grid    Grid     `json:"grid"`
-		Units   int      `json:"units"`
-		Records []Record `json:"records"`
+// Artifact is the decoded form of a sweep artifact.
+type Artifact struct {
+	Schema  string   `json:"schema"`
+	Grid    Grid     `json:"grid"`
+	Units   int      `json:"units"`
+	Records []Record `json:"records"`
+}
+
+// Verify strictly reads a complete sweep artifact (ledger.Verify).
+func Verify(r io.Reader) (*Artifact, error) { return ledger.Verify[Artifact](r, Schema) }
+
+// Check requires the unit count to match the records, and the records to
+// pass CheckKeys.
+func (a *Artifact) Check() error {
+	if a.Units != len(a.Records) {
+		return fmt.Errorf("sweep: header says %d units, found %d records", a.Units, len(a.Records))
 	}
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&doc); err != nil {
-		return 0, fmt.Errorf("sweep: invalid artifact: %w", err)
-	}
-	if doc.Schema != Schema {
-		return 0, fmt.Errorf("sweep: schema %q, want %q", doc.Schema, Schema)
-	}
-	if doc.Units != len(doc.Records) {
-		return 0, fmt.Errorf("sweep: header says %d units, found %d records", doc.Units, len(doc.Records))
-	}
-	seen := make(map[string]bool, len(doc.Records))
-	for i, rec := range doc.Records {
+	return CheckKeys(a.Records)
+}
+
+// CheckKeys requires every record's key to re-derive from its fields and
+// no key to repeat. Every artifact that carries Records checks them so.
+func CheckKeys(recs []Record) error {
+	seen := make(map[string]bool, len(recs))
+	for i, rec := range recs {
 		want := rec
 		want.SetKey()
 		if rec.Key != want.Key {
-			return 0, fmt.Errorf("sweep: record %d: key %q does not match fields (want %q)", i, rec.Key, want.Key)
+			return fmt.Errorf("record %d: key %q does not match fields (want %q)", i, rec.Key, want.Key)
 		}
 		if seen[rec.Key] {
-			return 0, fmt.Errorf("sweep: record %d: duplicate key %q", i, rec.Key)
+			return fmt.Errorf("record %d: duplicate key %q", i, rec.Key)
 		}
 		seen[rec.Key] = true
 	}
-	return len(doc.Records), nil
+	return nil
 }

@@ -102,8 +102,12 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	if !bytes.Equal(one, eight) {
 		t.Fatalf("workers=1 and workers=8 artifacts differ:\n--- 1 ---\n%s\n--- 8 ---\n%s", one, eight)
 	}
-	if n, err := Verify(bytes.NewReader(one)); err != nil || n != g.Size() {
-		t.Fatalf("Verify = (%d, %v), want (%d, nil)", n, err, g.Size())
+	a, err := Verify(bytes.NewReader(one))
+	if err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	if len(a.Records) != g.Size() {
+		t.Fatalf("Verify read %d records, want %d", len(a.Records), g.Size())
 	}
 }
 
@@ -248,6 +252,9 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	wrongSchema := strings.Replace(art, Schema, "unicache-sweep/v0", 1)
 	if _, err := Verify(strings.NewReader(wrongSchema)); err == nil {
 		t.Error("wrong schema verified")
+	}
+	if _, err := Verify(strings.NewReader(art + "{}\n")); err == nil {
+		t.Error("artifact with trailing data verified")
 	}
 }
 

@@ -19,6 +19,9 @@ go vet gencorpus.go
 
 echo "== go build =="
 go build ./...
+# One strict reader for every JSON artifact: `unibench -verify FILE...`
+# picks each file's checks by its schema tag.
+go build -o /tmp/unibench-verify-ci ./cmd/unibench
 
 echo "== lint-smoke (unilint: determinism/panic/cancellation invariants) =="
 # The stdlib-only static-analysis suite (internal/lint) must prove its
@@ -31,7 +34,7 @@ LINT_T0=$SECONDS
 go build -o /tmp/unilint-ci ./cmd/unilint
 go test -count=1 -run 'TestFixtures' ./internal/lint
 /tmp/unilint-ci -q -json /tmp/lint-ci.json ./...
-/tmp/unilint-ci -verify /tmp/lint-ci.json
+/tmp/unibench-verify-ci -verify /tmp/lint-ci.json
 LINT_SEC=$((SECONDS - LINT_T0))
 echo "lint-smoke: ${LINT_SEC}s"
 if [ "$LINT_SEC" -gt 60 ]; then
@@ -89,18 +92,37 @@ echo "== lifecycle race (serve, campaign, artifact; repeated, shuffled) =="
 # detector so a lifecycle ordering bug fails CI, not an occasional run.
 go test -race -count=20 -shuffle=on ./internal/serve ./internal/campaign ./internal/artifact
 
-# fuzz_smoke runs one fuzz target for 10 s and prints its last progress
-# line, so the log shows how many inputs each window executed. Minimizing
-# a new input is capped at 100 runs: uncapped, a minimization can take
-# most of the window while the exec count stands still. On failure it
-# prints the whole run.
+# fuzz_smoke runs one fuzz target for 10 s, prints the exec count of each
+# of its progress lines, and fails unless that count rises from every
+# line to the next: a target whose count stands still has stopped
+# fuzzing for the rest of its window. A third argument of "ends" only
+# asks for a last line that counts execs, for a target whose seed corpus
+# alone takes most of the window. Each run starts from the seed corpus
+# in a fresh fuzz cache: a cache that grows from run to run makes the
+# replay of its corpus fill the window, and slow targets then fuzz no
+# new input at all. Minimizing a new input is capped at 100 runs:
+# uncapped, a minimization can take most of the window while the exec
+# count stands still. On failure it prints the whole run.
 fuzz_smoke() {
-    local out
-    if ! out=$(go test -run 'xxx^' -fuzz "$1\$" -fuzztime 10s -fuzzminimizetime 100x "$2" 2>&1); then
+    local cache out counts
+    cache=$(mktemp -d)
+    if ! out=$(go test -run 'xxx^' -fuzz "$1\$" -fuzztime 10s -fuzzminimizetime 100x "$2" \
+        -args -test.fuzzcachedir="$cache" 2>&1); then
+        rm -rf "$cache"
         echo "$out"
         return 1
     fi
-    echo "$1: $(echo "$out" | grep 'execs:' | tail -n 1)"
+    rm -rf "$cache"
+    counts=$(echo "$out" | sed -n 's/.* execs: \([0-9]*\) .*/\1/p' | tr '\n' ' ')
+    echo "$1: execs $counts"
+    if ! echo "$counts" | awk -v mode="${3:-every}" '
+        mode == "ends" { exit !(NF >= 1 && $NF > 0) }
+        NF < 2 { exit 1 }
+        { for (i = 2; i <= NF; i++) if ($i <= $(i - 1)) exit 1 }'; then
+        echo "$1: exec count stopped rising" >&2
+        echo "$out"
+        return 1
+    fi
 }
 
 echo "== fuzz smoke (10s per target) =="
@@ -133,6 +155,7 @@ diff -u BENCH_precision.txt /tmp/precision-ci.txt
 rm -f /tmp/precision-ci.txt
 go run ./cmd/unibench -experiment scaling -scaling-out /tmp/exact-ci.json >/dev/null
 cmp BENCH_exact.json /tmp/exact-ci.json
+/tmp/unibench-verify-ci -verify /tmp/exact-ci.json
 rm -f /tmp/exact-ci.json
 go run ./cmd/unicheck -oracle -bench queen,sieve
 
@@ -143,10 +166,11 @@ echo "== exact-scale-smoke (antichain vs power-set reference, generated programs
 # exact package's tests and fails on any per-site verdict divergence;
 # it and unicheck both replay every verdict on the production VM. The
 # fuzz pass drives the same differential over fresh progen programs
-# (SmallKnobs) for a few seconds.
+# (SmallKnobs); its seed corpus alone takes most of the 10 s window, so
+# fuzz_smoke only asks its last progress line to count execs.
 go test -count=1 -run 'TestSolversAgreeOnGeneratedWindow$' ./internal/exact
 go run ./cmd/unicheck -oracle -interproc -bench sieve -gen 3,5,8 -gen-scale 2
-fuzz_smoke FuzzExactAntichain ./internal/exact
+fuzz_smoke FuzzExactAntichain ./internal/exact ends
 
 echo "== fault campaigns (bubble, sieve) =="
 go run ./cmd/unibench -experiment resilience -bench bubble,sieve
@@ -158,8 +182,7 @@ go build -o /tmp/unisweep-ci ./cmd/unisweep
 /tmp/unisweep-ci -bench bubble,sieve -sets 8,16 -ways 1,2 -quiet -o /tmp/sweep-w1.json -workers 1
 /tmp/unisweep-ci -bench bubble,sieve -sets 8,16 -ways 1,2 -quiet -o /tmp/sweep-w8.json -workers 8
 cmp /tmp/sweep-w1.json /tmp/sweep-w8.json
-/tmp/unisweep-ci -verify /tmp/sweep-w1.json
-/tmp/unisweep-ci -verify BENCH_sweep.json
+/tmp/unibench-verify-ci -verify /tmp/sweep-w1.json BENCH_sweep.json
 rm -f /tmp/unisweep-ci /tmp/sweep-w1.json /tmp/sweep-w8.json
 
 echo "== replay-smoke (engine equivalence, wall-time budget) =="
@@ -212,7 +235,7 @@ done
     >/tmp/serve-loadtest-ci.txt
 cat /tmp/serve-loadtest-ci.txt
 /tmp/unicall-ci -addr-file /tmp/unicached-ci.addr health
-/tmp/unicall-ci -verify-bench BENCH_serve.json
+/tmp/unibench-verify-ci -verify BENCH_serve.json
 kill -TERM "$UCD_PID"
 DRAIN_OK=0
 for i in $(seq 1 100); do
@@ -252,9 +275,8 @@ CAMP_GRID="-bench bubble,sieve -sets 8,16 -ways 1,2 -policies lru,fifo"
     -remote-gc -campaign-bench /tmp/campaign-bench-ci.json \
     -o /tmp/campaign-remote-ci.json
 cmp /tmp/campaign-local-ci.json /tmp/campaign-remote-ci.json
-/tmp/unisweep-ci -verify /tmp/campaign-remote-ci.json
-/tmp/unisweep-ci -verify-campaign /tmp/campaign-bench-ci.json
-/tmp/unisweep-ci -verify-campaign BENCH_campaign.json
+/tmp/unibench-verify-ci -verify /tmp/campaign-remote-ci.json /tmp/campaign-bench-ci.json \
+    BENCH_campaign.json
 /tmp/unicall-ci -addr-file /tmp/unicached-ci.addr gc >/dev/null
 kill -TERM "$UCD_PID"
 DRAIN_OK=0
@@ -275,4 +297,5 @@ rm -f /tmp/unicached-ci /tmp/unicall-ci /tmp/unisweep-ci /tmp/unicached-ci.addr 
     /tmp/unicached-ci.log /tmp/campaign-local-ci.json /tmp/campaign-remote-ci.json \
     /tmp/campaign-bench-ci.json
 
+rm -f /tmp/unibench-verify-ci
 echo "CI OK"

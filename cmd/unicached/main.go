@@ -11,7 +11,8 @@
 //
 //	-addr HOST:PORT     listen address (default 127.0.0.1:8347; :0 picks a port)
 //	-addr-file FILE     write the bound address to FILE (for :0 discovery)
-//	-workers N          worker-pool size (default GOMAXPROCS)
+//	-workers N          worker-pool size (default GOMAXPROCS); a /v1/sweep
+//	                    campaign holds at most max(1, N-1) of them
 //	-queue N            admission-queue depth (default 4x workers)
 //	-cache-dir DIR      persistent artifact store (default: memory-only)
 //	-deadline DUR       default per-request deadline (default 10s)
@@ -19,7 +20,6 @@
 //	-drain DUR          shutdown drain budget (default 15s)
 //	-batch-wait DUR     admission batching window (default 2ms; negative disables)
 //	-batch-max N        flush a batch early at N requests (default 16)
-//	-campaign-window N  per-campaign in-flight unit cap (default 4x workers)
 //	-store-budget N     store byte budget; GC after campaigns and via /v1/gc
 //	-debug              honor fault-injection request fields (load tests, CI)
 //
@@ -52,7 +52,6 @@ func main() {
 	drain := flag.Duration("drain", 0, "shutdown drain budget (0 = 15s)")
 	batchWait := flag.Duration("batch-wait", 0, "admission batching window (0 = 2ms, negative disables)")
 	batchMax := flag.Int("batch-max", 0, "flush a batch early at this many requests (0 = 16)")
-	campaignWindow := flag.Int("campaign-window", 0, "in-flight unit cap per campaign (0 = 4x workers)")
 	storeBudget := flag.Int64("store-budget", 0, "store byte budget for GC (0 = no automatic GC)")
 	debug := flag.Bool("debug", false, "honor fault-injection request fields")
 	flag.Parse()
@@ -69,7 +68,6 @@ func main() {
 		DrainDeadline:    *drain,
 		BatchMaxWait:     *batchWait,
 		BatchMaxSize:     *batchMax,
-		CampaignWindow:   *campaignWindow,
 		StoreBudgetBytes: *storeBudget,
 		CacheDir:         *cacheDir,
 		Debug:            *debug,

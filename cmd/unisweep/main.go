@@ -1,7 +1,9 @@
 // Command unisweep runs the design-space sweep engine: it expands a grid
 // of benchmarks × compiler configs × cache geometries × replacement
 // policies × management modes into work units, executes them on a worker
-// pool, and writes the machine-readable BENCH_sweep.json artifact.
+// pool one execution identity (benchmark, compiler, mode) per task — one
+// compile and one VM run each, the other geometries replayed from its
+// trace — and writes the machine-readable BENCH_sweep.json artifact.
 //
 // Usage:
 //
@@ -17,7 +19,9 @@
 // in canonical grid order and wall-clock time is excluded from the
 // encoding. While running, finished records are streamed to <out>.partial
 // (completion order); -resume salvages complete records from both the
-// output file and the partial sidecar, re-running only the missing units.
+// output file and the partial sidecar, re-running only the missing units
+// (a partly done identity runs only its missing geometries). The closing
+// line reports the pool size used: -workers clipped to the identities run.
 //
 // With -remote the grid is not executed locally: it is POSTed to a
 // unicached daemon's /v1/sweep campaign endpoint, the record stream is
@@ -32,7 +36,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -135,9 +138,8 @@ func main() {
 			}
 		}
 		if !*quiet {
-			fmt.Fprintf(os.Stderr, "[%*d/%d] %s dram=%d %s\n",
-				len(strconv.Itoa(total)), done, total, r.Key, r.DRAMWords,
-				time.Duration(r.WallNS).Round(100*time.Microsecond))
+			fmt.Fprintf(os.Stderr, "[%*d/%d] %s dram=%d\n",
+				len(strconv.Itoa(total)), done, total, r.Key, r.DRAMWords)
 		}
 	}
 
@@ -158,7 +160,7 @@ func main() {
 		os.Remove(partialPath)
 	}
 	fmt.Fprintf(os.Stderr, "%s: %d units (%d run, %d resumed) on %d workers in %s\n",
-		tool, len(res.Records), res.Ran, len(res.Records)-res.Ran, poolSize(*workers, len(units)),
+		tool, len(res.Records), res.Ran, len(res.Records)-res.Ran, res.Workers,
 		res.Elapsed.Round(time.Millisecond))
 }
 
@@ -182,16 +184,6 @@ func splitInts(name, s string) []int {
 		out = append(out, n)
 	}
 	return out
-}
-
-func poolSize(workers, units int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > units {
-		workers = units
-	}
-	return workers
 }
 
 // salvage leniently reads records from a previous (possibly truncated)

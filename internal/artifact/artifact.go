@@ -32,6 +32,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 
@@ -418,13 +419,19 @@ func (c *Cache) unlockRun(e *runEntry, path string) {
 	c.unprotectPath(path)
 }
 
-// runKnown reports whether a run entry for key already exists (filled or
-// in flight). Used by RunBatch to split hits from misses without creating
-// entries it may never fill.
+// runKnown reports whether a run entry for key exists in memory (filled
+// or in flight) or in the persistent store. Used by RunBatch to split
+// hits from misses without creating entries it may never fill; a store
+// file evicted or corrupt by the time run reads it costs one execution.
 func (c *Cache) runKnown(key string) bool {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.runs[key] != nil
+	known := c.runs[key] != nil
+	c.mu.Unlock()
+	if known || c.disk == nil {
+		return known
+	}
+	_, err := os.Stat(c.disk.runPath(key))
+	return err == nil
 }
 
 // Run simulates art under cfg, or returns the memoized result of an
@@ -465,11 +472,11 @@ func (c *Cache) run(art *Artifact, cfg vm.Config, traced bool, cls ReuseClass, s
 	e, path := c.lockRun(key)
 	defer c.unlockRun(e, path)
 	if e.err != nil {
-		c.hitRun()
+		c.count(func(s *Stats) { s.RunHits++ })
 		return nil, nil, e.err
 	}
 	if e.res != nil && (!traced || e.enc != nil) {
-		c.hitRun()
+		c.count(func(s *Stats) { s.RunHits++ })
 		c.installRunLocked(e, key, e.res, cls)
 		sess.note(path)
 		return e.res, e.enc, nil
@@ -488,7 +495,7 @@ func (c *Cache) run(art *Artifact, cfg vm.Config, traced bool, cls ReuseClass, s
 			return res, nil, nil
 		}
 	}
-	c.missRun()
+	c.count(func(s *Stats) { s.RunMisses++ })
 	res, enc, err := execute(art, cfg, traced)
 	if err != nil {
 		// A cancellation (deadline, shutdown) says nothing about the
@@ -555,15 +562,15 @@ func replayGroupable(cfg vm.Config) bool {
 }
 
 // RunBatch answers len(cfgs) simulation requests for one artifact,
-// executing the VM as few times as possible: memoized or persisted
-// results are returned directly; of the misses that share an execution
-// identity (MemWords, MaxSteps) and differ only in cache geometry, the
-// first executes once with trace encoding and the rest are derived by
-// replaying the encoded trace in one decoding pass — bit-identical to
-// direct execution (internal/replay's differential suite pins this), and
-// memoized/persisted exactly as if they had executed. Configurations
-// replay cannot model (fault injection, ICache, MIN, observation hooks)
-// go through Run. The first error aborts the batch.
+// executing the VM as few times as possible: results in the memo, then
+// in the persistent store, are returned directly; of the misses that
+// share an execution identity (MemWords, MaxSteps) and differ only in
+// cache geometry, the first executes once with trace encoding and the
+// rest are derived by replaying the encoded trace in one decoding pass —
+// bit-identical to direct execution (internal/replay's differential suite
+// pins this), and memoized/persisted exactly as if they had executed.
+// Configurations replay cannot model (fault injection, ICache, MIN,
+// observation hooks) go through Run. The first error aborts the batch.
 func (c *Cache) RunBatch(art *Artifact, cfgs []vm.Config) ([]*vm.Result, error) {
 	return c.runBatch(art, cfgs, ClassBypass, nil)
 }
@@ -634,16 +641,4 @@ func (c *Cache) runBatch(art *Artifact, cfgs []vm.Config, cls ReuseClass, sess *
 		results[d[0]] = results[d[1]]
 	}
 	return results, nil
-}
-
-func (c *Cache) hitRun() {
-	c.mu.Lock()
-	c.stats.RunHits++
-	c.mu.Unlock()
-}
-
-func (c *Cache) missRun() {
-	c.mu.Lock()
-	c.stats.RunMisses++
-	c.mu.Unlock()
 }

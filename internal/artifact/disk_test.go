@@ -342,3 +342,47 @@ func TestCancelErrorNeverCached(t *testing.T) {
 		}
 	}
 }
+
+// TestRunBatchReadsStore: after a restart, RunBatch answers every config
+// the store holds from disk instead of electing a lead to execute; only
+// the config the store lacks executes, once.
+func TestRunBatchReadsStore(t *testing.T) {
+	dir := t.TempDir()
+	cfg := core.Config{Mode: core.Unified}
+	var cfgs []vm.Config
+	for _, sets := range []int{8, 16, 32, 64} {
+		geom := cache.DefaultConfig()
+		geom.Sets = sets
+		cfgs = append(cfgs, vm.Config{Cache: geom})
+	}
+
+	c1 := diskCache(t, dir)
+	a1, err := c1.Build(src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := c1.RunBatch(a1, cfgs[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := diskCache(t, dir)
+	a2, err := c2.BuildIR(src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c2.RunBatch(a2, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := c2.Stats()
+	if st.DiskRunHits != 3 || st.RunMisses != 1 || st.BatchReplays != 0 {
+		t.Errorf("restarted batch: %d disk hits, %d misses, %d replays; want 3, 1, 0",
+			st.DiskRunHits, st.RunMisses, st.BatchReplays)
+	}
+	for i := range want {
+		if got[i].CacheStats != want[i].CacheStats || got[i].Output != want[i].Output {
+			t.Errorf("config %d: stored result differs from the original", i)
+		}
+	}
+}

@@ -71,11 +71,11 @@ func seedStore(t *testing.T, c *Cache, nBypass, nLive int) {
 	sess := c.NewSession(ClassLive, false)
 	defer sess.Close()
 	for i := 0; i < nLive; i++ {
-		art, err := sess.Build(gcSource(1000+i), cfg)
+		art, err := sess.BuildIR(gcSource(1000+i), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sess.Run(art, vm.Config{}); err != nil {
+		if _, err := sess.RunBatch(art, []vm.Config{{}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,11 +129,11 @@ func TestGCNeverEvictsPinned(t *testing.T) {
 	cfg := core.Config{Mode: core.Unified}
 
 	sess := c.NewSession(ClassLive, true) // pinned: a campaign in flight
-	art, err := sess.Build(gcSource(0), cfg)
+	art, err := sess.BuildIR(gcSource(0), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Run(art, vm.Config{}); err != nil {
+	if _, err := sess.RunBatch(art, []vm.Config{{}}); err != nil {
 		t.Fatal(err)
 	}
 	pinned := storeFiles(t, dir)

@@ -57,8 +57,8 @@ func maxClass(a, b ReuseClass) ReuseClass {
 	return a
 }
 
-// Session is a classed view of the cache: every Build/Run through it
-// inserts (or promotes) entries with the session's reuse class, and a
+// Session is a classed view of the cache: every BuildIR/RunBatch through
+// it inserts (or promotes) entries with the session's reuse class, and a
 // pinning session additionally shields every store file it touches from
 // GC eviction until Close. The serving daemon runs each campaign inside
 // a pinning live-class session, so a GC cycle racing a campaign can
@@ -117,26 +117,9 @@ func (s *Session) Close() {
 	s.paths = nil
 }
 
-// Build is Cache.Build with the session's class and pinning applied.
-func (s *Session) Build(src string, cfg core.Config) (*Artifact, error) {
-	art, _, err := s.c.buildShared(src, cfg, s.class, s)
-	return art, err
-}
-
-// BuildShared is Cache.BuildShared with the session's class and pinning.
-func (s *Session) BuildShared(src string, cfg core.Config) (*Artifact, bool, error) {
-	return s.c.buildShared(src, cfg, s.class, s)
-}
-
 // BuildIR is Cache.BuildIR with the session's class and pinning.
 func (s *Session) BuildIR(src string, cfg core.Config) (*Artifact, error) {
 	return s.c.buildIR(src, cfg, s.class, s)
-}
-
-// Run is Cache.Run with the session's class and pinning.
-func (s *Session) Run(art *Artifact, cfg vm.Config) (*vm.Result, error) {
-	res, _, err := s.c.run(art, cfg, false, s.class, s)
-	return res, err
 }
 
 // RunBatch is Cache.RunBatch with the session's class and pinning.

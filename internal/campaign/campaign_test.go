@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -34,6 +35,10 @@ func testGrid() sweep.Grid {
 	}
 }
 
+// daemonWorkers gives the test daemons a campaign window of two group
+// tasks (max(1, workers-1)), so two of a campaign's groups run at once.
+const daemonWorkers = 3
+
 func newDaemon(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Server) {
 	t.Helper()
 	s, err := serve.New(cfg)
@@ -50,16 +55,23 @@ func newDaemon(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Server)
 	return s, ts
 }
 
-// localArtifact runs the grid in-process and renders the canonical sweep
-// artifact — the reference bytes every remote campaign must reproduce.
-func localArtifact(t *testing.T, g sweep.Grid) []byte {
+// localSweep runs testGrid in-process once per test binary. A sweep is a
+// pure function of its grid, so one run is the reference for every test
+// and every -count repetition.
+var localSweep = sync.OnceValues(func() (*sweep.Result, error) {
+	return sweep.Run(testGrid(), sweep.Options{Workers: 2})
+})
+
+// localArtifact renders testGrid's local sweep as the canonical artifact
+// — the reference bytes every remote campaign must reproduce.
+func localArtifact(t *testing.T) []byte {
 	t.Helper()
-	res, err := sweep.Run(g, sweep.Options{Workers: 2})
+	res, err := localSweep()
 	if err != nil {
 		t.Fatalf("local sweep: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := sweep.WriteJSON(&buf, g, res.Records); err != nil {
+	if err := sweep.WriteJSON(&buf, res.Grid, res.Records); err != nil {
 		t.Fatalf("local artifact: %v", err)
 	}
 	return buf.Bytes()
@@ -71,9 +83,9 @@ func localArtifact(t *testing.T, g sweep.Grid) []byte {
 // grid writes.
 func TestRemoteLocalConformance(t *testing.T) {
 	g := testGrid()
-	want := localArtifact(t, g)
+	want := localArtifact(t)
 
-	_, ts := newDaemon(t, serve.Config{Workers: 2})
+	_, ts := newDaemon(t, serve.Config{Workers: daemonWorkers})
 	res, err := Fetch(Options{BaseURL: ts.URL, Grid: g})
 	if err != nil {
 		t.Fatalf("fetch: %v", err)
@@ -158,9 +170,9 @@ func (c *chopBody) Close() error { return c.rc.Close() }
 // the local sweep — the mid-stream break is invisible in the output.
 func TestResumeAfterDisconnect(t *testing.T) {
 	g := testGrid()
-	want := localArtifact(t, g)
+	want := localArtifact(t)
 
-	_, ts := newDaemon(t, serve.Config{Workers: 2})
+	_, ts := newDaemon(t, serve.Config{Workers: daemonWorkers})
 	// Let the header plus three record lines through, then cut.
 	hc := &http.Client{Transport: &chopTransport{base: http.DefaultTransport, lines: 4}}
 	res, err := Fetch(Options{BaseURL: ts.URL, Grid: g, HTTP: hc})
@@ -193,7 +205,7 @@ func TestResumeGivesUp(t *testing.T) {
 		resp.Body = &chopBody{rc: resp.Body, linesLeft: 1}
 		return resp, nil
 	})
-	_, ts := newDaemon(t, serve.Config{Workers: 2})
+	_, ts := newDaemon(t, serve.Config{Workers: daemonWorkers})
 	_, err := Fetch(Options{BaseURL: ts.URL, Grid: g, HTTP: &http.Client{Transport: rt}, MaxResumes: 2})
 	if err == nil {
 		t.Fatal("fetch succeeded with a transport that breaks every stream")
@@ -207,7 +219,7 @@ func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { re
 // TestCampaignBenchRoundTrip: the bench artifact survives write + verify.
 func TestCampaignBenchRoundTrip(t *testing.T) {
 	g := testGrid()
-	_, ts := newDaemon(t, serve.Config{Workers: 2})
+	_, ts := newDaemon(t, serve.Config{Workers: daemonWorkers})
 	res, err := Fetch(Options{BaseURL: ts.URL, Grid: g})
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +250,7 @@ func TestCampaignBenchRoundTrip(t *testing.T) {
 // store; /v1/gc under a tiny budget reclaims it and reports honestly.
 func TestRemoteGC(t *testing.T) {
 	g := testGrid()
-	_, ts := newDaemon(t, serve.Config{Workers: 2, CacheDir: t.TempDir()})
+	_, ts := newDaemon(t, serve.Config{Workers: daemonWorkers, CacheDir: t.TempDir()})
 	if _, err := Fetch(Options{BaseURL: ts.URL, Grid: g}); err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +293,7 @@ func (w *doneProbe) Write(b []byte) (int, error) {
 // deterministic where TestRemoteGC can only race it.
 func TestPinsReleasedBeforeDone(t *testing.T) {
 	for _, budget := range []int64{0, 1} {
-		s, _ := newDaemon(t, serve.Config{Workers: 2, CacheDir: t.TempDir(), StoreBudgetBytes: budget})
+		s, _ := newDaemon(t, serve.Config{Workers: daemonWorkers, CacheDir: t.TempDir(), StoreBudgetBytes: budget})
 		var rep *artifact.GCReport
 		w := &doneProbe{ResponseRecorder: httptest.NewRecorder(), probe: func() {
 			var err error
@@ -307,5 +319,71 @@ func TestPinsReleasedBeforeDone(t *testing.T) {
 			t.Errorf("budget %d: store at %d bytes when done was written; post-campaign GC had not run",
 				budget, rep.ScannedBytes)
 		}
+	}
+}
+
+// TestCursorInsideGroup: a cursor that falls inside an execution
+// identity's group runs only the rest of that group, and the stream is
+// the local artifact's record suffix.
+func TestCursorInsideGroup(t *testing.T) {
+	g := testGrid()
+	local, err := localSweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cursor = 3 // groups are 2 units (two set counts): 3 is the second group's second unit
+	_, ts := newDaemon(t, serve.Config{Workers: daemonWorkers})
+	p, _, err := fetchPage(http.DefaultClient, ts.URL, g, cursor, 0)
+	if err != nil {
+		t.Fatalf("fetch from cursor %d: %v", cursor, err)
+	}
+	if p.trailer == nil || !p.trailer.Done || p.trailer.Sent != len(local.Records)-cursor {
+		t.Fatalf("trailer %+v, want done after %d records", p.trailer, len(local.Records)-cursor)
+	}
+	for i, line := range p.lines {
+		want, err := local.Records[cursor+i].MarshalLine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(line, want) {
+			t.Errorf("line %d:\n got %s\nwant %s", i, line, want)
+		}
+	}
+}
+
+// TestRestartedDaemonReadsStore: a second campaign of the same grid,
+// against a daemon restarted on the same store, takes every unit from the
+// disk store and executes no VM run.
+func TestRestartedDaemonReadsStore(t *testing.T) {
+	g := testGrid()
+	want := localArtifact(t)
+	dir := t.TempDir()
+	first, ts := newDaemon(t, serve.Config{Workers: daemonWorkers, CacheDir: dir})
+	if _, err := Fetch(Options{BaseURL: ts.URL, Grid: g}); err != nil {
+		t.Fatal(err)
+	}
+	ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := first.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	second, ts := newDaemon(t, serve.Config{Workers: daemonWorkers, CacheDir: dir})
+	res, err := Fetch(Options{BaseURL: ts.URL, Grid: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := res.WriteArtifact(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Error("artifact from the restarted daemon differs from the local sweep")
+	}
+	st := second.CacheStats()
+	if st.DiskRunHits != int64(g.Size()) || st.RunMisses != 0 || st.BatchReplays != 0 {
+		t.Errorf("restarted campaign: %d disk run hits, %d run misses, %d replays; want %d, 0, 0",
+			st.DiskRunHits, st.RunMisses, st.BatchReplays, g.Size())
 	}
 }

@@ -6,7 +6,7 @@ import "go/ast"
 // artifacts are content-addressed and its goldens byte-compared, so a
 // time.Now that leaks into a hashed or emitted field silently breaks
 // byte-identical reproduction. Legitimate timing seams — latency metrics
-// in internal/serve, WallNS measurement in internal/sweep and the
+// in internal/serve, sweep elapsed time in internal/sweep and the
 // experiment benchmarks — carry //unilint:ok wallclock annotations naming
 // why the value can never reach deterministic output.
 var Wallclock = &Analyzer{

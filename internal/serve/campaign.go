@@ -2,8 +2,9 @@
 //
 // POST /v1/sweep accepts a sweep.Grid, expands it to the same canonical
 // unit order a local unisweep run uses, executes every unit from the
-// request's cursor onward through the ordinary worker pool, and streams
-// results back as NDJSON:
+// request's cursor onward through the ordinary worker pool, one task per
+// execution identity (sweep.Groups; a cursor inside a group runs the
+// rest of that group), and streams results back as NDJSON:
 //
 //	{"schema":"unicache-campaign/v1","units":N,"cursor":C}   header
 //	{"key":...}                                              one line per
@@ -20,16 +21,17 @@
 // cursor C+K and receives the remainder; records are pure functions of
 // their units, so the splice is seamless.
 //
-// Units flow through the shared admission queue (one task per unit) but
-// under a private window (Config.CampaignWindow) so a large grid cannot
-// monopolize admission: at most window units are queued or running at
-// once, and interactive traffic interleaves freely. Each unit executes
-// inside an artifact.Session with ClassLive — campaign entries are
-// tagged as predicted-reuse for the store GC, and (on a disk store)
-// pinned against eviction while the campaign runs. The pins are released
-// before the trailer is written, and after a successful campaign one GC
-// cycle sweeps the store back under the configured byte budget, also
-// before the trailer: a client that has read "done" sees a settled store.
+// Groups flow through the shared admission queue (one task per group,
+// run by sweep.RunGroup), at most max(1, Workers-1) of a campaign's
+// queued or running at once: with two or more workers one worker is
+// always free for interactive traffic (DESIGN.md §16 gives the hold
+// times). Each group executes inside an artifact.Session with ClassLive
+// — campaign entries are tagged as predicted-reuse for the store GC, and
+// (on a disk store) pinned against eviction while the campaign runs. The
+// pins are released before the trailer is written, and after a
+// successful campaign one GC cycle sweeps the store back under the
+// configured byte budget, also before the trailer: a client that has
+// read "done" sees a settled store.
 //
 // POST /v1/gc runs a GC cycle on demand and returns the report.
 package serve
@@ -153,35 +155,34 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Dispatcher: feeds units into the worker queue under the campaign
-	// window. Joined before the trailer is written (the queue must never
-	// see a send after Shutdown closes it — handlersWG guards that
-	// ordering).
-	n := len(units) - req.Cursor
-	replies := make([]chan *Response, n)
+	// Dispatcher: feeds one task per group into the worker queue under
+	// the campaign window. Joined before the trailer is written (the
+	// queue must never see a send after Shutdown closes it — handlersWG
+	// guards that ordering).
+	groups := sweep.Groups(units[req.Cursor:])
+	replies := make([]chan *Response, len(groups))
 	for i := range replies {
 		replies[i] = make(chan *Response, 1)
 	}
 	dctx, dcancel := context.WithCancel(cctx)
-	sem := make(chan struct{}, s.cfg.CampaignWindow)
+	sem := make(chan struct{}, max(1, s.cfg.Workers-1))
 	var dwg sync.WaitGroup
 	dwg.Add(1)
 	go func() {
 		defer dwg.Done()
-		for i := 0; i < n; i++ {
+		for i, grp := range groups {
 			select {
 			case sem <- struct{}{}:
 			case <-dctx.Done():
 				return
 			}
-			u := units[req.Cursor+i]
 			t := &task{
 				ctx:   dctx,
 				enq:   time.Now(), //unilint:ok wallclock queue-wait timestamp for the QueueNS latency metric
 				reply: replies[i],
 				done:  func() { <-sem },
 			}
-			t.exec = func(t *task) *Response { return s.execUnit(sess, u, t) }
+			t.exec = func(t *task) *Response { campaignStart(len(sem)); return s.execGroup(sess, grp, t) }
 			select {
 			case s.queue <- t:
 			case <-dctx.Done():
@@ -192,29 +193,30 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	// Collector: deliver records in canonical order, abort on the first
-	// unit error or client disconnect.
+	// group error or client disconnect.
 	sent := 0
 	var failResp *Response
 	aborted := false
-	for i := 0; i < n; i++ {
+collect:
+	for i := range groups {
 		var resp *Response
 		select {
 		case resp = <-replies[i]:
 		case <-cctx.Done():
 			aborted = true
-		}
-		if aborted {
-			break
+			break collect
 		}
 		if resp.ErrorKind != "" {
 			failResp = resp
 			break
 		}
-		if !writeLine(resp.recLine) {
-			aborted = true // client went away mid-stream; cursor resume covers it
-			break
+		for _, line := range resp.recLines {
+			if !writeLine(line) {
+				aborted = true // client went away mid-stream; cursor resume covers it
+				break collect
+			}
+			sent++
 		}
-		sent++
 	}
 
 	// Release everything the campaign holds before announcing how it
@@ -246,18 +248,22 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// execUnit runs one campaign unit on a worker, ice-guarded like every
-// other request, and carries the marshaled record line back on the
+// campaignStart is a test seam run as each campaign group task starts,
+// with the number of the campaign's group tasks queued or running.
+var campaignStart = func(inFlight int) {}
+
+// execGroup runs one campaign group on a worker, ice-guarded like every
+// other request, and carries the marshaled record lines back on the
 // response.
-func (s *Server) execUnit(sess *artifact.Session, u sweep.Unit, t *task) *Response {
+func (s *Server) execGroup(sess *artifact.Session, units []sweep.Unit, t *task) *Response {
 	resp := &Response{ID: fmt.Sprintf("r%06d", s.seq.Add(1)), Status: http.StatusOK}
 	resp.Timing.QueueNS = time.Since(t.enq).Nanoseconds() //unilint:ok wallclock Response.Timing latency metric; informational, excluded from dedup keys and artifacts
 	started := time.Now()                                 //unilint:ok wallclock Response.Timing latency metric; informational, excluded from dedup keys and artifacts
-	var rec sweep.Record
+	var recs []sweep.Record
 	phase := "campaign"
 	err := func() (err error) {
 		defer ice.GuardPhase(&phase, &err)
-		rec, err = sweep.RunUnit(sess, u, t.ctx.Done())
+		recs, err = sweep.RunGroup(sess, units, t.ctx.Done())
 		return err
 	}()
 	resp.Timing.SimNS = time.Since(started).Nanoseconds() //unilint:ok wallclock Response.Timing latency metric; informational, excluded from dedup keys and artifacts
@@ -265,12 +271,14 @@ func (s *Server) execUnit(sess *artifact.Session, u sweep.Unit, t *task) *Respon
 	if err != nil {
 		return s.classify(resp, phase, err)
 	}
-	line, merr := rec.MarshalLine()
-	if merr != nil {
-		return resp.fail(http.StatusInternalServerError, KindInternal, "campaign-encode", merr.Error())
+	for _, rec := range recs {
+		line, merr := rec.MarshalLine()
+		if merr != nil {
+			return resp.fail(http.StatusInternalServerError, KindInternal, "campaign-encode", merr.Error())
+		}
+		resp.recLines = append(resp.recLines, line)
 	}
-	resp.recLine = line
-	s.met.noteUnit()
+	s.met.noteUnits(len(recs))
 	return resp
 }
 

@@ -113,8 +113,8 @@ func (m *metrics) noteGrouped(sets int) {
 	m.grouped += int64(sets)
 	m.mu.Unlock()
 }
-func (m *metrics) noteCampaign() { m.mu.Lock(); m.campaigns++; m.mu.Unlock() }
-func (m *metrics) noteUnit()     { m.mu.Lock(); m.campaignUnits++; m.mu.Unlock() }
+func (m *metrics) noteCampaign()   { m.mu.Lock(); m.campaigns++; m.mu.Unlock() }
+func (m *metrics) noteUnits(n int) { m.mu.Lock(); m.campaignUnits += int64(n); m.mu.Unlock() }
 func (m *metrics) noteGC(rep *artifact.GCReport) {
 	cp := *rep
 	m.mu.Lock()

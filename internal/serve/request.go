@@ -134,9 +134,9 @@ type Response struct {
 
 	Timing Timing `json:"timing"`
 
-	// recLine carries a campaign unit's marshaled sweep.Record line from
+	// recLines carry a campaign group's marshaled sweep.Record lines from
 	// the worker to the streaming handler; never serialized.
-	recLine []byte
+	recLines [][]byte
 }
 
 // outcome tags the response for the metrics maps.

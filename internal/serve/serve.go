@@ -37,9 +37,10 @@
 //     the daemon lives on.
 //
 // Campaigns: POST /v1/sweep accepts a sweep.Grid, expands it to canonical
-// units, executes them through the same worker pool, and streams one
-// record line per unit back (campaign.go) — resumable by unit cursor and
-// byte-identical to a local unisweep run.
+// units, executes them through the same worker pool one execution
+// identity per task, and streams one record line per unit back
+// (campaign.go) — resumable by unit cursor and byte-identical to a local
+// unisweep run.
 //
 // Shutdown is drain-based: new admissions are refused (503), pending
 // batch members are shed, requests already running complete, requests
@@ -103,11 +104,6 @@ type Config struct {
 	// accumulated (default 16).
 	BatchMaxSize int
 
-	// CampaignWindow bounds how many campaign units one /v1/sweep request
-	// may have in flight at once (default 4×workers) — the campaign's
-	// private admission window, so a grid cannot monopolize the queue.
-	CampaignWindow int
-
 	// StoreBudgetBytes, when positive, is the persistent store's byte
 	// budget: a GC cycle runs after every campaign (and on demand via
 	// /v1/gc), evicting bypass-class entries before live ones. Zero means
@@ -148,9 +144,6 @@ func (c Config) withDefaults() Config {
 	if c.BatchMaxSize <= 0 {
 		c.BatchMaxSize = 16
 	}
-	if c.CampaignWindow <= 0 {
-		c.CampaignWindow = 4 * c.Workers
-	}
 	return c
 }
 
@@ -167,14 +160,14 @@ type reqSet struct {
 
 // task is one unit of queued work: either one or more request sets (a
 // singleton from the direct path, a coalesced set, or an artifact-sharing
-// group served by batch replay), or a campaign unit (exec != nil).
+// group served by batch replay), or a campaign group (exec != nil).
 type task struct {
 	sets   []*reqSet
 	ctx    context.Context
 	cancel context.CancelFunc // non-nil when ctx is a detached merged context
 	enq    time.Time
 
-	// Campaign units: exec produces the single response, reply receives
+	// Campaign groups: exec produces the single response, reply receives
 	// it, done releases the campaign's window slot.
 	exec  func(*task) *Response
 	reply chan *Response

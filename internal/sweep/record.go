@@ -96,8 +96,9 @@ type Record struct {
 	DynamicBypassPct float64 `json:"dynamic_bypass_pct"`
 	DeadOccupancy    float64 `json:"dead_occupancy,omitempty"` // trace replays only
 
-	// WallNS is how long the unit took; json:"-" keeps the artifact
-	// deterministic. Progress streams report it instead.
+	// WallNS is how long the measurement took, where its producer times
+	// it (the scaling experiment; sweep units, replays inside a group,
+	// leave it zero); json:"-" keeps the artifact deterministic.
 	WallNS int64 `json:"-"`
 }
 

@@ -280,3 +280,71 @@ func TestRecordsCarryTheSweepSchema(t *testing.T) {
 		}
 	}
 }
+
+// TestOneVMRunPerIdentity: a sweep executes each execution identity's
+// program once; every other unit of the identity is a batch replay of
+// that run's trace.
+func TestOneVMRunPerIdentity(t *testing.T) {
+	g := testGrid()
+	units, err := g.Units()
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := Groups(units)
+	if len(groups) != 4 {
+		t.Fatalf("%d groups, want 4 (2 benchmarks x 2 modes)", len(groups))
+	}
+	arts := artifact.New()
+	res := mustRun(t, g, Options{Workers: 2, Artifacts: arts})
+	if got, want := arts.Stats().BatchReplays, int64(len(units)-len(groups)); got != want {
+		t.Errorf("BatchReplays = %d, want %d (units - identities)", got, want)
+	}
+	if res.Workers != 2 {
+		t.Errorf("Workers = %d, want 2", res.Workers)
+	}
+	if capped := mustRun(t, g, Options{Workers: 8}); capped.Workers != len(groups) {
+		t.Errorf("8 requested workers on %d groups reported %d", len(groups), capped.Workers)
+	}
+}
+
+// TestGroupsSplitSuffixes: a suffix starting inside a group keeps the rest
+// of that group as its first group.
+func TestGroupsSplitSuffixes(t *testing.T) {
+	g := testGrid()
+	g.Sets = []int{8, 16}
+	units, err := g.Units()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := Groups(units)
+	if len(full) != 4 || len(full[0]) != 4 {
+		t.Fatalf("groups %d (first %d), want 4 of 4", len(full), len(full[0]))
+	}
+	tail := Groups(units[5:])
+	if len(tail) != 3 || len(tail[0]) != 3 || tail[0][0].Index != 5 {
+		t.Fatalf("suffix from unit 5: %d groups, first has %d units from %d; want 3, 3, 5",
+			len(tail), len(tail[0]), tail[0][0].Index)
+	}
+	if Groups(nil) != nil {
+		t.Error("no units should give no groups")
+	}
+}
+
+// TestResumeMidGroup: with every other unit of a group already measured,
+// the resumed sweep runs only the missing units and writes the same bytes.
+func TestResumeMidGroup(t *testing.T) {
+	g := testGrid()
+	g.Sets = []int{8, 16}
+	full := mustRun(t, g, Options{Workers: 2})
+	done := map[string]Record{}
+	for i := 0; i < 4; i += 2 { // the first group is units 0..3
+		done[full.Records[i].Key] = full.Records[i]
+	}
+	resumed := mustRun(t, g, Options{Workers: 2, Done: done})
+	if want := g.Size() - len(done); resumed.Ran != want {
+		t.Errorf("resume ran %d units, want %d", resumed.Ran, want)
+	}
+	if !bytes.Equal(encode(t, resumed), encode(t, full)) {
+		t.Error("mid-group resume changed the artifact")
+	}
+}

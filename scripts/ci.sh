@@ -178,12 +178,20 @@ go run ./cmd/unibench -experiment resilience -bench bubble,sieve
 echo "== sweep smoke (determinism + resume artifact) =="
 # A small grid swept at 1 and 8 workers must produce byte-identical
 # artifacts, and the checked-in full-grid artifact must still verify.
+# Then a sweep killed halfway through its first execution identity (the
+# first 6 records of a 12-unit group in the sidecar, no artifact) must
+# resume to the same bytes.
 go build -o /tmp/unisweep-ci ./cmd/unisweep
-/tmp/unisweep-ci -bench bubble,sieve -sets 8,16 -ways 1,2 -quiet -o /tmp/sweep-w1.json -workers 1
-/tmp/unisweep-ci -bench bubble,sieve -sets 8,16 -ways 1,2 -quiet -o /tmp/sweep-w8.json -workers 8
+SWEEP_GRID="-bench bubble,sieve -sets 8,16 -ways 1,2"
+/tmp/unisweep-ci $SWEEP_GRID -quiet -o /tmp/sweep-w1.json -workers 1
+/tmp/unisweep-ci $SWEEP_GRID -quiet -o /tmp/sweep-w8.json -workers 8
 cmp /tmp/sweep-w1.json /tmp/sweep-w8.json
 /tmp/unibench-verify-ci -verify /tmp/sweep-w1.json BENCH_sweep.json
-rm -f /tmp/unisweep-ci /tmp/sweep-w1.json /tmp/sweep-w8.json
+rm -f /tmp/sweep-resume.json
+grep '^{"key":' /tmp/sweep-w1.json | head -n 6 >/tmp/sweep-resume.json.partial
+/tmp/unisweep-ci $SWEEP_GRID -quiet -o /tmp/sweep-resume.json -resume
+cmp /tmp/sweep-w1.json /tmp/sweep-resume.json
+rm -f /tmp/unisweep-ci /tmp/sweep-w1.json /tmp/sweep-w8.json /tmp/sweep-resume.json
 
 echo "== replay-smoke (engine equivalence, wall-time budget) =="
 # The replay engine's differential suite (replay of VM-encoded traces
@@ -231,11 +239,11 @@ done
 /tmp/unicall-ci -addr-file /tmp/unicached-ci.addr health
 /tmp/unicall-ci -addr-file /tmp/unicached-ci.addr -n 16 -c 4 -min-dedup 8 \
     simulate examples/mc/loops.mc >/dev/null
-/tmp/unicall-ci -addr-file /tmp/unicached-ci.addr -requests 400 loadtest \
+/tmp/unicall-ci -addr-file /tmp/unicached-ci.addr -requests 400 -bench /tmp/serve-bench-ci.json loadtest \
     >/tmp/serve-loadtest-ci.txt
 cat /tmp/serve-loadtest-ci.txt
 /tmp/unicall-ci -addr-file /tmp/unicached-ci.addr health
-/tmp/unibench-verify-ci -verify BENCH_serve.json
+/tmp/unibench-verify-ci -verify /tmp/serve-bench-ci.json BENCH_serve.json
 kill -TERM "$UCD_PID"
 DRAIN_OK=0
 for i in $(seq 1 100); do
@@ -245,7 +253,8 @@ done
 [ "$DRAIN_OK" = 1 ] || { echo "daemon did not drain within 10s of SIGTERM" >&2; kill -9 "$UCD_PID"; exit 1; }
 wait "$UCD_PID" || { echo "daemon exited nonzero after drain" >&2; exit 1; }
 grep -q "drained" /tmp/unicached-ci.log || { echo "no drain confirmation in daemon log" >&2; exit 1; }
-rm -f /tmp/unicached-ci /tmp/unicall-ci /tmp/unicached-ci.addr /tmp/unicached-ci.log /tmp/serve-loadtest-ci.txt
+rm -f /tmp/unicached-ci /tmp/unicall-ci /tmp/unicached-ci.addr /tmp/unicached-ci.log /tmp/serve-loadtest-ci.txt \
+    /tmp/serve-bench-ci.json
 
 echo "== campaign-smoke (remote sweep conformance + liveness store GC) =="
 # Boot a disk-backed daemon with a store budget, run a reduced paper grid

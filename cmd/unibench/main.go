@@ -58,11 +58,9 @@ const tool = "unibench"
 
 // experiment is one runnable entry of the -experiment dispatch table.
 type experiment struct {
-	name     string
-	usesBase bool // draws on the baseline-compiler workload set
-	usesOpt  bool // draws on the optimizing-compiler workload set
-	table    func() (string, error)
-	records  func() ([]sweep.Record, error) // nil: no -json support
+	name    string
+	table   func() (string, error)
+	records func() ([]sweep.Record, error) // nil: no -json support
 }
 
 func main() {
@@ -101,53 +99,44 @@ func main() {
 	// Workload sets are built lazily and at most once; every experiment
 	// then draws compilations and simulations from the shared
 	// experiments.Artifacts cache.
-	var base, opt []*experiments.Workload
-	baseWs := func() []*experiments.Workload {
-		if base == nil {
-			fmt.Fprintln(os.Stderr, "building baseline-compiler workloads...")
-			ws, err := experiments.BuildAll(geom, experiments.Baseline)
+	built := map[experiments.Compiler][]*experiments.Workload{}
+	workloads := func(cc experiments.Compiler) []*experiments.Workload {
+		if built[cc] == nil {
+			fmt.Fprintf(os.Stderr, "building %s-compiler workloads...\n", cc)
+			ws, err := experiments.BuildAll(geom, cc)
 			if err != nil {
 				cli.Fatal(tool, "build", err)
 			}
-			base = ws
+			built[cc] = ws
 		}
-		return base
+		return built[cc]
 	}
-	optWs := func() []*experiments.Workload {
-		if opt == nil {
-			fmt.Fprintln(os.Stderr, "building optimizing-compiler workloads...")
-			ws, err := experiments.BuildAll(geom, experiments.Optimizing)
-			if err != nil {
-				cli.Fatal(tool, "build", err)
-			}
-			opt = ws
-		}
-		return opt
-	}
+	baseWs := func() []*experiments.Workload { return workloads(experiments.Baseline) }
+	optWs := func() []*experiments.Workload { return workloads(experiments.Optimizing) }
 
 	table := []experiment{
-		{name: "fig5", usesBase: true,
+		{name: "fig5",
 			table:   func() (string, error) { return experiments.Fig5(baseWs(), geom).String(), nil },
 			records: func() ([]sweep.Record, error) { return experiments.RecordsWorkloads(baseWs()), nil }},
-		{name: "fig5-opt", usesOpt: true,
+		{name: "fig5-opt",
 			table:   func() (string, error) { return experiments.Fig5(optWs(), geom).String(), nil },
 			records: func() ([]sweep.Record, error) { return experiments.RecordsWorkloads(optWs()), nil }},
-		{name: "deadlru", usesBase: true,
+		{name: "deadlru",
 			table: func() (string, error) {
 				t, err := experiments.DeadLRU(baseWs(), deadLRUSizes)
 				return t.String(), err
 			},
 			records: func() ([]sweep.Record, error) { return experiments.RecordsDeadLRU(baseWs(), deadLRUSizes) }},
-		{name: "policies", usesBase: true,
+		{name: "policies",
 			table: func() (string, error) {
 				t, err := experiments.Policies(baseWs(), geom)
 				return t.String(), err
 			},
 			records: func() ([]sweep.Record, error) { return experiments.RecordsPolicies(baseWs(), geom) }},
-		{name: "miller", usesBase: true,
+		{name: "miller",
 			table:   func() (string, error) { return experiments.Miller(baseWs()).String(), nil },
 			records: func() ([]sweep.Record, error) { return experiments.RecordsWorkloads(baseWs()), nil }},
-		{name: "singleuse", usesBase: true,
+		{name: "singleuse",
 			table:   func() (string, error) { return experiments.SingleUse(baseWs()).String(), nil },
 			records: func() ([]sweep.Record, error) { return experiments.RecordsWorkloads(baseWs()), nil }},
 		{name: "promotion",
@@ -156,7 +145,7 @@ func main() {
 				return t.String(), err
 			},
 			records: func() ([]sweep.Record, error) { return experiments.RecordsPromotion(geom) }},
-		{name: "linesize", usesBase: true, table: func() (string, error) {
+		{name: "linesize", table: func() (string, error) {
 			t, err := experiments.LineSize(baseWs(), geom)
 			return t.String(), err
 		}},
@@ -164,7 +153,7 @@ func main() {
 			t, err := experiments.RegPressure(geom)
 			return t.String(), err
 		}},
-		{name: "deadmode", usesBase: true, table: func() (string, error) {
+		{name: "deadmode", table: func() (string, error) {
 			t, err := experiments.DeadMode(baseWs(), geom)
 			return t.String(), err
 		}},
@@ -246,22 +235,8 @@ func main() {
 		emitted[stream] = true
 		printRecords(recs)
 	}
-	for i, e := range selected {
+	for _, e := range selected {
 		runOne(e)
-		// Release workload sets no later experiment draws on: their
-		// recorded reference traces are hundreds of megabytes, and keeping
-		// them live for the remaining experiments just grows every GC scan.
-		needBase, needOpt := false, false
-		for _, later := range selected[i+1:] {
-			needBase = needBase || later.usesBase
-			needOpt = needOpt || later.usesOpt
-		}
-		if !needBase {
-			base = nil
-		}
-		if !needOpt {
-			opt = nil
-		}
 	}
 }
 

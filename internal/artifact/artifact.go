@@ -18,6 +18,12 @@
 //     deterministic, so a memoized result is indistinguishable from a
 //     fresh run. Fault-injected configurations are never memoized.
 //
+// Beside the run memo, the cache holds one encoded reference trace per
+// execution identity (artifact, MemWords, MaxSteps), with the result of
+// the traced run that produced it. Every other cache configuration of
+// that identity is answered by replaying the trace (RunBatch) or
+// measuring it (MeasureBatch) instead of running the VM again.
+//
 // Persistent entries carry a ReuseClass (session.go) consumed by the
 // store GC (gc.go): one-shot traffic inserts bypass-eligible entries,
 // campaign traffic inserts live ones, and eviction follows class before
@@ -85,8 +91,10 @@ type Artifact struct {
 // Stats counts cache effectiveness (Hits are requests answered without
 // compiling or simulating; Disk* are answers restored from the persistent
 // store; Corrupt counts damaged store files that were salvaged by
-// recomputing; BatchReplays counts batched simulations answered by
-// replaying an encoded trace instead of executing the VM).
+// recomputing; BatchReplays counts RunBatch misses answered by replaying
+// a held trace instead of executing the VM, so RunMisses - BatchReplays
+// is the number of VM runs; Measures counts configurations MeasureBatch
+// measured).
 type Stats struct {
 	BuildHits   int64
 	BuildMisses int64
@@ -98,6 +106,7 @@ type Stats struct {
 	Corrupt       int64
 	WriteErrs     int64
 	BatchReplays  int64
+	Measures      int64
 }
 
 type buildEntry struct {
@@ -117,9 +126,15 @@ type buildEntry struct {
 type runEntry struct {
 	mu    sync.Mutex
 	res   *vm.Result
-	enc   *replay.Encoded // encoded reference trace (RunEncoded; memory-only)
 	err   error
 	class ReuseClass // guarded by mu
+}
+
+// heldTrace is an execution identity's encoded reference trace (~2 bytes
+// per reference, memory only) with the result of the run that encoded it.
+type heldTrace struct {
+	enc *replay.Encoded
+	res *vm.Result
 }
 
 // Cache is the content-addressed store. The zero value is not usable; use
@@ -128,6 +143,7 @@ type Cache struct {
 	mu     sync.Mutex
 	builds map[Key]*buildEntry
 	runs   map[string]*runEntry
+	traces map[string]*heldTrace // execution identity -> its trace
 	stats  Stats
 
 	// protect refcounts store paths that GC must not evict: files being
@@ -147,6 +163,7 @@ func New() *Cache {
 	return &Cache{
 		builds:  make(map[Key]*buildEntry),
 		runs:    make(map[string]*runEntry),
+		traces:  make(map[string]*heldTrace),
 		protect: make(map[string]int),
 	}
 }
@@ -380,9 +397,15 @@ func (c *Cache) promoteBuild(e *buildEntry, k Key, cls ReuseClass) {
 	}
 }
 
+// idKey encodes a run's execution identity: the fields that shape its
+// reference stream, which every cache configuration of it shares.
+func idKey(k Key, cfg vm.Config) string {
+	return fmt.Sprintf("%s|mw%d|ms%d", k, cfg.MemWords, cfg.MaxSteps)
+}
+
 // runKey encodes the configuration fields that determine a run's result.
 func runKey(k Key, cfg vm.Config) string {
-	s := fmt.Sprintf("%s|mw%d|ms%d|%s", k, cfg.MemWords, cfg.MaxSteps, cfg.Cache.Key())
+	s := idKey(k, cfg) + "|" + cfg.Cache.Key()
 	if cfg.ICache != nil {
 		s += "|i:" + cfg.ICache.Key()
 	}
@@ -393,6 +416,14 @@ func runKey(k Key, cfg vm.Config) string {
 // memoized result would silently skip.
 func injected(cfg vm.Config) bool {
 	return cfg.Cache.Injector != nil || (cfg.ICache != nil && cfg.ICache.Injector != nil)
+}
+
+// replayable reports whether replaying cfg's identity's trace yields
+// cfg's statistics: no ICache refetch interleaving, no fault injection
+// perturbing timing, no observer of the references, and no ECC (it has
+// no replay model). MIN qualifies, although only replay can run it.
+func replayable(cfg vm.Config) bool {
+	return !injected(cfg) && cfg.TraceSink == nil && cfg.ICache == nil && cfg.Cache.ECC == cache.ECCOff
 }
 
 // lockRun returns the run entry for key, created on first request, with
@@ -434,39 +465,56 @@ func (c *Cache) runKnown(key string) bool {
 	return err == nil
 }
 
-// Run simulates art under cfg, or returns the memoized result of an
-// identical simulation. Configurations carrying a fault Injector or a
-// TraceSink are executed directly and never cached — fault campaigns own
-// their injector state, and a sink must observe every reference.
-func (c *Cache) Run(art *Artifact, cfg vm.Config) (*vm.Result, error) {
-	res, _, err := c.run(art, cfg, false, ClassBypass, nil)
-	return res, err
+// held returns the trace held for an execution identity, or nil. A
+// non-nil t is held first, unless a concurrent traced run already holds
+// one (the two are identical).
+func (c *Cache) held(id string, t *heldTrace) *heldTrace {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if h := c.traces[id]; h != nil || t == nil {
+		return h
+	}
+	c.traces[id] = t
+	return t
 }
 
-// RunEncoded is Run additionally returning the compactly encoded
-// reference trace of the simulation, memoized on the same run entry as
-// the result. An encoded trace costs ~2 bytes per reference, so it is
-// kept with the result and shared by every replay-driven experiment that
-// asks for the same configuration — trace-driven replays re-simulate
-// nothing. Encoded traces live in memory only; the persistent store keeps
-// statistics, not reference streams. The encoder takes cfg's TraceSink
-// slot (the encoding is the trace). Injected configurations execute
-// directly, uncached, exactly as in Run.
+// RunEncoded answers art under cfg with the encoded reference trace of
+// cfg's execution identity. It seeds the identity's trace up front: when
+// none is held it executes cfg with the encoder attached, and from then
+// on RunBatch and MeasureBatch replay the trace instead of running the
+// VM. When a trace is held it answers like RunBatch. A configuration
+// replay cannot model is an error.
 func (c *Cache) RunEncoded(art *Artifact, cfg vm.Config) (*vm.Result, *replay.Encoded, error) {
-	return c.run(art, cfg, true, ClassBypass, nil)
+	cfg = cfg.Normalized()
+	if !replayable(cfg) {
+		return nil, nil, fmt.Errorf("artifact: RunEncoded: configuration %s cannot seed a trace", cfg.Cache.Key())
+	}
+	if t := c.held(idKey(art.Key, cfg), nil); t != nil {
+		res, err := c.RunBatch(art, []vm.Config{cfg})
+		if err != nil {
+			return nil, nil, err
+		}
+		return res[0], t.enc, nil
+	}
+	res, t, err := c.run(art, cfg, true, ClassBypass, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, t.enc, nil
 }
 
-// run is the one memoized run path behind Run, RunEncoded and RunBatch.
-// A traced request also wants the encoded trace: the memo answers it only
-// when the entry holds one, and it never reads the persistent store
-// (which cannot supply a trace), so it executes once and seeds the trace
-// for every later caller.
-func (c *Cache) run(art *Artifact, cfg vm.Config, traced bool, cls ReuseClass, sess *Session) (*vm.Result, *replay.Encoded, error) {
-	cfg = cfg.Normalized()
-	if injected(cfg) || (!traced && cfg.TraceSink != nil) {
+// run is the one memoized VM path behind RunBatch, RunEncoded and
+// MeasureBatch; cfg is normalized. An untraced run answers from the
+// memo, then from the persistent store, before it executes. A traced run
+// always executes (callers ask for one only when its identity holds no
+// trace), memoizes its result like any other, and holds the trace it
+// encodes for its identity.
+func (c *Cache) run(art *Artifact, cfg vm.Config, traced bool, cls ReuseClass, sess *Session) (*vm.Result, *heldTrace, error) {
+	if injected(cfg) || cfg.TraceSink != nil {
 		// Injector state and TraceSink observation are side effects a
 		// memoized result would silently skip: always execute.
-		return execute(art, cfg, traced)
+		res, err := vm.Run(art.Prog, cfg)
+		return res, nil, err
 	}
 	key := runKey(art.Key, cfg)
 	e, path := c.lockRun(key)
@@ -475,11 +523,11 @@ func (c *Cache) run(art *Artifact, cfg vm.Config, traced bool, cls ReuseClass, s
 		c.count(func(s *Stats) { s.RunHits++ })
 		return nil, nil, e.err
 	}
-	if e.res != nil && (!traced || e.enc != nil) {
+	if e.res != nil && !traced {
 		c.count(func(s *Stats) { s.RunHits++ })
 		c.installRunLocked(e, key, e.res, cls)
 		sess.note(path)
-		return e.res, e.enc, nil
+		return e.res, nil, nil
 	}
 	if c.disk != nil && !traced {
 		res, storedCls, err := c.diskReadRun(key)
@@ -496,7 +544,12 @@ func (c *Cache) run(art *Artifact, cfg vm.Config, traced bool, cls ReuseClass, s
 		}
 	}
 	c.count(func(s *Stats) { s.RunMisses++ })
-	res, enc, err := execute(art, cfg, traced)
+	var enc *replay.Encoder
+	if traced {
+		enc = replay.NewEncoder()
+		cfg.TraceSink = enc
+	}
+	res, err := vm.Run(art.Prog, cfg)
 	if err != nil {
 		// A cancellation (deadline, shutdown) says nothing about the
 		// configuration — where the run was when Done fired is wall-clock
@@ -508,25 +561,12 @@ func (c *Cache) run(art *Artifact, cfg vm.Config, traced bool, cls ReuseClass, s
 		}
 		return nil, nil, err
 	}
-	e.enc = enc
 	res = c.installRunLocked(e, key, res, cls)
 	sess.note(path)
-	return res, enc, nil
-}
-
-// execute runs art on the VM, encoding the reference trace when traced.
-func execute(art *Artifact, cfg vm.Config, traced bool) (*vm.Result, *replay.Encoded, error) {
 	if !traced {
-		res, err := vm.Run(art.Prog, cfg)
-		return res, nil, err
+		return res, nil, nil
 	}
-	sink := replay.NewEncoder()
-	cfg.TraceSink = sink
-	res, err := vm.Run(art.Prog, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, sink.Finish(), nil
+	return res, c.held(idKey(art.Key, cfg), &heldTrace{enc: enc.Finish(), res: res}), nil
 }
 
 // installRunLocked memoizes res on e unless e already holds a result (an
@@ -550,27 +590,39 @@ func (c *Cache) installRunLocked(e *runEntry, key string, res *vm.Result, cls Re
 	return e.res
 }
 
-// replayGroupable reports whether cfg's cache statistics can be derived
-// by replaying another run's encoded trace: the reference stream must be
-// configuration-independent (no ICache refetch interleaving, no fault
-// injection perturbing timing), nothing may observe the references, and
-// the replay engine must model the policy (everything but MIN-on-the-VM;
-// ECC has no replay model).
-func replayGroupable(cfg vm.Config) bool {
-	return !injected(cfg) && cfg.TraceSink == nil && cfg.ICache == nil &&
-		cfg.Cache.ECC == cache.ECCOff && cfg.Cache.Policy != cache.MIN
+// installReplayed memoizes cfg's result as derived from t: t's result
+// with the cache statistics replayed for cfg, bit-identical to executing
+// cfg (internal/replay's differential suite pins this).
+func (c *Cache) installReplayed(art *Artifact, cfg vm.Config, t *heldTrace, st cache.Stats, cls ReuseClass, sess *Session) *vm.Result {
+	r := *t.res
+	r.CacheStats = st
+	key := runKey(art.Key, cfg)
+	e, path := c.lockRun(key)
+	defer c.unlockRun(e, path)
+	sess.note(path)
+	return c.installRunLocked(e, key, &r, cls)
+}
+
+// cacheConfigs returns the cache configurations of cfgs at idxs.
+func cacheConfigs(cfgs []vm.Config, idxs []int) []cache.Config {
+	out := make([]cache.Config, len(idxs))
+	for k, j := range idxs {
+		out[k] = cfgs[j].Cache
+	}
+	return out
 }
 
 // RunBatch answers len(cfgs) simulation requests for one artifact,
-// executing the VM as few times as possible: results in the memo, then
-// in the persistent store, are returned directly; of the misses that
-// share an execution identity (MemWords, MaxSteps) and differ only in
-// cache geometry, the first executes once with trace encoding and the
-// rest are derived by replaying the encoded trace in one decoding pass —
-// bit-identical to direct execution (internal/replay's differential suite
-// pins this), and memoized/persisted exactly as if they had executed.
-// Configurations replay cannot model (fault injection, ICache, MIN,
-// observation hooks) go through Run. The first error aborts the batch.
+// executing the VM as few times as possible. Results in the memo, then
+// in the persistent store, are returned directly. The misses of an
+// execution identity that holds a trace are all replayed from it in one
+// replay.ReplayBatch call, bit-identical to direct execution and
+// memoized/persisted exactly as if they had executed. An identity that
+// holds no trace executes its first miss traced, holding the trace, and
+// replays the rest; a lone miss with no trace to replay executes
+// untraced. Configurations replay cannot model (fault injection, ICache,
+// ECC, MIN, observation hooks) execute on their own. The first error
+// aborts the batch.
 func (c *Cache) RunBatch(art *Artifact, cfgs []vm.Config) ([]*vm.Result, error) {
 	return c.runBatch(art, cfgs, ClassBypass, nil)
 }
@@ -584,7 +636,7 @@ func (c *Cache) runBatch(art *Artifact, cfgs []vm.Config, cls ReuseClass, sess *
 	var order []string
 	for i := range cfgs {
 		norm[i] = cfgs[i].Normalized()
-		if replayGroupable(norm[i]) {
+		if replayable(norm[i]) && norm[i].Cache.Policy != cache.MIN {
 			rk := runKey(art.Key, norm[i])
 			if j, ok := firstByKey[rk]; ok {
 				dups = append(dups, [2]int{i, j})
@@ -592,11 +644,11 @@ func (c *Cache) runBatch(art *Artifact, cfgs []vm.Config, cls ReuseClass, sess *
 			}
 			firstByKey[rk] = i
 			if !c.runKnown(rk) {
-				sk := fmt.Sprintf("mw%d|ms%d", norm[i].MemWords, norm[i].MaxSteps)
-				if misses[sk] == nil {
-					order = append(order, sk)
+				id := idKey(art.Key, norm[i])
+				if misses[id] == nil {
+					order = append(order, id)
 				}
-				misses[sk] = append(misses[sk], i)
+				misses[id] = append(misses[id], i)
 				continue
 			}
 		}
@@ -606,39 +658,88 @@ func (c *Cache) runBatch(art *Artifact, cfgs []vm.Config, cls ReuseClass, sess *
 		}
 		results[i] = r
 	}
-	for _, sk := range order {
-		idxs := misses[sk]
-		res0, enc, err := c.run(art, norm[idxs[0]], len(idxs) > 1, cls, sess)
+	for _, id := range order {
+		idxs := misses[id]
+		t := c.held(id, nil)
+		if t == nil {
+			// With siblings to replay, the first miss runs traced;
+			// alone, it runs untraced.
+			var err error
+			results[idxs[0]], t, err = c.run(art, norm[idxs[0]], len(idxs) > 1, cls, sess)
+			if err != nil {
+				return nil, err
+			}
+			if idxs = idxs[1:]; len(idxs) == 0 {
+				continue
+			}
+		}
+		sts, err := replay.ReplayBatch(t.enc, cacheConfigs(norm, idxs))
 		if err != nil {
 			return nil, err
 		}
-		results[idxs[0]] = res0
-		sibs := idxs[1:]
-		if len(sibs) == 0 {
-			continue
-		}
-		geoms := make([]cache.Config, len(sibs))
-		for k, j := range sibs {
-			geoms[k] = norm[j].Cache
-		}
-		sts, err := replay.ReplayBatch(enc, geoms)
-		if err != nil {
-			return nil, err
-		}
-		n := int64(len(sibs))
+		n := int64(len(idxs))
 		c.count(func(s *Stats) { s.RunMisses += n; s.BatchReplays += n })
-		for k, j := range sibs {
-			r := *res0
-			r.CacheStats = sts[k]
-			key := runKey(art.Key, norm[j])
-			e, path := c.lockRun(key)
-			results[j] = c.installRunLocked(e, key, &r, cls)
-			c.unlockRun(e, path)
-			sess.note(path)
+		for k, j := range idxs {
+			results[j] = c.installReplayed(art, norm[j], t, sts[k], cls, sess)
 		}
 	}
 	for _, d := range dups {
 		results[d[0]] = results[d[1]]
 	}
 	return results, nil
+}
+
+// MeasureBatch measures art under each configuration by replaying the
+// held trace of its execution identity through replay.MeasureBatch (one
+// decoding pass per identity), which adds the occupancy metrics a VM run
+// does not collect. MIN is allowed. An identity that holds no trace runs
+// one traced lead first, under its first configuration (with LRU for
+// MIN, which only replay runs). Every non-MIN result is installed as an
+// ordinary run entry, the held trace's result with the measured
+// statistics, so a later RunBatch for that configuration is a hit. A
+// configuration replay cannot model (a fault injector, an instruction
+// cache, ECC or a trace sink) is an error.
+func (c *Cache) MeasureBatch(art *Artifact, cfgs []vm.Config) ([]replay.TraceStats, error) {
+	norm := make([]vm.Config, len(cfgs))
+	byID := make(map[string][]int) // execution identity -> indices
+	var order []string
+	for i := range cfgs {
+		norm[i] = cfgs[i].Normalized()
+		if !replayable(norm[i]) {
+			return nil, fmt.Errorf("artifact: MeasureBatch: configuration %d has a fault injector, an instruction cache, ECC or a trace sink", i)
+		}
+		id := idKey(art.Key, norm[i])
+		if byID[id] == nil {
+			order = append(order, id)
+		}
+		byID[id] = append(byID[id], i)
+	}
+	out := make([]replay.TraceStats, len(cfgs))
+	for _, id := range order {
+		idxs := byID[id]
+		t := c.held(id, nil)
+		if t == nil {
+			lead := norm[idxs[0]]
+			if lead.Cache.Policy == cache.MIN {
+				lead.Cache.Policy = cache.LRU
+			}
+			var err error
+			if _, t, err = c.run(art, lead, true, ClassBypass, nil); err != nil {
+				return nil, err
+			}
+		}
+		tss, err := replay.MeasureBatch(t.enc, cacheConfigs(norm, idxs))
+		if err != nil {
+			return nil, err
+		}
+		n := int64(len(idxs))
+		c.count(func(s *Stats) { s.Measures += n })
+		for k, j := range idxs {
+			out[j] = tss[k]
+			if norm[j].Cache.Policy != cache.MIN {
+				c.installReplayed(art, norm[j], t, tss[k].Stats, ClassBypass, nil)
+			}
+		}
+	}
+	return out, nil
 }

@@ -1,11 +1,13 @@
 package artifact
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/replay"
 	"repro/internal/vm"
 )
@@ -18,6 +20,15 @@ void main() {
     print(g);
 }
 `
+
+// run1 is RunBatch of one configuration.
+func run1(c *Cache, art *Artifact, cfg vm.Config) (*vm.Result, error) {
+	res, err := c.RunBatch(art, []vm.Config{cfg})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
 
 func TestKeyOfDiscriminatesConfigs(t *testing.T) {
 	base := core.Config{Mode: core.Unified}
@@ -91,11 +102,11 @@ func TestRunDistinguishesConfigs(t *testing.T) {
 	a := cache.DefaultConfig()
 	b := a
 	b.Sets = 8
-	ra, err := c.Run(art, vm.Config{Cache: a})
+	ra, err := run1(c, art, vm.Config{Cache: a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := c.Run(art, vm.Config{Cache: b})
+	rb, err := run1(c, art, vm.Config{Cache: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +132,7 @@ func TestConcurrentBuildAndRun(t *testing.T) {
 				return
 			}
 			arts[i] = art
-			if _, err := c.Run(art, vm.Config{Cache: cache.DefaultConfig()}); err != nil {
+			if _, err := run1(c, art, vm.Config{Cache: cache.DefaultConfig()}); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -137,11 +148,11 @@ func TestConcurrentBuildAndRun(t *testing.T) {
 	}
 }
 
-// TestRunEncodedSharesRunMemo pins the memo contract between Run and
-// RunEncoded: they share one run entry per configuration, a result
-// memoized without its trace is executed once more for an encoded
-// request, and from then on both hit. The returned trace replays to the
-// result's own cache statistics.
+// TestRunEncodedSharesRunMemo pins the memo contract between RunBatch
+// and RunEncoded: they share one run entry per configuration, a result
+// memoized while its identity holds no trace is executed once more for an
+// encoded request, and from then on both hit. The returned trace replays
+// to the result's own cache statistics.
 func TestRunEncodedSharesRunMemo(t *testing.T) {
 	c := New()
 	art, err := c.Build(src, core.Config{Mode: core.Unified})
@@ -157,11 +168,11 @@ func TestRunEncodedSharesRunMemo(t *testing.T) {
 		}
 	}
 
-	res, err := c.Run(art, cfg)
+	res, err := run1(c, art, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want("Run", 0, 1)
+	want("RunBatch", 0, 1)
 	eres, enc, err := c.RunEncoded(art, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -169,15 +180,15 @@ func TestRunEncodedSharesRunMemo(t *testing.T) {
 	if enc == nil {
 		t.Fatal("RunEncoded returned no trace")
 	}
-	want("RunEncoded after Run (memo holds no trace)", 0, 2)
+	want("RunEncoded after RunBatch (no trace held)", 0, 2)
 	if eres.Output != res.Output || eres.CacheStats != res.CacheStats {
 		t.Errorf("encoded run differs from plain run:\nencoded: %+v\nplain:   %+v", eres, res)
 	}
 
-	if _, err := c.Run(art, cfg); err != nil {
+	if _, err := run1(c, art, cfg); err != nil {
 		t.Fatal(err)
 	}
-	want("second Run", 1, 2)
+	want("second RunBatch", 1, 2)
 	hres, henc, err := c.RunEncoded(art, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -221,4 +232,202 @@ func TestRunKeyFormatPinned(t *testing.T) {
 			t.Errorf("runKey = %q\nwant     %q", got, tc.want)
 		}
 	}
+}
+
+// measureCfgs is a spread of geometries, policies and management variants
+// of one execution identity.
+func measureCfgs() []vm.Config {
+	var cfgs []vm.Config
+	for _, geom := range []struct{ sets, ways, line int }{{8, 1, 1}, {16, 2, 1}, {4, 4, 2}} {
+		for _, pol := range []cache.Policy{cache.LRU, cache.FIFO, cache.Random} {
+			for _, dead := range []cache.DeadMode{cache.DeadOff, cache.DeadInvalidate, cache.DeadDemote} {
+				cfgs = append(cfgs, vm.Config{Cache: cache.Config{Sets: geom.sets, Ways: geom.ways,
+					LineWords: geom.line, Policy: pol, Dead: dead, HonorBypass: dead != cache.DeadOff, Seed: 3}})
+			}
+		}
+	}
+	return cfgs
+}
+
+// TestMeasureThenRunMatchesFresh: a configuration first answered by
+// MeasureBatch and then by RunBatch (a memo hit, no VM run and no replay)
+// returns the same result as a fresh cache's RunBatch, and the measured
+// statistics are the run's own.
+func TestMeasureThenRunMatchesFresh(t *testing.T) {
+	cfgs := measureCfgs()
+	c := New()
+	art, err := c.Build(src, core.Config{Mode: core.Unified})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tss, err := c.MeasureBatch(art, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.Stats()
+	if before.Measures != int64(len(cfgs)) || before.RunMisses != 1 {
+		t.Fatalf("after MeasureBatch: %d measures, %d run misses; want %d and 1 (the traced lead)",
+			before.Measures, before.RunMisses, len(cfgs))
+	}
+	got, err := c.RunBatch(art, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := c.Stats()
+	if after.RunMisses != before.RunMisses || after.RunHits-before.RunHits != int64(len(cfgs)) {
+		t.Errorf("RunBatch after MeasureBatch: %d misses, %d hits; want 0 and %d",
+			after.RunMisses-before.RunMisses, after.RunHits-before.RunHits, len(cfgs))
+	}
+
+	fresh := New()
+	fart, err := fresh.Build(src, core.Config{Mode: core.Unified})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.RunBatch(fart, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cfgs {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("config %d: measured then run %+v, fresh %+v", i, got[i], want[i])
+		}
+		if tss[i].Stats != want[i].CacheStats {
+			t.Errorf("config %d: measured stats %+v, run's %+v", i, tss[i].Stats, want[i].CacheStats)
+		}
+	}
+}
+
+// TestLoneMissReplaysHeldTrace: once an identity holds a trace, a
+// RunBatch with a single miss replays it instead of running the VM, and
+// the replayed result equals a direct VM run.
+func TestLoneMissReplaysHeldTrace(t *testing.T) {
+	c := New()
+	art, err := c.Build(src, core.Config{Mode: core.Unified})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.RunEncoded(art, vm.Config{Cache: cache.DefaultConfig()}); err != nil {
+		t.Fatal(err)
+	}
+	geom := cache.DefaultConfig()
+	geom.Sets, geom.Policy = 4, cache.FIFO
+	before := c.Stats()
+	got, err := run1(c, art, vm.Config{Cache: geom})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := c.Stats()
+	if misses, replays := after.RunMisses-before.RunMisses, after.BatchReplays-before.BatchReplays; misses != 1 || replays != 1 {
+		t.Errorf("lone miss: %d misses, %d replays; want 1 and 1 (no VM run)", misses, replays)
+	}
+	want, err := vm.Run(art.Prog, vm.Config{Cache: geom}.Normalized())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("replayed lone miss %+v, VM run %+v", got, want)
+	}
+}
+
+// TestMeasureBatchMIN: MeasureBatch measures MIN (only replay can run
+// it), seeds the trace with an LRU lead when MIN comes first, and
+// installs no run entry for MIN.
+func TestMeasureBatchMIN(t *testing.T) {
+	c := New()
+	art, err := c.Build(src, core.Config{Mode: core.Unified})
+	if err != nil {
+		t.Fatal(err)
+	}
+	minCfg := vm.Config{Cache: cache.DefaultConfig()}
+	minCfg.Cache.Policy = cache.MIN
+	lruCfg := vm.Config{Cache: cache.DefaultConfig()}
+	tss, err := c.MeasureBatch(art, []vm.Config{minCfg, lruCfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tss[0].Misses > tss[1].Misses {
+		t.Errorf("MIN missed %d times, LRU %d", tss[0].Misses, tss[1].Misses)
+	}
+	if c.runKnown(runKey(art.Key, minCfg.Normalized())) {
+		t.Error("MeasureBatch installed a run entry for MIN")
+	}
+	if !c.runKnown(runKey(art.Key, lruCfg.Normalized())) {
+		t.Error("MeasureBatch installed no run entry for LRU")
+	}
+	if st := c.Stats(); st.RunMisses != 1 || st.Measures != 2 {
+		t.Errorf("%d run misses, %d measures; want 1 (the LRU lead) and 2", st.RunMisses, st.Measures)
+	}
+}
+
+// TestMeasureBatchRejectsUnreplayable: configurations whose statistics a
+// replay cannot reproduce are an error, and nothing runs.
+func TestMeasureBatchRejectsUnreplayable(t *testing.T) {
+	c := New()
+	art, err := c.Build(src, core.Config{Mode: core.Unified})
+	if err != nil {
+		t.Fatal(err)
+	}
+	icache := cache.ConventionalConfig()
+	for name, mod := range map[string]func(*vm.Config){
+		"fault injector":    func(cfg *vm.Config) { cfg.Cache.Injector = faults.New(faults.Plan{}) },
+		"instruction cache": func(cfg *vm.Config) { cfg.ICache = &icache },
+		"ECC":               func(cfg *vm.Config) { cfg.Cache.ECC = cache.ECCParity },
+		"trace sink":        func(cfg *vm.Config) { cfg.TraceSink = replay.NewEncoder() },
+	} {
+		cfg := vm.Config{Cache: cache.DefaultConfig()}
+		mod(&cfg)
+		if _, err := c.MeasureBatch(art, []vm.Config{{Cache: cache.DefaultConfig()}, cfg}); err == nil {
+			t.Errorf("%s: MeasureBatch accepted the configuration", name)
+		}
+	}
+	if st := c.Stats(); st.RunMisses != 0 || st.Measures != 0 {
+		t.Errorf("rejected batches ran: %+v", st)
+	}
+}
+
+// TestConcurrentHeldTrace races traced leads, replays and measures of
+// one execution identity from several goroutines (the -race CI run
+// checks the held-trace map) and requires every answer to equal a serial
+// cache's.
+func TestConcurrentHeldTrace(t *testing.T) {
+	cfgs := measureCfgs()
+	ref := New()
+	rart, err := ref.Build(src, core.Config{Mode: core.Unified})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.RunBatch(rart, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New()
+	art, err := c.Build(src, core.Config{Mode: core.Unified})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			lo, hi := 3*g%len(cfgs), 3*g%len(cfgs)+3
+			got, err := c.RunBatch(art, cfgs[lo:hi])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			tss, err := c.MeasureBatch(art, cfgs[lo:hi])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for k := range got {
+				if !reflect.DeepEqual(got[k], want[lo+k]) || tss[k].Stats != want[lo+k].CacheStats {
+					t.Errorf("config %d: concurrent answer differs from the serial one", lo+k)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -47,7 +47,7 @@ func TestDiskPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := c1.Run(a1, vm.Config{})
+	r1, err := run1(c1, a1, vm.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestDiskPersistence(t *testing.T) {
 	if a2.Static != a1.Static {
 		t.Errorf("restored static stats %+v != original %+v", a2.Static, a1.Static)
 	}
-	r2, err := c2.Run(a2, vm.Config{})
+	r2, err := run1(c2, a2, vm.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestDiskLoadsEntriesWithTraceField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := c1.Run(a1, vm.Config{})
+	r1, err := run1(c1, a1, vm.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestDiskLoadsEntriesWithTraceField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := c2.Run(a2, vm.Config{})
+	r2, err := run1(c2, a2, vm.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,12 +297,12 @@ func TestCancelErrorNeverCached(t *testing.T) {
 	}
 	fired := make(chan struct{})
 	close(fired)
-	_, err = c.Run(a, vm.Config{Done: fired})
+	_, err = run1(c, a, vm.Config{Done: fired})
 	var ce *vm.CancelError
 	if !errors.As(err, &ce) {
 		t.Fatalf("want *CancelError, got %v", err)
 	}
-	res, err := c.Run(a, vm.Config{})
+	res, err := run1(c, a, vm.Config{})
 	if err != nil {
 		t.Fatalf("canceled run poisoned the cache: %v", err)
 	}

@@ -64,7 +64,7 @@ func seedStore(t *testing.T, c *Cache, nBypass, nLive int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Run(art, vm.Config{}); err != nil {
+		if _, err := run1(c, art, vm.Config{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -353,7 +353,7 @@ func TestRunBatchMatchesIndividualRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := solo.Run(sart, vc)
+		want, err := run1(solo, sart, vc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,18 +10,26 @@
 //	E4 (§6/[Mil88]) — static unambiguous:ambiguous site ratio vs. Miller's
 //	                 1:1..3:1 band.
 //	E5 (§1)        — single-use cache fills, conventional vs. unified.
+//	E6             — register promotion of unambiguous globals.
+//	E7             — line-size sensitivity (trace replay).
+//	E8             — register-file size vs. spill traffic.
+//	E9 (§3.2)      — dead-marking realization: off, invalidate, demote.
+//	E10 (§4.2)     — instruction-cache behavior.
+//	E11            — static hit/miss classification precision (precision.go).
+//	E12            — exact-analysis scaling (scaling.go).
+//
+// Resilience (resilience.go) checks the fault model under fault injection.
 package experiments
 
 import (
 	"fmt"
 	"strings"
 
+	"repro/internal/artifact"
 	"repro/internal/bench"
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/isa"
 	"repro/internal/regalloc"
-	"repro/internal/replay"
 	"repro/internal/vm"
 )
 
@@ -44,109 +52,22 @@ func (c Compiler) String() string {
 	return "optimizing"
 }
 
-// Workload is one benchmark compiled under both management modes, with the
-// unified run's reference trace (the conventional trace is the same
-// address stream with the control bits cleared, since the two compilations
-// differ only in those bits).
+// Workload is one benchmark compiled under both management modes and
+// run on its geometry. The unified artifact's execution identity holds
+// its reference trace in Artifacts (the conventional trace is the same
+// address stream with the control bits cleared, since the two
+// compilations differ only in those bits), so replay-driven experiments
+// measure and replay configurations of Unified through Artifacts.
 type Workload struct {
 	Bench    bench.Benchmark
 	Compiler Compiler
 	Geometry CacheGeometry // hardware both runs were measured on
 
-	Unified      *core.Compilation
-	Conventional *core.Compilation
-
-	UnifiedProg      *isa.Program
-	ConventionalProg *isa.Program
+	Unified      *artifact.Artifact
+	Conventional *artifact.Artifact
 
 	UnifiedRes      *vm.Result // run with the paper's cache
 	ConventionalRes *vm.Result // run with conventional cache
-
-	// Trace is the unified-compilation reference trace in the compact
-	// streaming encoding (~2 bytes/ref instead of trace.Trace's 24+).
-	// Replay-driven experiments consume it through internal/replay.
-	Trace *replay.Encoded
-
-	// memo caches replayed configurations of Trace. Several experiments
-	// request identical configurations (E3's LRU column is E7's one-word
-	// row and E9's off/invalidate modes), and replay is deterministic, so
-	// each distinct configuration replays once per workload.
-	memo map[string]replayEntry
-}
-
-// replayEntry is one memoized replay of a workload's trace. measured
-// reports whether the occupancy metrics (TraceStats) were computed too:
-// a replayBatchStats hit can be served from either kind, a
-// measureBatchStats hit only from a measured one.
-type replayEntry struct {
-	stats    cache.Stats
-	measured bool
-	ts       replay.TraceStats
-}
-
-// replayBatchStats replays the workload's trace under each configuration,
-// memoized per configuration: misses are replayed in one replay.ReplayBatch
-// call, whose shared decoding pass is where experiments that sweep many
-// cache shapes save most of their decode time.
-func (w *Workload) replayBatchStats(cfgs []cache.Config) ([]cache.Stats, error) {
-	out := make([]cache.Stats, len(cfgs))
-	var miss []cache.Config
-	var missAt []int
-	for i, cfg := range cfgs {
-		if e, ok := w.memo[cfg.Key()]; ok {
-			out[i] = e.stats
-		} else {
-			miss = append(miss, cfg)
-			missAt = append(missAt, i)
-		}
-	}
-	if len(miss) == 0 {
-		return out, nil
-	}
-	sts, err := replay.ReplayBatch(w.Trace, miss)
-	if err != nil {
-		return nil, err
-	}
-	if w.memo == nil {
-		w.memo = make(map[string]replayEntry)
-	}
-	for j, st := range sts {
-		out[missAt[j]] = st
-		w.memo[miss[j].Key()] = replayEntry{stats: st}
-	}
-	return out, nil
-}
-
-// measureBatchStats is replayBatchStats with the occupancy metrics of
-// replay.MeasureBatch; a prior plain replay of the same configuration is
-// upgraded in place.
-func (w *Workload) measureBatchStats(cfgs []cache.Config) ([]replay.TraceStats, error) {
-	out := make([]replay.TraceStats, len(cfgs))
-	var miss []cache.Config
-	var missAt []int
-	for i, cfg := range cfgs {
-		if e, ok := w.memo[cfg.Key()]; ok && e.measured {
-			out[i] = e.ts
-		} else {
-			miss = append(miss, cfg)
-			missAt = append(missAt, i)
-		}
-	}
-	if len(miss) == 0 {
-		return out, nil
-	}
-	tss, err := replay.MeasureBatch(w.Trace, miss)
-	if err != nil {
-		return nil, err
-	}
-	if w.memo == nil {
-		w.memo = make(map[string]replayEntry)
-	}
-	for j, ts := range tss {
-		out[missAt[j]] = ts
-		w.memo[miss[j].Key()] = replayEntry{stats: ts.Stats, measured: true, ts: ts}
-	}
-	return out, nil
 }
 
 // CacheGeometry is the hardware configuration shared by an experiment's
@@ -188,14 +109,17 @@ func BuildWorkload(b bench.Benchmark, geom CacheGeometry, cc Compiler) (*Workloa
 	if err != nil {
 		return nil, fmt.Errorf("%s conventional: %w", b.Name, err)
 	}
-	w.Unified, w.UnifiedProg = ua.Comp, ua.Prog
-	w.Conventional, w.ConventionalProg = ca.Comp, ca.Prog
-	if w.UnifiedRes, w.Trace, err = Artifacts.RunEncoded(ua, vm.Config{Cache: geom.unified()}); err != nil {
+	w.Unified, w.Conventional = ua, ca
+	// The unified run seeds its identity's trace: every later replay of
+	// the workload draws on it, and none runs the VM again.
+	if w.UnifiedRes, _, err = Artifacts.RunEncoded(ua, vm.Config{Cache: geom.unified()}); err != nil {
 		return nil, fmt.Errorf("%s unified run: %w", b.Name, err)
 	}
-	if w.ConventionalRes, err = Artifacts.Run(ca, vm.Config{Cache: geom.conventional()}); err != nil {
+	res, err := Artifacts.RunBatch(ca, []vm.Config{{Cache: geom.conventional()}})
+	if err != nil {
 		return nil, fmt.Errorf("%s conventional run: %w", b.Name, err)
 	}
+	w.ConventionalRes = res[0]
 	if w.UnifiedRes.Output != w.ConventionalRes.Output {
 		return nil, fmt.Errorf("%s: outputs diverge between modes", b.Name)
 	}
@@ -539,25 +463,26 @@ func LineSize(ws []*Workload, geom CacheGeometry) (LineSizeTable, error) {
 	var t LineSizeTable
 	lineWords := []int{1, 2, 4, 8}
 	for _, w := range ws {
-		// One batched pass per workload: the conv/unif pair for every
-		// line size shares a single trace decode. The conv view needs
-		// no flag-stripped copy: under DeadOff with HonorBypass false
-		// the replay engine never consults the hint bits.
-		var cfgs []cache.Config
+		// One batch per workload: the conv/unif pair for every line size
+		// replays the unified trace (configurations E3 measured are memo
+		// hits). The conv view needs no flag-stripped copy: under DeadOff
+		// with HonorBypass false the replay engine never consults the
+		// hint bits.
+		var cfgs []vm.Config
 		for _, lw := range lineWords {
 			conv := cache.Config{Sets: geom.Sets, Ways: geom.Ways, LineWords: lw,
 				Policy: geom.Policy, Dead: cache.DeadOff, HonorBypass: false, Seed: 1}
 			unif := conv
 			unif.Dead = cache.DeadInvalidate
 			unif.HonorBypass = true
-			cfgs = append(cfgs, conv, unif)
+			cfgs = append(cfgs, vm.Config{Cache: conv}, vm.Config{Cache: unif})
 		}
-		sts, err := w.replayBatchStats(cfgs)
+		res, err := Artifacts.RunBatch(w.Unified, cfgs)
 		if err != nil {
 			return t, err
 		}
 		for i, lw := range lineWords {
-			cs, us := sts[2*i], sts[2*i+1]
+			cs, us := res[2*i].CacheStats, res[2*i+1].CacheStats
 			t.Rows = append(t.Rows, LineSizeRow{
 				Name:        w.Bench.Name,
 				LineWords:   lw,
@@ -627,12 +552,12 @@ func RegPressure(geom CacheGeometry) (RegPressureTable, error) {
 				if mode == core.Unified {
 					mcfg = geom.unified()
 				}
-				res, err := Artifacts.Run(art, vm.Config{Cache: mcfg})
+				res, err := Artifacts.RunBatch(art, []vm.Config{{Cache: mcfg}})
 				if err != nil {
 					return t, err
 				}
-				outs[vi] = res.Output
-				words := res.CacheStats.MemTrafficWords(geom.LineWords)
+				outs[vi] = res[0].Output
+				words := res[0].CacheStats.MemTrafficWords(geom.LineWords)
 				if mode == core.Conventional {
 					row.ConvTraffic = words
 				} else {
@@ -691,18 +616,18 @@ func DeadMode(ws []*Workload, geom CacheGeometry) (DeadModeTable, error) {
 			Policy: geom.Policy, HonorBypass: true, Seed: 1}
 		row := DeadModeRow{Name: w.Bench.Name}
 		modes := []cache.DeadMode{cache.DeadOff, cache.DeadInvalidate, cache.DeadDemote}
-		cfgs := make([]cache.Config, len(modes))
+		cfgs := make([]vm.Config, len(modes))
 		for i, dm := range modes {
-			cfgs[i] = base
-			cfgs[i].Dead = dm
+			cfgs[i] = vm.Config{Cache: base}
+			cfgs[i].Cache.Dead = dm
 		}
-		sts, err := w.replayBatchStats(cfgs)
+		res, err := Artifacts.RunBatch(w.Unified, cfgs)
 		if err != nil {
 			return t, err
 		}
 		for i, dm := range modes {
-			words := sts[i].MemTrafficWords(geom.LineWords)
-			miss := 1 - sts[i].HitRatio()
+			words := res[i].CacheStats.MemTrafficWords(geom.LineWords)
+			miss := 1 - res[i].CacheStats.HitRatio()
 			switch dm {
 			case cache.DeadOff:
 				row.OffTraffic, row.OffMiss = words, miss
@@ -763,11 +688,11 @@ func ICache(geom CacheGeometry) (ICacheTable, error) {
 		for _, sets := range []int{4, 16, 64} {
 			icfg := cache.Config{Sets: sets, Ways: 2, LineWords: 4,
 				Policy: cache.LRU, Dead: cache.DeadOff, Seed: 1}
-			res, err := Artifacts.Run(art, vm.Config{Cache: geom.unified(), ICache: &icfg})
+			res, err := Artifacts.RunBatch(art, []vm.Config{{Cache: geom.unified(), ICache: &icfg}})
 			if err != nil {
 				return t, err
 			}
-			ist := res.ICacheStats
+			ist := res[0].ICacheStats
 			row := ICacheRow{Name: b.Name, Lines: sets * 2, LineWords: 4, Fetches: ist.Fetches}
 			if ist.CachedRefs > 0 {
 				row.MissRatio = float64(ist.Misses) / float64(ist.CachedRefs)

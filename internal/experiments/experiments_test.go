@@ -4,7 +4,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/artifact"
+	"repro/internal/bench"
 	"repro/internal/cache"
+	"repro/internal/vm"
 )
 
 // Workloads are expensive to build; share them across tests.
@@ -36,8 +39,9 @@ func TestWorkloadsSelfCheck(t *testing.T) {
 			t.Fatalf("workloads = %d, want 6", len(set))
 		}
 		for _, w := range set {
-			if w.Trace == nil || w.Trace.Len() == 0 {
-				t.Errorf("%s/%s: empty trace", w.Bench.Name, w.Compiler)
+			_, enc, err := Artifacts.RunEncoded(w.Unified, vm.Config{Cache: w.Geometry.unified()})
+			if err != nil || enc.Len() == 0 {
+				t.Errorf("%s/%s: no held trace (%v)", w.Bench.Name, w.Compiler, err)
 			}
 			if w.UnifiedRes.Instructions == 0 {
 				t.Errorf("%s/%s: no instructions", w.Bench.Name, w.Compiler)
@@ -222,6 +226,52 @@ func TestDeadModeShape(t *testing.T) {
 		if r.DemoteTraffic > r.InvalidateTraffic+r.InvalidateTraffic/10 {
 			t.Errorf("%s: demote words %d far above invalidate %d",
 				r.Name, r.DemoteTraffic, r.InvalidateTraffic)
+		}
+	}
+}
+
+// TestReplayReuse: once E3 has measured a workload, E7 and E9 run no VM
+// and replay only the configurations E3 did not measure, 6 of E7's 8 and
+// 1 of E9's 3; E3's installed run entries answer the rest.
+func TestReplayReuse(t *testing.T) {
+	saved := Artifacts
+	Artifacts = artifact.New()
+	defer func() { Artifacts = saved }()
+	geom := PaperGeometry()
+	var ws []*Workload
+	for _, b := range bench.All()[:2] {
+		w, err := BuildWorkload(b, geom, Baseline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w)
+	}
+	if _, err := Policies(ws, geom); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name          string
+		run           func() error
+		replays, hits int64
+	}{
+		{"E7", func() error { _, err := LineSize(ws, geom); return err }, 6, 2},
+		{"E9", func() error { _, err := DeadMode(ws, geom); return err }, 1, 2},
+	} {
+		before := Artifacts.Stats()
+		if err := tc.run(); err != nil {
+			t.Fatal(err)
+		}
+		after := Artifacts.Stats()
+		n := int64(len(ws))
+		replays := after.BatchReplays - before.BatchReplays
+		if runs := after.RunMisses - before.RunMisses - replays; runs != 0 {
+			t.Errorf("%s ran the VM %d times, want 0", tc.name, runs)
+		}
+		if replays != tc.replays*n {
+			t.Errorf("%s replayed %d configurations, want %d", tc.name, replays, tc.replays*n)
+		}
+		if hits := after.RunHits - before.RunHits; hits != tc.hits*n {
+			t.Errorf("%s had %d memo hits, want %d", tc.name, hits, tc.hits*n)
 		}
 	}
 }

@@ -67,13 +67,13 @@ func RecordsWorkloads(ws []*Workload) []sweep.Record {
 		geom := w.Geometry
 		conv := sweep.NewRecord(w.Bench.Name, w.Compiler.String(), sweep.ModeConventional, geom.conventional())
 		conv.Experiment = ExpFig5
-		conv.SetStatic(w.Conventional.Stats, compSpills(w.Conventional))
+		conv.SetStatic(w.Conventional.Comp.Stats, compSpills(w.Conventional.Comp))
 		conv.SetStats(w.ConventionalRes.CacheStats)
 		conv.Instructions = w.ConventionalRes.Instructions
 
 		unif := sweep.NewRecord(w.Bench.Name, w.Compiler.String(), sweep.ModeUnified, geom.unified())
 		unif.Experiment = ExpFig5
-		unif.SetStatic(w.Unified.Stats, compSpills(w.Unified))
+		unif.SetStatic(w.Unified.Comp.Stats, compSpills(w.Unified.Comp))
 		unif.SetStats(w.UnifiedRes.CacheStats)
 		unif.Instructions = w.UnifiedRes.Instructions
 
@@ -181,6 +181,36 @@ func SingleUseFromRecords(recs []sweep.Record) SingleUseTable {
 	return t
 }
 
+// measuredRecords measures w's unified trace under each configuration
+// through Artifacts.MeasureBatch, one batched decoding pass, and emits
+// one exp record per configuration, with its dead occupancy: the
+// conventional mode for hardware that ignores the bypass bits, the
+// unified mode otherwise. The trace is replayed unstripped for
+// conventional hardware too: the engine never consults bits a
+// configuration disables (DeadOff with HonorBypass false).
+func measuredRecords(w *Workload, exp string, cfgs []cache.Config) ([]sweep.Record, error) {
+	vcfgs := make([]vm.Config, len(cfgs))
+	for i, cfg := range cfgs {
+		vcfgs[i] = vm.Config{Cache: cfg}
+	}
+	tss, err := Artifacts.MeasureBatch(w.Unified, vcfgs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]sweep.Record, len(cfgs))
+	for i, cfg := range cfgs {
+		mode := sweep.ModeUnified
+		if !cfg.HonorBypass {
+			mode = sweep.ModeConventional
+		}
+		out[i] = sweep.NewRecord(w.Bench.Name, w.Compiler.String(), mode, cfg)
+		out[i].Experiment = exp
+		out[i].SetStats(tss[i].Stats)
+		out[i].DeadOccupancy = tss[i].DeadOccupancy
+	}
+	return out, nil
+}
+
 // RecordsDeadLRU replays each workload's trace on fully-associative LRU
 // caches of the given sizes and emits the E2 record stream: a conventional
 // and a unified record per (benchmark, size), each with its measured dead
@@ -188,10 +218,6 @@ func SingleUseFromRecords(recs []sweep.Record) SingleUseTable {
 func RecordsDeadLRU(ws []*Workload, sizes []int) ([]sweep.Record, error) {
 	var out []sweep.Record
 	for _, w := range ws {
-		// Every (size, variant) pair shares one batched decoding pass per
-		// workload. Conventional hardware ignores the hint bits (DeadOff +
-		// HonorBypass false), so the trace is replayed unstripped: the
-		// engine never consults bits the config disables.
 		var cfgs []cache.Config
 		for _, lines := range sizes {
 			conv := cache.Config{Sets: 1, Ways: lines, LineWords: 1,
@@ -201,26 +227,11 @@ func RecordsDeadLRU(ws []*Workload, sizes []int) ([]sweep.Record, error) {
 			unif.HonorBypass = true
 			cfgs = append(cfgs, conv, unif)
 		}
-		tss, err := w.measureBatchStats(cfgs)
+		recs, err := measuredRecords(w, ExpDeadLRU, cfgs)
 		if err != nil {
 			return nil, err
 		}
-		for i := range sizes {
-			conv, unif := cfgs[2*i], cfgs[2*i+1]
-			cs, us := tss[2*i], tss[2*i+1]
-
-			cr := sweep.NewRecord(w.Bench.Name, w.Compiler.String(), sweep.ModeConventional, conv)
-			cr.Experiment = ExpDeadLRU
-			cr.SetStats(cs.Stats)
-			cr.DeadOccupancy = cs.DeadOccupancy
-
-			ur := sweep.NewRecord(w.Bench.Name, w.Compiler.String(), sweep.ModeUnified, unif)
-			ur.Experiment = ExpDeadLRU
-			ur.SetStats(us.Stats)
-			ur.DeadOccupancy = us.DeadOccupancy
-
-			out = append(out, cr, ur)
-		}
+		out = append(out, recs...)
 	}
 	return out, nil
 }
@@ -281,9 +292,6 @@ func RecordsPolicies(ws []*Workload, geom CacheGeometry) ([]sweep.Record, error)
 	var out []sweep.Record
 	pols := []cache.Policy{cache.LRU, cache.FIFO, cache.Random, cache.MIN}
 	for _, w := range ws {
-		// All policy × variant cells for a workload share one batched
-		// decoding pass. Unstripped replay is safe: conventional configs
-		// never read the hint bits (see RecordsDeadLRU).
 		var cfgs []cache.Config
 		for _, pol := range pols {
 			base := cache.Config{Sets: geom.Sets, Ways: geom.Ways, LineWords: geom.LineWords,
@@ -303,31 +311,11 @@ func RecordsPolicies(ws []*Workload, geom CacheGeometry) ([]sweep.Record, error)
 
 			cfgs = append(cfgs, conv, byp, full)
 		}
-		tss, err := w.measureBatchStats(cfgs)
+		recs, err := measuredRecords(w, ExpPolicies, cfgs)
 		if err != nil {
 			return nil, err
 		}
-		for i := range pols {
-			conv, byp, full := cfgs[3*i], cfgs[3*i+1], cfgs[3*i+2]
-			cs, bs, fs := tss[3*i], tss[3*i+1], tss[3*i+2]
-
-			cr := sweep.NewRecord(w.Bench.Name, w.Compiler.String(), sweep.ModeConventional, conv)
-			cr.Experiment = ExpPolicies
-			cr.SetStats(cs.Stats)
-			cr.DeadOccupancy = cs.DeadOccupancy
-
-			br := sweep.NewRecord(w.Bench.Name, w.Compiler.String(), sweep.ModeUnified, byp)
-			br.Experiment = ExpPolicies
-			br.SetStats(bs.Stats)
-			br.DeadOccupancy = bs.DeadOccupancy
-
-			fr := sweep.NewRecord(w.Bench.Name, w.Compiler.String(), sweep.ModeUnified, full)
-			fr.Experiment = ExpPolicies
-			fr.SetStats(fs.Stats)
-			fr.DeadOccupancy = fs.DeadOccupancy
-
-			out = append(out, cr, br, fr)
-		}
+		out = append(out, recs...)
 	}
 	return out, nil
 }
@@ -408,10 +396,11 @@ func RecordsPromotion(geom CacheGeometry) ([]sweep.Record, error) {
 			if v.mode == sweep.ModeUnified {
 				mcfg = geom.unified()
 			}
-			res, err := Artifacts.Run(art, vm.Config{Cache: mcfg})
+			runs, err := Artifacts.RunBatch(art, []vm.Config{{Cache: mcfg}})
 			if err != nil {
 				return nil, fmt.Errorf("%s variant %d: %w", b.Name, i, err)
 			}
+			res := runs[0]
 			outs[i] = res.Output
 			r := sweep.NewRecord(b.Name, v.label, v.mode, mcfg)
 			r.Experiment = ExpPromotion

@@ -11,9 +11,10 @@
 //     size threshold) before entering the queue. Identical requests
 //     coalesce into one queue slot and one execution; distinct simulate
 //     requests for the same program merge into one group task that
-//     executes the VM once and derives the other geometries by replaying
-//     the encoded trace (artifact.RunBatch) — bit-identical to direct
-//     execution. A storm of near-identical traffic costs one compile and
+//     executes the VM at most once and derives the other geometries by
+//     replaying the encoded trace (artifact.RunBatch; a program whose
+//     trace the cache already holds runs no VM) — bit-identical to
+//     direct execution. A storm of near-identical traffic costs one compile and
 //     ~one simulation. See batch.go.
 //   - Deadlines: every request carries one (client-set, server-clamped),
 //     measured from admission so queue time counts. It is plumbed as a

@@ -199,7 +199,7 @@ echo "== replay-smoke (engine equivalence, wall-time budget) =="
 # counts), then a timed `-experiment all`: the full table regeneration
 # took ~56s before the replay engine existed, so a 45s ceiling catches
 # any wholesale performance regression while leaving headroom for
-# machine variance.
+# machine variance. Its tables must equal the golden BENCH_tables.txt.
 go test -race -run 'TestReplayMatchesVM|TestBatchMatchesSingle' -short ./internal/replay
 go build -o /tmp/unibench-ci ./cmd/unibench
 ALL_T0=$SECONDS
@@ -210,6 +210,7 @@ if [ "$ALL_SEC" -gt 45 ]; then
     echo "-experiment all took ${ALL_SEC}s, budget is 45s" >&2
     exit 1
 fi
+diff -u BENCH_tables.txt /tmp/unibench-all-ci.txt
 rm -f /tmp/unibench-ci /tmp/unibench-all-ci.txt
 
 echo "== perfbench (benchmark module: vet + tests) =="

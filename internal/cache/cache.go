@@ -18,6 +18,8 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+
+	"repro/internal/memimg"
 )
 
 // Policy selects the underlying hardware replacement policy.
@@ -402,7 +404,7 @@ type line struct {
 // (the paper's evaluation concerns the data cache).
 type Memory struct {
 	cfg      Config
-	mem      []int64
+	mem      *memimg.Image[int64] // backing memory; grows as the run writes it
 	sets     [][]line
 	stats    Stats
 	fstats   FaultStats
@@ -420,11 +422,12 @@ type Memory struct {
 }
 
 // NewMemory builds a memory of words size fronted by a cache with cfg.
+// The backing memory costs only the words a run writes (memimg.Image).
 func NewMemory(words int, cfg Config) (*Memory, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Memory{cfg: cfg, mem: make([]int64, words), rng: cfg.Seed | 1}
+	m := &Memory{cfg: cfg, mem: memimg.New[int64](words), rng: cfg.Seed | 1}
 	m.lwShift = uint(bits.TrailingZeros(uint(cfg.LineWords)))
 	m.lwMask = int64(cfg.LineWords - 1)
 	m.setMask = int64(cfg.Sets - 1)
@@ -443,9 +446,6 @@ func NewMemory(words int, cfg Config) (*Memory, error) {
 	}
 	return m, nil
 }
-
-// Words returns the memory size.
-func (m *Memory) Words() int { return len(m.mem) }
 
 // Stats returns a copy of the accumulated statistics.
 func (m *Memory) Stats() Stats { return m.stats }
@@ -516,7 +516,7 @@ func (m *Memory) checkWord(ln *line, off int) bool {
 		// A clean line is coherent with memory: repair by refetching.
 		base := ln.tag * int64(m.cfg.LineWords)
 		for i := 0; i < m.cfg.LineWords; i++ {
-			ln.data[i] = m.mem[base+int64(i)]
+			ln.data[i] = m.mem.Load(base + int64(i))
 			m.protectWord(ln, i)
 		}
 		m.fstats.Retried++
@@ -582,7 +582,7 @@ func (m *Memory) FlipBit(pick uint64, word int, bit uint) (addr int64, ok bool) 
 
 // Poke writes a word directly to backing memory without touching the cache
 // or statistics (program loading).
-func (m *Memory) Poke(addr int64, v int64) { m.mem[addr] = v }
+func (m *Memory) Poke(addr int64, v int64) { m.mem.Store(addr, v) }
 
 // Peek reads a word, preferring a cached dirty copy, without statistics
 // (debugger/test use).
@@ -594,7 +594,7 @@ func (m *Memory) Peek(addr int64) int64 {
 			return ln.data[off]
 		}
 	}
-	return m.mem[addr]
+	return m.mem.Load(addr)
 }
 
 func (m *Memory) split(addr int64) (set int, tag int64, off int) {
@@ -723,14 +723,14 @@ func (m *Memory) writebackLine(ln *line) {
 		if m.eccOn {
 			m.checkWord(ln, i)
 		}
-		m.mem[base+int64(i)] = ln.data[i]
+		m.mem.Store(base+int64(i), ln.data[i])
 	}
 }
 
 func (m *Memory) fillLine(ln *line, tag int64) {
 	base := tag * int64(m.cfg.LineWords)
 	for i := 0; i < m.cfg.LineWords; i++ {
-		ln.data[i] = m.mem[base+int64(i)]
+		ln.data[i] = m.mem.Load(base + int64(i))
 	}
 	ln.valid = true
 	ln.dirty = false
@@ -812,7 +812,7 @@ func (m *Memory) Load(addr int64, bypass, lastRef bool) int64 {
 		}
 		// Miss: read the word straight from memory, no allocation.
 		m.stats.BypassReads++
-		return m.mem[addr]
+		return m.mem.Load(addr)
 	}
 
 	// Am_LOAD: through the cache.
@@ -838,7 +838,7 @@ func (m *Memory) Load(addr int64, bypass, lastRef bool) int64 {
 		// Every way of the set is stuck: degrade to an uncached access.
 		m.fstats.StuckWayRefs++
 		m.stats.BypassReads++
-		return m.mem[addr]
+		return m.mem.Load(addr)
 	}
 	m.evict(ln)
 	m.fillLine(ln, tag)
@@ -865,7 +865,7 @@ func (m *Memory) Store(addr int64, val int64, bypass, lastRef bool) {
 		// only in mixed classifications) is updated in place to stay
 		// coherent rather than invalidated, preserving sibling words.
 		m.stats.BypassWrites++
-		m.mem[addr] = val
+		m.mem.Store(addr, val)
 		if ln := m.lookup(set, tag); ln != nil {
 			m.tick++
 			ln.last = m.tick
@@ -905,7 +905,7 @@ func (m *Memory) Store(addr int64, val int64, bypass, lastRef bool) {
 		// Every way of the set is stuck: degrade to an uncached write.
 		m.fstats.StuckWayRefs++
 		m.stats.BypassWrites++
-		m.mem[addr] = val
+		m.mem.Store(addr, val)
 		return
 	}
 	m.evict(ln)

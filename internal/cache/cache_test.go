@@ -63,12 +63,12 @@ func TestWriteBack(t *testing.T) {
 	if got := m.Stats().StoreAllocs; got != 1 {
 		t.Errorf("store-alloc = %d, want 1 (no fetch on 1-word store miss)", got)
 	}
-	if m.mem[10] != 0 {
+	if m.mem.Load(10) != 0 {
 		t.Error("store went straight to memory; should be cached dirty")
 	}
 	m.Store(20, 8, false, false) // evicts dirty line 10
-	if m.mem[10] != 7 {
-		t.Errorf("writeback missing: mem[10] = %d, want 7", m.mem[10])
+	if m.mem.Load(10) != 7 {
+		t.Errorf("writeback missing: mem[10] = %d, want 7", m.mem.Load(10))
 	}
 	if m.Stats().Writebacks != 1 {
 		t.Errorf("writebacks = %d, want 1", m.Stats().Writebacks)
@@ -90,7 +90,7 @@ func TestBypassLoadAndStore(t *testing.T) {
 		t.Errorf("bypass load stats: %+v", s)
 	}
 	m.Store(65, 9, true, false)
-	if m.mem[65] != 9 {
+	if m.mem.Load(65) != 9 {
 		t.Error("bypass store must write memory directly")
 	}
 	if m.Stats().BypassWrites != 1 {
@@ -170,8 +170,8 @@ func TestDeadMarkMultiWordDirtyLineDemotesNotDiscards(t *testing.T) {
 	// Force eviction; the sibling word must survive via writeback.
 	m.Store(164, 9, false, false) // same set (164/4=41, 100/4=25... ensure conflict)
 	m.FlushAll()
-	if m.mem[100] != 1 || m.mem[101] != 2 {
-		t.Errorf("sibling words lost: mem[100]=%d mem[101]=%d", m.mem[100], m.mem[101])
+	if m.mem.Load(100) != 1 || m.mem.Load(101) != 2 {
+		t.Errorf("sibling words lost: mem[100]=%d mem[101]=%d", m.mem.Load(100), m.mem.Load(101))
 	}
 }
 
@@ -181,7 +181,7 @@ func TestPeekSeesDirtyData(t *testing.T) {
 	if v := m.Peek(30); v != 77 {
 		t.Errorf("Peek = %d, want dirty 77", v)
 	}
-	if m.mem[30] != 0 {
+	if m.mem.Load(30) != 0 {
 		t.Error("memory should still be stale before writeback")
 	}
 }
@@ -193,8 +193,8 @@ func TestFlushAll(t *testing.T) {
 	}
 	m.FlushAll()
 	for i := int64(0); i < 10; i++ {
-		if m.mem[i*8] != i {
-			t.Errorf("mem[%d] = %d after flush, want %d", i*8, m.mem[i*8], i)
+		if m.mem.Load(i*8) != i {
+			t.Errorf("mem[%d] = %d after flush, want %d", i*8, m.mem.Load(i*8), i)
 		}
 	}
 }
@@ -284,8 +284,8 @@ func TestMemoryMatchesFlatModelQuick(t *testing.T) {
 			// After a full flush, memory must equal the flat model.
 			m.FlushAll()
 			for a := range flat {
-				if m.mem[a] != flat[a] {
-					t.Logf("cfg %d: mem[%d] = %d, want %d", ci, a, m.mem[a], flat[a])
+				if m.mem.Load(int64(a)) != flat[a] {
+					t.Logf("cfg %d: mem[%d] = %d, want %d", ci, a, m.mem.Load(int64(a)), flat[a])
 					return false
 				}
 			}

@@ -223,13 +223,61 @@ void main() {
 // every function of the benchmarks and of a generated seed window, under
 // each combination of StackScalars and inline+optimize.
 func TestChainsMatchOracle(t *testing.T) {
+	uses := 0
+	forOracleWindow(t, func(label string, f *ir.Func) {
+		rd := ComputeReachingDefs(f, ComputeLiveness(f))
+		got, want := ComputeChains(rd), chainsOracle(rd)
+		if !reflect.DeepEqual(got.UD, want.UD) {
+			t.Errorf("%s: UD chains differ from the reference", label)
+		}
+		if !reflect.DeepEqual(got.DU, want.DU) {
+			t.Errorf("%s: DU chains differ from the reference", label)
+		}
+		uses += len(want.UD)
+	})
+	if uses == 0 {
+		t.Fatal("no uses compared")
+	}
+}
+
+// TestTransferListsMatchDenseOracle: liveness and reaching definitions
+// with flat per-block transfer lists give the same In and Out sets, site
+// numbering and DefsOf lists as the dense use/def and gen/kill references
+// (dense_oracle_test.go), on the chain oracle's window.
+func TestTransferListsMatchDenseOracle(t *testing.T) {
+	blocks := 0
+	forOracleWindow(t, func(label string, f *ir.Func) {
+		lv, wantLV := ComputeLiveness(f), livenessOracle(f)
+		if !reflect.DeepEqual(lv.In, wantLV.In) || !reflect.DeepEqual(lv.Out, wantLV.Out) {
+			t.Errorf("%s: liveness differs from the reference", label)
+			return
+		}
+		rd, want := ComputeReachingDefs(f, lv), reachOracle(f, lv)
+		if !reflect.DeepEqual(rd.Sites, want.Sites) || !reflect.DeepEqual(rd.SiteAt, want.SiteAt) ||
+			!reflect.DeepEqual(rd.DefsOf, want.DefsOf) {
+			t.Errorf("%s: def sites differ from the reference", label)
+		}
+		if !reflect.DeepEqual(rd.In, want.In) || !reflect.DeepEqual(rd.Out, want.Out) {
+			t.Errorf("%s: reaching definitions differ from the reference", label)
+		}
+		blocks += len(f.Blocks)
+	})
+	if blocks == 0 {
+		t.Fatal("no blocks compared")
+	}
+}
+
+// forOracleWindow calls check on every function of the six benchmarks and
+// the first generated ScaleKnobs(1) programs, each lowered with and
+// without stack scalars and with and without inlining and optimization.
+func forOracleWindow(t *testing.T, check func(label string, f *ir.Func)) {
 	type program struct{ name, src string }
 	var progs []program
 	for _, b := range bench.All() {
 		progs = append(progs, program{b.Name, b.Source})
 	}
-	// 24 seeds take about 4 s on 2 vCPUs; the builders' agreement was also
-	// checked over seeds 1–300.
+	// 24 seeds take about 4 s on 2 vCPUs; the chain builders' agreement
+	// was also checked over seeds 1–300.
 	seeds := int64(24)
 	if testing.Short() {
 		seeds = 6
@@ -237,28 +285,15 @@ func TestChainsMatchOracle(t *testing.T) {
 	for seed := int64(1); seed <= seeds; seed++ {
 		progs = append(progs, program{fmt.Sprintf("gen-%03d", seed), progen.Source(seed, progen.ScaleKnobs(1))})
 	}
-	uses := 0
 	for _, pg := range progs {
 		for _, stack := range []bool{false, true} {
 			for _, inlineOpt := range []bool{false, true} {
 				prog := buildWith(t, pg.src, stack, inlineOpt)
 				for _, f := range prog.Funcs {
-					rd := ComputeReachingDefs(f, ComputeLiveness(f))
-					got, want := ComputeChains(rd), chainsOracle(rd)
-					label := fmt.Sprintf("%s/stack=%v/inline+opt=%v/%s", pg.name, stack, inlineOpt, f.Name)
-					if !reflect.DeepEqual(got.UD, want.UD) {
-						t.Errorf("%s: UD chains differ from the reference", label)
-					}
-					if !reflect.DeepEqual(got.DU, want.DU) {
-						t.Errorf("%s: DU chains differ from the reference", label)
-					}
-					uses += len(want.UD)
+					check(fmt.Sprintf("%s/stack=%v/inline+opt=%v/%s", pg.name, stack, inlineOpt, f.Name), f)
 				}
 			}
 		}
-	}
-	if uses == 0 {
-		t.Fatal("no uses compared")
 	}
 }
 
@@ -493,5 +528,28 @@ func BenchmarkSplitWebs(b *testing.B) {
 		f := buildWith(b, src, true, false).Lookup(name)
 		b.StartTimer()
 		SplitWebs(f)
+	}
+}
+
+// BenchmarkLivenessProgen solves liveness and reaching definitions for
+// every function of the first 12 generated ScaleKnobs(1) programs the
+// reference interpreter runs (BenchmarkAllocateProgen's set), compiled
+// with stack scalars as the progen-analyze workload compiles them.
+func BenchmarkLivenessProgen(b *testing.B) {
+	var funcs []*ir.Func
+	for seed, ok := int64(1), 0; ok < 12; seed++ {
+		file := progen.Generate(seed, progen.ScaleKnobs(1))
+		if _, err := refint.Run(file, refint.Config{}); err != nil {
+			continue
+		}
+		ok++
+		funcs = append(funcs, buildWith(b, ast.Print(file), true, false).Funcs...)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, f := range funcs {
+			ComputeReachingDefs(f, ComputeLiveness(f))
+		}
 	}
 }

@@ -48,21 +48,42 @@ func ComputeReachingDefs(f *ir.Func, lv *Liveness) *ReachingDefs {
 		n += len(b.Instrs)
 	}
 	rd.SiteAt = make([]int, n)
-	addSite := func(b *ir.Block, idx int, r ir.Reg) int {
+
+	// Count the sites of each register, one per def and one per register
+	// live into the entry, so that Sites and every DefsOf list are carved
+	// at their final length from one allocation each.
+	entry := f.Entry()
+	off := make([]int32, f.NReg+1)
+	lv.In[entry.ID].ForEach(func(r int) { off[r+1]++ })
+	for _, b := range f.Blocks {
+		for i := range b.Instrs {
+			if d := b.Instrs[i].Def(); d != ir.NoReg {
+				off[d+1]++
+			}
+		}
+	}
+	for r := range f.NReg {
+		off[r+1] += off[r]
+	}
+	rd.Sites = make([]DefSite, 0, off[f.NReg])
+	ids := make([]int, off[f.NReg])
+	for r := range rd.DefsOf {
+		if off[r] < off[r+1] {
+			rd.DefsOf[r] = ids[off[r]:off[r]:off[r+1]]
+		}
+	}
+	addSite := func(b *ir.Block, idx int, r ir.Reg) {
 		id := len(rd.Sites)
 		rd.Sites = append(rd.Sites, DefSite{Block: b, Index: idx, Reg: r})
 		rd.DefsOf[r] = append(rd.DefsOf[r], id)
 		if idx >= 0 {
 			rd.SiteAt[rd.Start[b.ID]+idx] = id
 		}
-		return id
 	}
 
-	entry := f.Entry()
-	var entrySites []int
-	lv.In[entry.ID].ForEach(func(r int) {
-		entrySites = append(entrySites, addSite(entry, -1, ir.Reg(r)))
-	})
+	// The entry pseudo-defs come first: they are sites [0, nentry).
+	lv.In[entry.ID].ForEach(func(r int) { addSite(entry, -1, ir.Reg(r)) })
+	nentry := len(rd.Sites)
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			if d := b.Instrs[i].Def(); d != ir.NoReg {
@@ -75,30 +96,35 @@ func ComputeReachingDefs(f *ir.Func, lv *Liveness) *ReachingDefs {
 
 	ns := len(rd.Sites)
 	nb := len(f.Blocks)
-	slab := newSlab(4*nb+2, ns)
-	gen, kill := slab.sets(nb), slab.sets(nb)
+	slab := newSlab(2*nb+2, ns)
 	rd.In, rd.Out = slab.sets(nb), slab.sets(nb)
+	entryGen, out := slab.next(), slab.next()
 
-	// Per-block gen/kill: a def of r kills all other defs of r.
+	// Per-block transfer as a flat list of gen sites, block b's being
+	// gens[span[b][0]:span[b][1]]: the last def in the block of each
+	// register the block defines. That def kills every def of its register
+	// (DefsOf), itself included, and then generates itself. While a block
+	// is listed, out marks each listed register by its first def site.
+	span := make([][2]int32, nb)
+	gens := make([]int32, 0, ns)
 	for _, b := range f.Blocks {
-		for i := range b.Instrs {
+		lo := len(gens)
+		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			d := b.Instrs[i].Def()
-			if d == ir.NoReg {
+			if d == ir.NoReg || out.Has(rd.DefsOf[d][0]) {
 				continue
 			}
-			id := rd.Site(b, i)
-			for _, other := range rd.DefsOf[d] {
-				gen[b.ID].Clear(other)
-				kill[b.ID].Set(other)
-			}
-			kill[b.ID].Clear(id)
-			gen[b.ID].Set(id)
+			out.Set(rd.DefsOf[d][0])
+			gens = append(gens, int32(rd.Site(b, i)))
 		}
+		for _, id := range gens[lo:] {
+			out.Clear(rd.DefsOf[rd.Sites[id].Reg][0])
+		}
+		span[b.ID] = [2]int32{int32(lo), int32(len(gens))}
 	}
-	// Entry pseudo-defs are generated at the top of the entry block; real
-	// defs in the entry block kill them through the normal kill sets.
-	entryGen, out := slab.next(), slab.next()
-	for _, id := range entrySites {
+	// Entry pseudo-defs are generated at the top of the entry block; a
+	// real def in the entry block kills them with the rest of DefsOf.
+	for id := range nentry {
 		entryGen.Set(id)
 	}
 
@@ -114,8 +140,13 @@ func ComputeReachingDefs(f *ir.Func, lv *Liveness) *ReachingDefs {
 				in.UnionWith(rd.Out[p.ID])
 			}
 			copy(out, in)
-			out.DiffWith(kill[b.ID])
-			out.UnionWith(gen[b.ID])
+			x := span[b.ID]
+			for _, id := range gens[x[0]:x[1]] {
+				for _, other := range rd.DefsOf[rd.Sites[id].Reg] {
+					out.Clear(other)
+				}
+				out.Set(int(id))
+			}
 			if !out.Equal(rd.Out[b.ID]) {
 				copy(rd.Out[b.ID], out)
 				changed = true

@@ -199,3 +199,53 @@ func TestExampleReproducers(t *testing.T) {
 		}
 	}
 }
+
+// splitSrc writes and reads back words on both sides of the middle of a
+// 1<<20-word memory, where the memory image (internal/memimg) divides its
+// low (globals) segment from its high (stack) one: the global array runs
+// from address 64 across the split at 1<<19, and main's locals sit at the
+// top of memory. Words never written must read as zero.
+const splitSrc = `
+int big[524300];
+int poke(int i, int v) { big[i] = v; return big[i]; }
+void main() {
+    int loc[4];
+    int lo;
+    int hi;
+    lo = 524287 - 64;
+    hi = lo + 1;
+    loc[0] = 5;
+    loc[3] = 6;
+    big[lo] = 11;
+    big[hi] = 22;
+    big[lo - 1] = loc[0] + big[lo];
+    big[hi + 1] = loc[3] + big[hi];
+    print(big[lo - 1]);
+    print(big[lo]);
+    print(big[hi]);
+    print(big[hi + 1]);
+    print(big[hi + 2]);
+    print(big[0]);
+    print(poke(524299, 7));
+    print(big[524298]);
+    print(loc[0] + loc[3]);
+}
+`
+
+// TestSegmentSplitAgrees runs splitSrc under the reference interpreter,
+// the IR interpreter and the VM (every compile config and cache
+// geometry), all with 1<<20 words of memory, and requires one output.
+func TestSegmentSplitAgrees(t *testing.T) {
+	const want = "16\n11\n22\n28\n0\n0\n7\n0\n11\n"
+	o := Options{MemWords: 1 << 20}
+	if got, err := reference(splitSrc, o.withDefaults()); err != nil || got != want {
+		t.Fatalf("refint: output %q, err %v; want %q", got, err, want)
+	}
+	mms, err := CheckSource(splitSrc, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mm := range mms {
+		t.Errorf("config=%s geom=%s want %q got %q", mm.Config, mm.Geometry, mm.Want, mm.Got)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"repro/internal/ir"
+	"repro/internal/memimg"
 	"repro/internal/sem"
 )
 
@@ -61,8 +62,9 @@ func Run(prog *ir.Program, cfg Config) (*Result, error) {
 	}
 	in := &interp{
 		prog:   prog,
-		mem:    make([]int64, cfg.MemWords),
+		mem:    memimg.New[int64](cfg.MemWords),
 		global: make(map[*sem.Object]int64),
+		frames: make(map[*ir.Func]*frameLayout),
 		sp:     int64(cfg.StackBase),
 		limit:  cfg.MaxSteps,
 		onRef:  cfg.OnRef,
@@ -73,7 +75,7 @@ func Run(prog *ir.Program, cfg Config) (*Result, error) {
 	for _, g := range prog.Globals {
 		in.global[g] = next
 		if g.Type.IsInt() {
-			in.mem[next] = g.InitVal
+			in.mem.Store(next, g.InitVal)
 		}
 		next += int64(g.Type.Words())
 	}
@@ -85,8 +87,10 @@ func Run(prog *ir.Program, cfg Config) (*Result, error) {
 
 type interp struct {
 	prog   *ir.Program
-	mem    []int64
+	mem    *memimg.Image[int64]
 	global map[*sem.Object]int64
+	frames map[*ir.Func]*frameLayout
+	regs   []int64 // register files of the active calls, innermost last
 	sp     int64
 	out    strings.Builder
 	steps  int64
@@ -94,29 +98,55 @@ type interp struct {
 	onRef  func(f *ir.Func, ins *ir.Instr, addr int64)
 }
 
+// frameLayout is a function's frame: its spill slots, then its frame
+// objects at offsets from the frame base.
+type frameLayout struct {
+	off   map[*sem.Object]int64
+	words int64
+}
+
+// frame returns f's layout, computing it on f's first call.
+func (in *interp) frame(f *ir.Func) *frameLayout {
+	if fl, ok := in.frames[f]; ok {
+		return fl
+	}
+	fl := &frameLayout{off: make(map[*sem.Object]int64, len(f.FrameObjs)), words: int64(f.SpillSlots)}
+	for _, obj := range f.FrameObjs {
+		fl.off[obj] = fl.words
+		fl.words += int64(obj.Type.Words())
+	}
+	in.frames[f] = fl
+	return fl
+}
+
+// call runs f. It reads args only before executing f's first
+// instruction, so a caller may pass a buffer it reuses afterwards.
 func (in *interp) call(f *ir.Func, args []int64) (int64, error) {
 	if len(args) != len(f.Params) {
 		return 0, fmt.Errorf("irinterp: %s called with %d args, want %d", f.Name, len(args), len(f.Params))
 	}
-	// Allocate frame objects on the bump stack.
-	frameWords := int64(f.SpillSlots)
-	frame := make(map[*sem.Object]int64)
-	for _, obj := range f.FrameObjs {
-		frame[obj] = frameWords
-		frameWords += int64(obj.Type.Words())
-	}
+	// Allocate frame objects on the bump stack, and the register file on
+	// the register stack. A nested call may move in.regs; this call keeps
+	// using its own slice, which no other call reads.
+	fl := in.frame(f)
+	frame, frameWords := fl.off, fl.words
 	base := in.sp - frameWords
 	if base < 0 {
 		return 0, fmt.Errorf("irinterp: stack overflow in %s", f.Name)
 	}
 	in.sp = base
-	defer func() { in.sp = base + frameWords }()
+	top := len(in.regs)
+	in.regs = append(in.regs, make([]int64, f.NReg)...)
+	regs := in.regs[top:]
+	defer func() {
+		in.sp = base + frameWords
+		in.regs = in.regs[:top]
+	}()
 
-	regs := make([]int64, f.NReg)
 	for i, p := range f.Params {
 		regs[p] = args[i]
 		if slot, ok := f.ParamSpillSlot[i]; ok {
-			in.mem[base+int64(slot)] = args[i]
+			in.mem.Store(base+int64(slot), args[i])
 		}
 	}
 
@@ -130,7 +160,7 @@ func (in *interp) call(f *ir.Func, args []int64) (int64, error) {
 		return 0, fmt.Errorf("irinterp: %s: no storage for %s", f.Name, obj.Name)
 	}
 	checkAddr := func(a int64) error {
-		if a < 0 || a >= int64(len(in.mem)) {
+		if a < 0 || a >= int64(in.mem.Words()) {
 			return fmt.Errorf("irinterp: %s: address %d out of range", f.Name, a)
 		}
 		return nil
@@ -184,7 +214,7 @@ func (in *interp) call(f *ir.Func, args []int64) (int64, error) {
 				if in.onRef != nil {
 					in.onRef(f, ins, a)
 				}
-				regs[ins.Dst] = in.mem[a]
+				regs[ins.Dst] = in.mem.Load(a)
 			case ir.OpStore:
 				var a int64
 				if ins.Ref != nil && ins.Ref.Kind == ir.RefSpill {
@@ -198,7 +228,7 @@ func (in *interp) call(f *ir.Func, args []int64) (int64, error) {
 				if in.onRef != nil {
 					in.onRef(f, ins, a)
 				}
-				in.mem[a] = regs[ins.B]
+				in.mem.Store(a, regs[ins.B])
 			case ir.OpArg:
 				idx := int(ins.Imm)
 				for len(argbuf) <= idx {
@@ -213,9 +243,8 @@ func (in *interp) call(f *ir.Func, args []int64) (int64, error) {
 				if int64(len(argbuf)) < ins.Imm {
 					return 0, fmt.Errorf("irinterp: call %s staged %d of %d args", ins.Callee.Name, len(argbuf), ins.Imm)
 				}
-				vals := append([]int64(nil), argbuf[:ins.Imm]...)
+				rv, err := in.call(callee, argbuf[:ins.Imm])
 				argbuf = argbuf[:0]
-				rv, err := in.call(callee, vals)
 				if err != nil {
 					return 0, err
 				}

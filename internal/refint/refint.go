@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"repro/internal/ast"
+	"repro/internal/memimg"
 	"repro/internal/token"
 	"repro/internal/types"
 )
@@ -174,11 +175,11 @@ type binding struct {
 
 type interp struct {
 	cfg    Config
-	mem    []cell
+	mem    *memimg.Image[cell] // a zero cell is uninitialized
 	out    strings.Builder
 	steps  int64
 	frames int
-	sp     int64 // frame bump pointer, grows downward from len(mem)
+	sp     int64 // frame bump pointer, grows downward from cfg.MemWords
 
 	funcs    map[string]*ast.FuncDecl
 	globals  []*binding // in declaration order, for the final snapshot
@@ -201,7 +202,7 @@ func Run(file *ast.File, cfg Config) (*Result, error) {
 	cfg = cfg.normalized()
 	in := &interp{
 		cfg:      cfg,
-		mem:      make([]cell, cfg.MemWords),
+		mem:      memimg.New[cell](cfg.MemWords),
 		sp:       int64(cfg.MemWords),
 		funcs:    make(map[string]*ast.FuncDecl),
 		topScope: make(map[string]*binding),
@@ -225,14 +226,14 @@ func Run(file *ast.File, cfg Config) (*Result, error) {
 				return nil, in.errf(ErrStackOverflow, d.Pos(), "globals exceed memory")
 			}
 			for w := a.base; w < a.limit; w++ {
-				in.mem[w] = cell{v: value{}, init: true} // globals are zero-initialized
+				in.mem.Store(w, cell{init: true}) // globals are zero-initialized
 			}
 			if d.Init != nil {
 				v, ok := constInit(d.Init)
 				if !ok {
 					return nil, in.errf(ErrBadProgram, d.Pos(), "global %s has a non-constant initializer", d.Name)
 				}
-				in.mem[a.base].v.i = v
+				in.mem.Store(a.base, cell{v: value{i: v}, init: true})
 			}
 			b := &binding{t: d.Type, a: a}
 			in.topScope[d.Name] = b
@@ -262,7 +263,7 @@ func Run(file *ast.File, cfg Config) (*Result, error) {
 	for i, b := range in.globals {
 		vals := make([]int64, b.a.limit-b.a.base)
 		for w := range vals {
-			vals[w] = in.mem[b.a.base+int64(w)].v.i
+			vals[w] = in.mem.Load(b.a.base + int64(w)).v.i
 		}
 		res.Globals[in.gnames[i]] = vals
 	}
@@ -372,10 +373,16 @@ func (in *interp) call(fn *ast.FuncDecl, args []value, at token.Pos) (value, err
 	fr.push()
 	defer func() {
 		fr.pop()
+		// Poison the frame's words (uninit and provenance-free), so every
+		// word below the stack pointer is a zero cell and declare needs
+		// no store. A word already zero is skipped: the image does not
+		// grow for storage the frame never wrote.
 		for _, a := range fr.allocs {
 			a.dead = true
 			for w := a.base; w < a.limit; w++ {
-				in.mem[w] = cell{} // poison: uninit and provenance-free
+				if in.mem.Load(w) != (cell{}) {
+					in.mem.Store(w, cell{})
+				}
 			}
 		}
 		in.sp = fr.savedSP
@@ -387,7 +394,7 @@ func (in *interp) call(fn *ast.FuncDecl, args []value, at token.Pos) (value, err
 		if err != nil {
 			return value{}, err
 		}
-		in.mem[b.a.base] = cell{v: args[i], init: true}
+		in.mem.Store(b.a.base, cell{v: args[i], init: true})
 	}
 
 	ctl, err := fr.block(fn.Body, false)
@@ -406,7 +413,8 @@ func (fr *frame) push() { fr.scopes = append(fr.scopes, make(map[string]*binding
 func (fr *frame) pop()  { fr.scopes = fr.scopes[:len(fr.scopes)-1] }
 
 // declare allocates storage for a new local in the current scope. The
-// words start uninitialized.
+// words start uninitialized: below the stack pointer every word is a
+// zero cell (see call's poisoning).
 func (fr *frame) declare(name string, t *types.Type, pos token.Pos) (*binding, error) {
 	in := fr.in
 	words := int64(t.Words())
@@ -420,9 +428,6 @@ func (fr *frame) declare(name string, t *types.Type, pos token.Pos) (*binding, e
 	in.sp = base
 	a := &alloc{name: name, base: base, limit: base + words}
 	fr.allocs = append(fr.allocs, a)
-	for w := a.base; w < a.limit; w++ {
-		in.mem[w] = cell{}
-	}
 	b := &binding{t: t, a: a}
 	top := fr.scopes[len(fr.scopes)-1]
 	if _, dup := top[name]; dup {
@@ -606,7 +611,7 @@ func (fr *frame) declStmt(d *ast.VarDecl) error {
 		if err != nil {
 			return err
 		}
-		fr.in.mem[b.a.base] = cell{v: v, init: true}
+		fr.in.mem.Store(b.a.base, cell{v: v, init: true})
 	}
 	return nil
 }
@@ -747,7 +752,7 @@ func (fr *frame) load(pl place, pos token.Pos) (value, error) {
 	if err := fr.checkPlace(pl, pos); err != nil {
 		return value{}, err
 	}
-	c := in.mem[pl.addr]
+	c := in.mem.Load(pl.addr)
 	if !c.init {
 		return value{}, in.errf(ErrUninit, pos, "read of uninitialized %s word %d", pl.obj.name, pl.addr)
 	}
@@ -762,7 +767,7 @@ func (fr *frame) store(pl place, v value, pos token.Pos) error {
 	if err := fr.checkPlace(pl, pos); err != nil {
 		return err
 	}
-	in.mem[pl.addr] = cell{v: v, init: true}
+	in.mem.Store(pl.addr, cell{v: v, init: true})
 	return nil
 }
 

@@ -407,3 +407,16 @@ func TestErrorStrings(t *testing.T) {
 		t.Errorf("error string %q should name its kind", e.Error())
 	}
 }
+
+// TestUninitReadOfNeverWrittenWord: storage reads as the zero cell, which
+// is uninitialized, until a store reaches it, and a declaration stores
+// nothing. a[0] lies far below the one word of a written near the top of
+// memory, in storage no store has touched; g's y reuses the word f's x
+// held, which f's return poisoned.
+func TestUninitReadOfNeverWrittenWord(t *testing.T) {
+	wantErrKind(t, `void main() { int a[100000]; a[99999] = 1; print(a[0]); }`, ErrUninit)
+	wantErrKind(t, `
+int f() { int x; x = 5; return x; }
+int g() { int y; return y; }
+void main() { print(f()); print(g()); }`, ErrUninit)
+}

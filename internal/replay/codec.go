@@ -131,11 +131,6 @@ type Encoded struct {
 	// test costs one well-predicted cached load where a finalTable probe
 	// would take a random hash access.
 	finalBit map[int64][]uint64
-	// nextUse memoizes the per-record next-use index MIN replay needs.
-	// Unlike finalRef it is O(refs) memory, so only the most recent line
-	// size is kept (experiments replay all MIN variants back to back).
-	nextUseLW  int64
-	nextUseArr []int32
 }
 
 // EncodeTrace encodes a materialized trace (tests and tools; the replay
@@ -395,18 +390,14 @@ func (e *Encoded) finalBits(lineWords int64) []uint64 {
 // greater than any record index the engine accepts.
 const never32 = int32(1<<31 - 1)
 
-// nextUses returns (building and memoizing for the most recent line size)
-// the per-record next-use index array MIN replay requires. This is the one
-// replay mode that inherently costs O(refs) memory — 4 bytes per
-// reference, a sixth of a materialized trace.Trace — because Belady
-// victims need per-line future knowledge, not just finality. The caller
-// has checked that every index fits below never32 (checkConfig).
+// nextUses builds the per-record next-use index array MIN replay
+// requires. This is the one replay mode that inherently costs O(refs)
+// memory — 4 bytes per reference, a sixth of a materialized trace.Trace —
+// because Belady victims need per-line future knowledge, not just
+// finality, so the trace does not keep it: each replay call builds it
+// once per line size and drops it on return (minIndex). The caller has
+// checked that every index fits below never32 (checkConfig).
 func (e *Encoded) nextUses(lineWords int64) []int32 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.nextUseArr != nil && e.nextUseLW == lineWords {
-		return e.nextUseArr
-	}
 	arr := make([]int32, e.n)
 	lastSeen := make(map[int64]int32)
 	c := e.Cursor()
@@ -422,7 +413,5 @@ func (e *Encoded) nextUses(lineWords int64) []int32 {
 		}
 		lastSeen[la] = i
 	}
-	e.nextUseLW = lineWords
-	e.nextUseArr = arr
 	return arr
 }

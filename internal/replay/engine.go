@@ -24,7 +24,7 @@ import (
 // therefore needs only a line-address → final-reference-index map
 // (memory flat in trace length), not a per-record next-use array —
 // except under MIN, whose Belady victim choice genuinely requires
-// per-record future knowledge (Encoded.nextUses).
+// per-record future knowledge (Encoded.nextUses, built per replay call).
 
 // sampleEvery is Measure's occupancy sampling stride, in references.
 const sampleEvery = 64

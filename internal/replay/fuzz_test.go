@@ -123,7 +123,7 @@ func FuzzReplayKernel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		enc := EncodeTrace(fuzzRecords(data, 63))
 		for _, cfg := range cfgs {
-			eng := newReplayEngine(enc, cfg, 0, cfg.Sets, false)
+			eng := newReplayEngine(enc, cfg, 0, cfg.Sets, false, nil)
 			eng.run(enc)
 			if got := replay2(enc, cfg); got != eng.st {
 				t.Fatalf("cfg %+v:\nkernel = %+v\nengine = %+v", cfg, got, eng.st)

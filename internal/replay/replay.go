@@ -46,14 +46,29 @@ func checkConfig(enc *Encoded, cfg cache.Config, measure bool) error {
 	return nil
 }
 
+// minIndex holds MIN's next-use arrays for one replay call, one per line
+// size, shared by that call's MIN engines (set shards included). The
+// call drops it when it returns, so a trace held for later replays
+// never carries one.
+type minIndex map[int64][]int32
+
+func (mi minIndex) nextUses(enc *Encoded, lineWords int64) []int32 {
+	arr, ok := mi[lineWords]
+	if !ok {
+		arr = enc.nextUses(lineWords)
+		mi[lineWords] = arr
+	}
+	return arr
+}
+
 // newReplayEngine is the one engine constructor behind every entry
 // point. It builds an engine for a checked cfg over the set shard
-// [lo, hi) with MIN's next-use array wired in and, when measure is set,
-// the occupancy machinery.
-func newReplayEngine(enc *Encoded, cfg cache.Config, lo, hi int, measure bool) *engine {
+// [lo, hi) with MIN's next-use array from mi wired in and, when measure
+// is set, the occupancy machinery. mi may be nil unless cfg is MIN.
+func newReplayEngine(enc *Encoded, cfg cache.Config, lo, hi int, measure bool, mi minIndex) *engine {
 	eng := newEngine(cfg, lo, hi)
 	if cfg.Policy == cache.MIN {
-		eng.nextUse = enc.nextUses(int64(cfg.LineWords))
+		eng.nextUse = mi.nextUses(enc, int64(cfg.LineWords))
 		eng.nuse = make([]int32, cfg.Lines())
 	}
 	if measure {
@@ -102,8 +117,9 @@ func Replay(enc *Encoded, cfg cache.Config, workers int) (cache.Stats, error) {
 	}
 
 	engs := make([]*engine, workers)
+	mi := minIndex{}
 	for k := range engs {
-		engs[k] = newReplayEngine(enc, cfg, k*cfg.Sets/workers, (k+1)*cfg.Sets/workers, false)
+		engs[k] = newReplayEngine(enc, cfg, k*cfg.Sets/workers, (k+1)*cfg.Sets/workers, false, mi)
 	}
 	if workers == 1 {
 		engs[0].run(enc)
@@ -155,7 +171,7 @@ func Measure(enc *Encoded, cfg cache.Config) (TraceStats, error) {
 	if err := checkConfig(enc, cfg, true); err != nil {
 		return TraceStats{}, err
 	}
-	eng := newReplayEngine(enc, cfg, 0, cfg.Sets, true)
+	eng := newReplayEngine(enc, cfg, 0, cfg.Sets, true, minIndex{})
 	eng.run(enc)
 	return measureResult(eng), nil
 }
@@ -180,11 +196,12 @@ func measureResult(eng *engine) TraceStats {
 // E2/E3 that sweep many cache shapes over one workload.
 func MeasureBatch(enc *Encoded, cfgs []cache.Config) ([]TraceStats, error) {
 	engs := make([]*engine, len(cfgs))
+	mi := minIndex{}
 	for i, cfg := range cfgs {
 		if err := checkConfig(enc, cfg, true); err != nil {
 			return nil, err
 		}
-		engs[i] = newReplayEngine(enc, cfg, 0, cfg.Sets, true)
+		engs[i] = newReplayEngine(enc, cfg, 0, cfg.Sets, true, mi)
 	}
 	runBatch(enc, engs)
 	out := make([]TraceStats, len(engs))
@@ -211,12 +228,13 @@ func ReplayBatch(enc *Encoded, cfgs []cache.Config) ([]cache.Stats, error) {
 	out := make([]cache.Stats, len(cfgs))
 	var engs []*engine
 	var at []int // out index of each engine
+	mi := minIndex{}
 	for i, cfg := range cfgs {
 		if twoWay(cfg) {
 			out[i] = replay2(enc, cfg)
 			continue
 		}
-		engs = append(engs, newReplayEngine(enc, cfg, 0, cfg.Sets, false))
+		engs = append(engs, newReplayEngine(enc, cfg, 0, cfg.Sets, false, mi))
 		at = append(at, i)
 	}
 	if len(engs) > 0 {

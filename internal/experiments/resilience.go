@@ -86,6 +86,7 @@ type CampaignResult struct {
 
 	Injected faults.Counts    // faults that actually fired
 	Detector cache.FaultStats // what the detection layer saw
+	Misses   int64            // cache misses of the run (0 when it faulted)
 
 	OutputIdentical bool  // output matched the fault-free golden run
 	Faulted         error // structured fault error that aborted the run, if any
@@ -115,8 +116,8 @@ func (r *ResilienceReport) Violations() []CampaignResult {
 // Summary renders the sweep as a table.
 func (r *ResilienceReport) Summary() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-10s %-12s %-20s %-10s %8s %9s %9s %7s  %s\n",
-		"bench", "mode", "campaign", "kind", "injected", "detected", "corrected", "retried", "verdict")
+	fmt.Fprintf(&sb, "%-10s %-12s %-20s %-10s %8s %8s %7s %9s %9s %7s  %s\n",
+		"bench", "mode", "campaign", "kind", "misses", "injected", "stuck", "detected", "corrected", "retried", "verdict")
 	for _, c := range r.Results {
 		verdict := "ok: identical output"
 		if c.Faulted != nil {
@@ -125,10 +126,10 @@ func (r *ResilienceReport) Summary() string {
 		if c.Violation != "" {
 			verdict = "VIOLATION: " + c.Violation
 		}
-		fmt.Fprintf(&sb, "%-10s %-12s %-20s %-10s %8d %9d %9d %7d  %s\n",
+		fmt.Fprintf(&sb, "%-10s %-12s %-20s %-10s %8d %8d %7d %9d %9d %7d  %s\n",
 			c.Bench, c.Mode, c.Campaign.Name, c.Campaign.Kind,
-			c.Injected.Total(), c.Detector.Detected, c.Detector.Corrected,
-			c.Detector.Retried, verdict)
+			c.Misses, c.Injected.Total(), c.Detector.StuckWayRefs, c.Detector.Detected,
+			c.Detector.Corrected, c.Detector.Retried, verdict)
 	}
 	return sb.String()
 }
@@ -153,6 +154,7 @@ func runUnderCampaign(prog *vmProgram, golden string, c Campaign, mode core.Mode
 		}
 	} else {
 		out.Detector = res.FaultStats
+		out.Misses = res.CacheStats.Misses
 		out.OutputIdentical = res.Output == golden
 	}
 

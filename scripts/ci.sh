@@ -174,8 +174,14 @@ go test -count=1 -run 'TestSolversAgreeOnGeneratedWindow$' ./internal/exact
 go run ./cmd/unicheck -oracle -interproc -bench sieve -gen 3,5,8 -gen-scale 2
 fuzz_smoke FuzzExactAntichain ./internal/exact ends
 
-echo "== fault campaigns (bubble, sieve) =="
-go run ./cmd/unibench -experiment resilience -bench bubble,sieve
+echo "== fault campaigns (bubble, sieve, queen) =="
+# queen is the one benchmark of the three whose unified code drops kills
+# under lost-kills (bubble and sieve inject none). The table, cache
+# misses and stuck-way references included, must match
+# BENCH_resilience.txt byte for byte.
+go run ./cmd/unibench -experiment resilience -bench bubble,sieve,queen > /tmp/resilience-ci.txt
+diff -u BENCH_resilience.txt /tmp/resilience-ci.txt
+rm -f /tmp/resilience-ci.txt
 
 echo "== sweep smoke (determinism + resume artifact) =="
 # A small grid swept at 1 and 8 workers must produce byte-identical

@@ -67,7 +67,14 @@ func main() {
 
 	// Cache-model corpus: access patterns chosen to stress each geometry —
 	// a same-set conflict sweep, a tight reuse loop, a bypass-heavy burst,
-	// and address wraparound.
+	// address wraparound, and loads of 16 lines in each of the 4 sets
+	// (configuration 4, two-word lines: stuck ways under Random
+	// replacement; at configuration byte 39 its injector sticks all four
+	// ways of set 0, way 2 of set 1, way 3 of set 2 and ways 0-2 of set 3).
+	var sweep []byte
+	for i := 0; i < 64; i++ {
+		sweep = append(sweep, 0x00, 0x00, byte(8*(i%16)+2*(i/16)))
+	}
 	patterns := []struct {
 		ops []byte
 		cfg uint8
@@ -76,6 +83,7 @@ func main() {
 		{[]byte{0x10, 0x10, 0x11, 0x11, 0x10, 0x90, 0x10}, 1},
 		{[]byte{0xff, 0xbf, 0x7f, 0x3f, 0xff, 0xbf, 0x7f, 0x3f, 0x01}, 2},
 		{[]byte{0x00, 0xff, 0x00, 0xff, 0x80, 0x7f, 0x80, 0x7f}, 3},
+		{sweep, 39},
 	}
 	for i, p := range patterns {
 		body := fmt.Sprintf("[]byte(%s)\nuint8(%d)", strconv.Quote(string(p.ops)), p.cfg)

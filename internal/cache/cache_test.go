@@ -118,14 +118,15 @@ func TestUmAmLoadHitKillsLine(t *testing.T) {
 	// The line is gone: a cached load misses now (value still correct from
 	// the paper's perspective only if the compiler marked truly-dead data;
 	// the model intentionally discards).
-	if m.lookupForTest(40) != nil {
+	if m.resident(40) {
 		t.Error("line should be invalidated after last reload")
 	}
 }
 
-func (m *Memory) lookupForTest(addr int64) *line {
-	set, tag, _ := m.split(addr)
-	return m.lookup(set, tag)
+// resident reports whether the line holding addr is cached.
+func (m *Memory) resident(addr int64) bool {
+	tag := addr >> m.lwShift
+	return m.c.Lookup(int(tag&m.setMask), tag) >= 0
 }
 
 func TestNonFinalReloadKeepsLine(t *testing.T) {
@@ -151,10 +152,10 @@ func TestDeadDemote(t *testing.T) {
 	m.Load(2, false, true) // most recently used, but dead-demoted
 	m.Load(3, false, false)
 	// Victim must have been line 2 (demoted), so 1 must still be resident.
-	if m.lookupForTest(1) == nil {
+	if !m.resident(1) {
 		t.Error("line 1 was evicted; demoted line 2 should have been the victim")
 	}
-	if m.lookupForTest(2) != nil {
+	if m.resident(2) {
 		t.Error("line 2 should have been replaced")
 	}
 }
@@ -164,7 +165,7 @@ func TestDeadMarkMultiWordDirtyLineDemotesNotDiscards(t *testing.T) {
 	m := mustMemory(t, 1024, cfg)
 	m.Store(100, 1, false, false) // dirty 4-word line 100..103
 	m.Store(101, 2, false, true)  // dead-mark; dirty multi-word: demote only
-	if ln := m.lookupForTest(100); ln == nil {
+	if !m.resident(100) {
 		t.Fatal("multi-word dirty line must not be discarded by dead marking")
 	}
 	// Force eviction; the sibling word must survive via writeback.

@@ -123,7 +123,7 @@ type Encoded struct {
 	mu sync.Mutex
 	// finalRef memoizes, per line size, the index of the last reference
 	// to each line address — the flat-memory future-knowledge summary
-	// Measure's dead-occupancy accounting needs (see engine.go).
+	// MeasureBatch's dead-occupancy accounting needs (see engine.go).
 	finalRef map[int64]*finalTable
 	// finalBit memoizes, per line size, a bitmap with bit i set when
 	// record i is the final reference to its line address. The engine
@@ -273,9 +273,9 @@ func (c *Cursor) Next() (r trace.Rec, ok bool) {
 // finalTable maps line address → index of that line's final reference.
 // It is an open-addressed hash table with no deletion, so probe chains
 // are contiguous and lookups are a few loads — the engine queries it on
-// every touch during Measure, where a Go map lookup would dominate the
+// every touch during MeasureBatch, where a Go map lookup would dominate the
 // per-reference budget. vals < 0 marks an empty slot (final indexes are
-// guaranteed < 2^31 by the Measure/MIN length guard).
+// guaranteed < 2^31 by the measuring/MIN length guard).
 type finalTable struct {
 	keys  []int64
 	vals  []int32
@@ -331,7 +331,7 @@ func (t *finalTable) put(tag int64, idx int32) {
 // finalRefsLocked returns (building and memoizing on first use) the table
 // from line address to the index of its final reference under the given
 // line size. Memory is proportional to the program's footprint, not the
-// trace length, which is what keeps Measure's occupancy accounting flat.
+// trace length, which is what keeps MeasureBatch's occupancy accounting flat.
 // Caller holds e.mu.
 func (e *Encoded) finalRefsLocked(lineWords int64) *finalTable {
 	if t, ok := e.finalRef[lineWords]; ok {

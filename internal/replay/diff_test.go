@@ -135,10 +135,11 @@ func TestBatchMatchesSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, cfg := range cfgs {
-		wantM, err := replay.Measure(enc, cfg)
+		wantMs, err := replay.MeasureBatch(enc, []cache.Config{cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
+		wantM := wantMs[0]
 		if gotM[i] != wantM {
 			t.Errorf("cfg %+v: MeasureBatch = %+v, Measure = %+v", cfg, gotM[i], wantM)
 		}

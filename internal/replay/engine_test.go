@@ -44,7 +44,7 @@ func testConfigs() []cache.Config {
 
 // TestEngineMatchesMemory is the synthetic differential. cache.Memory,
 // which the VM executes against, is the reference for every policy it
-// implements: the whole Stats struct from Measure, and from Replay at
+// implements: the whole Stats struct from MeasureBatch, and from Replay at
 // every worker count, must equal what Memory counts on the same
 // references. MIN, which Memory cannot execute, is held to one answer
 // across the entry points here; internal/cache's Belady oracle test
@@ -58,13 +58,14 @@ func TestEngineMatchesMemory(t *testing.T) {
 		tr, words := compact(tr)
 		enc := EncodeTrace(tr)
 		for _, cfg := range testConfigs() {
-			got, err := Measure(enc, cfg)
+			gots, err := MeasureBatch(enc, []cache.Config{cfg})
 			if err != nil {
 				t.Fatal(err)
 			}
+			got := gots[0]
 			if cfg.Policy != cache.MIN {
 				if want := memoryStats(t, tr, words, cfg); got.Stats != want {
-					t.Fatalf("trace %d cfg %+v:\nMeasure = %+v\nMemory  = %+v", ti, cfg, got.Stats, want)
+					t.Fatalf("trace %d cfg %+v:\nMeasureBatch = %+v\nMemory       = %+v", ti, cfg, got.Stats, want)
 				}
 			}
 			for _, workers := range []int{1, 2, 4, 8} {
@@ -73,7 +74,7 @@ func TestEngineMatchesMemory(t *testing.T) {
 					t.Fatal(err)
 				}
 				if st != got.Stats {
-					t.Fatalf("trace %d cfg %+v workers %d:\nReplay  = %+v\nMeasure = %+v",
+					t.Fatalf("trace %d cfg %+v workers %d:\nReplay       = %+v\nMeasureBatch = %+v",
 						ti, cfg, workers, st, got.Stats)
 				}
 			}
@@ -155,11 +156,11 @@ func TestReplayEmptyTrace(t *testing.T) {
 	if st != (cache.Stats{}) {
 		t.Fatalf("empty trace produced stats %+v", st)
 	}
-	ms, err := Measure(enc, cfg)
+	ms, err := MeasureBatch(enc, []cache.Config{cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ms != (TraceStats{}) {
+	if ms[0] != (TraceStats{}) {
 		t.Fatalf("empty trace produced trace stats %+v", ms)
 	}
 }
@@ -205,10 +206,11 @@ func TestMeasureOccupancy(t *testing.T) {
 		pol  cache.Policy
 		want occupancy
 	}{{cache.LRU, occupancy{2, 0.75, 2, 4}}, {cache.MIN, occupancy{2, 0.75, 2, 3}}} {
-		ts, err := Measure(enc, cache.Config{Sets: 1, Ways: 2, LineWords: 1, Policy: c.pol, Seed: 1})
+		tss, err := MeasureBatch(enc, []cache.Config{{Sets: 1, Ways: 2, LineWords: 1, Policy: c.pol, Seed: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
+		ts := tss[0]
 		if got := (occupancy{ts.Samples, ts.DeadOccupancy, ts.AvgResidentLines, ts.Misses}); got != c.want {
 			t.Errorf("%s: got %+v, want %+v", c.pol, got, c.want)
 		}
@@ -220,7 +222,7 @@ func TestReplayRejectsBadConfig(t *testing.T) {
 	if _, err := Replay(enc, cache.Config{Sets: 3, Ways: 1, LineWords: 1}, 1); err == nil {
 		t.Fatal("non-power-of-two sets accepted")
 	}
-	if _, err := Measure(enc, cache.Config{Sets: 0, Ways: 1, LineWords: 1}); err == nil {
+	if _, err := MeasureBatch(enc, []cache.Config{{Sets: 0, Ways: 1, LineWords: 1}}); err == nil {
 		t.Fatal("zero sets accepted")
 	}
 }

@@ -125,8 +125,8 @@ func FuzzReplayKernel(f *testing.F) {
 		for _, cfg := range cfgs {
 			eng := newReplayEngine(enc, cfg, 0, cfg.Sets, false, nil)
 			eng.run(enc)
-			if got := replay2(enc, cfg); got != eng.st {
-				t.Fatalf("cfg %+v:\nkernel = %+v\nengine = %+v", cfg, got, eng.st)
+			if got := replay2(enc, cfg); got != eng.c.Stats() {
+				t.Fatalf("cfg %+v:\nkernel = %+v\nengine = %+v", cfg, got, eng.c.Stats())
 			}
 		}
 	})

@@ -123,7 +123,7 @@ func Replay(enc *Encoded, cfg cache.Config, workers int) (cache.Stats, error) {
 	}
 	if workers == 1 {
 		engs[0].run(enc)
-		return engs[0].st, nil
+		return engs[0].c.Stats(), nil
 	}
 
 	var wg sync.WaitGroup
@@ -138,7 +138,7 @@ func Replay(enc *Encoded, cfg cache.Config, workers int) (cache.Stats, error) {
 
 	var total cache.Stats
 	for _, eng := range engs {
-		addStats(&total, eng.st)
+		addStats(&total, eng.c.Stats())
 	}
 	return total, nil
 }
@@ -164,21 +164,9 @@ func addStats(a *cache.Stats, b cache.Stats) {
 	a.Evictions += b.Evictions
 }
 
-// Measure replays single-threaded and additionally computes the
-// future-knowledge occupancy metrics (DeadOccupancy, AvgResidentLines).
-// Sampling is over global reference counts, so Measure never shards.
-func Measure(enc *Encoded, cfg cache.Config) (TraceStats, error) {
-	if err := checkConfig(enc, cfg, true); err != nil {
-		return TraceStats{}, err
-	}
-	eng := newReplayEngine(enc, cfg, 0, cfg.Sets, true, minIndex{})
-	eng.run(enc)
-	return measureResult(eng), nil
-}
-
 func measureResult(eng *engine) TraceStats {
 	var st TraceStats
-	st.Stats = eng.st
+	st.Stats = eng.c.Stats()
 	st.Samples = eng.samples
 	if eng.samples > 0 {
 		st.DeadOccupancy = eng.occSum / float64(eng.samples)
@@ -187,13 +175,15 @@ func measureResult(eng *engine) TraceStats {
 	return st
 }
 
-// MeasureBatch is Measure over several configurations of the same trace
-// in a single decoding pass. The engines are fully independent — each
-// keeps its own statistics, sampling accumulators, and PRNG — so every
-// element of the result is bit-identical to calling Measure with the
-// corresponding configuration alone; batching only avoids re-decoding
-// the stream once per configuration, which dominates experiments like
-// E2/E3 that sweep many cache shapes over one workload.
+// MeasureBatch replays several configurations of the same trace in a
+// single decoding pass on one goroutine and additionally computes the
+// future-knowledge occupancy metrics (DeadOccupancy, AvgResidentLines).
+// Sampling is over global reference counts, so it never shards. The
+// engines are fully independent — each keeps its own statistics,
+// sampling accumulators and PRNG — so every element of the result is
+// what a batch of that configuration alone returns; batching only avoids
+// re-decoding the stream once per configuration, which dominates
+// experiments like E2/E3 that sweep many cache shapes over one workload.
 func MeasureBatch(enc *Encoded, cfgs []cache.Config) ([]TraceStats, error) {
 	engs := make([]*engine, len(cfgs))
 	mi := minIndex{}
@@ -241,7 +231,7 @@ func ReplayBatch(enc *Encoded, cfgs []cache.Config) ([]cache.Stats, error) {
 		runBatch(enc, engs)
 	}
 	for k, eng := range engs {
-		out[at[k]] = eng.st
+		out[at[k]] = eng.c.Stats()
 	}
 	return out, nil
 }

@@ -355,8 +355,8 @@ func (r *RunResult) Replay(opts CacheOptions, stripFlags bool) (_ CacheStats, er
 	return convertStats(st, cfg.LineWords), nil
 }
 
-// CompareTraffic compiles src under both management modes, runs both on
-// the same cache geometry, and reports the paper's headline quantities.
+// Comparison is the outcome of CompareTraffic: the paper's headline
+// quantities for one program under both management modes.
 type Comparison struct {
 	Output string // program output (identical across modes by construction)
 
@@ -371,22 +371,17 @@ type Comparison struct {
 	UnifiedDRAMWords      int64
 }
 
-// CompareTraffic runs the paper's core measurement for one program.
+// CompareTraffic runs the paper's core measurement for one program. It
+// compiles src once, in unified mode, and runs it under ropts and again
+// as conventional management: the same hardware with bypass and dead
+// marking forced off, which ignores the only bits the modes differ in.
 func CompareTraffic(src string, copts *CompileOptions, ropts *RunOptions) (*Comparison, error) {
-	var base CompileOptions
+	var uopts CompileOptions
 	if copts != nil {
-		base = *copts
+		uopts = *copts
 	}
-	uopts := base
 	uopts.Mode = Unified
-	copts2 := base
-	copts2.Mode = Conventional
-
 	up, err := Compile(src, &uopts)
-	if err != nil {
-		return nil, err
-	}
-	cp, err := Compile(src, &copts2)
 	if err != nil {
 		return nil, err
 	}
@@ -394,7 +389,12 @@ func CompareTraffic(src string, copts *CompileOptions, ropts *RunOptions) (*Comp
 	if err != nil {
 		return nil, err
 	}
-	cr, err := cp.Run(ropts)
+	var conv RunOptions
+	if ropts != nil {
+		conv = *ropts
+	}
+	conv.Cache.DeadMarking, conv.Cache.HonorBypass = cache.DeadOff.String(), new(bool)
+	cr, err := up.Run(&conv)
 	if err != nil {
 		return nil, err
 	}

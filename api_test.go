@@ -174,6 +174,53 @@ func TestCompareTraffic(t *testing.T) {
 	}
 }
 
+// TestCompareTrafficMatchesPerModeCompiles: CompareTraffic compiles once
+// and runs the unified program on conventional hardware; every field
+// equals the measurement built from a compilation per mode, also when the
+// run options ask for the hint bits to be honored.
+func TestCompareTrafficMatchesPerModeCompiles(t *testing.T) {
+	honor := true
+	for _, ropts := range []*RunOptions{
+		nil,
+		{Cache: CacheOptions{Sets: 8, Ways: 4, Policy: "fifo", DeadMarking: "demote", HonorBypass: &honor}},
+	} {
+		copts := CompileOptions{StackScalars: true, Check: true}
+		got, err := CompareTraffic(demoSrc, &copts, ropts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var runs [2]*RunResult
+		var static float64
+		for i, mode := range []Mode{Unified, Conventional} {
+			copts.Mode = mode
+			p, err := Compile(demoSrc, &copts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if runs[i], err = p.Run(ropts); err != nil {
+				t.Fatal(err)
+			}
+			if mode == Unified {
+				static = p.Static().PercentBypass
+			}
+		}
+		ur, cr := runs[0], runs[1]
+		want := Comparison{
+			Output:                  cr.Output,
+			StaticPercentBypass:     static,
+			DynamicPercentBypass:    ur.Cache.PercentBypass,
+			ConventionalRefsToCache: cr.Cache.CachedRefs,
+			UnifiedRefsToCache:      ur.Cache.CachedRefs,
+			ReferenceReductionPct:   100 * float64(cr.Cache.CachedRefs-ur.Cache.CachedRefs) / float64(cr.Cache.CachedRefs),
+			ConventionalDRAMWords:   cr.Cache.MemTrafficWords,
+			UnifiedDRAMWords:        ur.Cache.MemTrafficWords,
+		}
+		if *got != want {
+			t.Errorf("ropts %+v:\n got %+v\nwant %+v", ropts, *got, want)
+		}
+	}
+}
+
 func TestBadInputs(t *testing.T) {
 	if _, err := Compile("void main( {", nil); err == nil {
 		t.Error("expected parse error")

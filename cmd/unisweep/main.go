@@ -1,9 +1,11 @@
 // Command unisweep runs the design-space sweep engine: it expands a grid
 // of benchmarks × compiler configs × cache geometries × replacement
 // policies × management modes into work units, executes them on a worker
-// pool one execution identity (benchmark, compiler, mode) per task — one
-// compile and one VM run each, the other geometries replayed from its
-// trace — and writes the machine-readable BENCH_sweep.json artifact.
+// pool one execution identity (benchmark, compiler) per task — one
+// compile of the unified program and one VM run each, every other
+// geometry and the conventional mode (the same program on hardware that
+// ignores the hint bits) replayed from its trace — and writes the
+// machine-readable BENCH_sweep.json artifact.
 //
 // Usage:
 //
@@ -21,7 +23,8 @@
 // (completion order); -resume salvages complete records from both the
 // output file and the partial sidecar, re-running only the missing units
 // (a partly done identity runs only its missing geometries). The closing
-// line reports the pool size used: -workers clipped to the identities run.
+// line reports the pool size used (-workers clipped to the identities
+// run) and the VM runs made, one per identity with units to run.
 //
 // With -remote the grid is not executed locally: it is POSTed to a
 // unicached daemon's /v1/sweep campaign endpoint, the record stream is
@@ -40,6 +43,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/artifact"
 	"repro/internal/bench"
 	"repro/internal/campaign"
 	"repro/internal/cli"
@@ -115,7 +119,8 @@ func main() {
 		return
 	}
 
-	opt := sweep.Options{Workers: *workers}
+	arts := artifact.New()
+	opt := sweep.Options{Workers: *workers, Artifacts: arts}
 	if *resume && *out != "-" {
 		opt.Done = salvage(*out)
 		fmt.Fprintf(os.Stderr, "%s: resume: %d/%d units already measured\n", tool, countDone(opt.Done, units), len(units))
@@ -159,9 +164,10 @@ func main() {
 		partial.Close()
 		os.Remove(partialPath)
 	}
-	fmt.Fprintf(os.Stderr, "%s: %d units (%d run, %d resumed) on %d workers in %s\n",
+	st := arts.Stats()
+	fmt.Fprintf(os.Stderr, "%s: %d units (%d run, %d resumed) on %d workers, %d VM runs, in %s\n",
 		tool, len(res.Records), res.Ran, len(res.Records)-res.Ran, res.Workers,
-		res.Elapsed.Round(time.Millisecond))
+		st.RunMisses-st.BatchReplays, res.Elapsed.Round(time.Millisecond))
 }
 
 func splitList(s string) []string {

@@ -331,7 +331,7 @@ func TestCursorInsideGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const cursor = 3 // groups are 2 units (two set counts): 3 is the second group's second unit
+	const cursor = 3 // groups are 4 units (two modes x two set counts): 3 is the first group's last unit
 	_, ts := newDaemon(t, serve.Config{Workers: daemonWorkers})
 	p, _, err := fetchPage(http.DefaultClient, ts.URL, g, cursor, 0)
 	if err != nil {

@@ -102,6 +102,15 @@ func Apply(f *ir.Func, mode Mode) {
 	}
 }
 
+// Under returns s, a unified compilation's stats, as mode classifies the
+// same sites: conventional mode caches every site and dead-marks none.
+func (s StaticStats) Under(mode Mode) StaticStats {
+	if mode == Conventional {
+		s.Bypass, s.Cached, s.LastMarked = 0, s.Sites, 0
+	}
+	return s
+}
+
 // ApplyProgram runs Apply on every function.
 func ApplyProgram(p *ir.Program, mode Mode) {
 	for _, f := range p.Funcs {

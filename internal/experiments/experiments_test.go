@@ -7,6 +7,7 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/bench"
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/vm"
 )
 
@@ -39,7 +40,7 @@ func TestWorkloadsSelfCheck(t *testing.T) {
 			t.Fatalf("workloads = %d, want 6", len(set))
 		}
 		for _, w := range set {
-			_, enc, err := Artifacts.RunEncoded(w.Unified, vm.Config{Cache: w.Geometry.unified()})
+			_, enc, err := Artifacts.RunEncoded(w.Unified, vm.Config{Cache: w.Geometry.hardware(core.Unified)})
 			if err != nil || enc.Len() == 0 {
 				t.Errorf("%s/%s: no held trace (%v)", w.Bench.Name, w.Compiler, err)
 			}
@@ -230,9 +231,11 @@ func TestDeadModeShape(t *testing.T) {
 	}
 }
 
-// TestReplayReuse: once E3 has measured a workload, E7 and E9 run no VM
-// and replay only the configurations E3 did not measure, 6 of E7's 8 and
-// 1 of E9's 3; E3's installed run entries answer the rest.
+// TestReplayReuse: a workload runs the VM once, for its unified run, and
+// replays its conventional run. Once E3 has measured a workload, E7 and
+// E9 run no VM and replay only the configurations E3 did not measure, 6
+// of E7's 8 and 1 of E9's 3; the workload's and E3's installed run
+// entries answer the rest.
 func TestReplayReuse(t *testing.T) {
 	saved := Artifacts
 	Artifacts = artifact.New()
@@ -245,6 +248,10 @@ func TestReplayReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		ws = append(ws, w)
+	}
+	if st := Artifacts.Stats(); st.RunMisses-st.BatchReplays != int64(len(ws)) || st.BatchReplays != int64(len(ws)) {
+		t.Errorf("workloads made %d VM runs and %d replays, want %d of each",
+			st.RunMisses-st.BatchReplays, st.BatchReplays, len(ws))
 	}
 	if _, err := Policies(ws, geom); err != nil {
 		t.Fatal(err)

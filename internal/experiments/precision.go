@@ -37,19 +37,16 @@ func RecordsPrecision() ([]sweep.Record, error) {
 	for _, g := range precisionGeometries() {
 		for _, b := range bench.All() {
 			for _, mode := range []core.Mode{core.Conventional, core.Unified} {
-				modeLabel, ccfg := sweep.ModeConventional, g.conventional()
-				if mode == core.Unified {
-					modeLabel, ccfg = sweep.ModeUnified, g.unified()
-				}
+				ccfg := g.hardware(mode)
 				art, err := Artifacts.Build(b.Source, core.Config{Mode: mode, StackScalars: true, Check: true})
 				if err != nil {
-					return nil, fmt.Errorf("%s %s: %w", b.Name, modeLabel, err)
+					return nil, fmt.Errorf("%s %s: %w", b.Name, mode, err)
 				}
 				rep, err := exact.Analyze(art.Comp.Prog, ccfg, check.Options{Unified: mode == core.Unified})
 				if err != nil {
-					return nil, fmt.Errorf("%s %s: %w", b.Name, modeLabel, err)
+					return nil, fmt.Errorf("%s %s: %w", b.Name, mode, err)
 				}
-				r := sweep.NewRecord(b.Name, Baseline.String(), modeLabel, ccfg)
+				r := sweep.NewRecord(b.Name, Baseline.String(), mode.String(), ccfg)
 				r.Experiment = ExpPrecision
 				r.StaticSites = rep.Total
 				r.StaticBypass = rep.Bypassed

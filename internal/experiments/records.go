@@ -58,20 +58,20 @@ func compSpills(c *core.Compilation) int {
 }
 
 // RecordsWorkloads converts prebuilt workloads into the E1 record stream:
-// one conventional and one unified record per benchmark, carrying each
-// compilation's own static site classification and its VM run's counters.
-// Fig5, Miller and SingleUse all render from this stream.
+// one conventional and one unified record per benchmark, carrying the
+// site classification of its mode (StaticStats.Under) and its run's
+// counters. Fig5, Miller and SingleUse all render from this stream.
 func RecordsWorkloads(ws []*Workload) []sweep.Record {
 	var out []sweep.Record
 	for _, w := range ws {
 		geom := w.Geometry
-		conv := sweep.NewRecord(w.Bench.Name, w.Compiler.String(), sweep.ModeConventional, geom.conventional())
+		conv := sweep.NewRecord(w.Bench.Name, w.Compiler.String(), sweep.ModeConventional, geom.hardware(core.Conventional))
 		conv.Experiment = ExpFig5
-		conv.SetStatic(w.Conventional.Comp.Stats, compSpills(w.Conventional.Comp))
+		conv.SetStatic(w.Unified.Comp.Stats.Under(core.Conventional), compSpills(w.Unified.Comp))
 		conv.SetStats(w.ConventionalRes.CacheStats)
 		conv.Instructions = w.ConventionalRes.Instructions
 
-		unif := sweep.NewRecord(w.Bench.Name, w.Compiler.String(), sweep.ModeUnified, geom.unified())
+		unif := sweep.NewRecord(w.Bench.Name, w.Compiler.String(), sweep.ModeUnified, geom.hardware(core.Unified))
 		unif.Experiment = ExpFig5
 		unif.SetStatic(w.Unified.Comp.Stats, compSpills(w.Unified.Comp))
 		unif.SetStats(w.UnifiedRes.CacheStats)
@@ -185,9 +185,9 @@ func SingleUseFromRecords(recs []sweep.Record) SingleUseTable {
 // through Artifacts.MeasureBatch, one batched decoding pass, and emits
 // one exp record per configuration, with its dead occupancy: the
 // conventional mode for hardware that ignores the bypass bits, the
-// unified mode otherwise. The trace is replayed unstripped for
-// conventional hardware too: the engine never consults bits a
-// configuration disables (DeadOff with HonorBypass false).
+// unified mode otherwise. Conventional mode is the unified program on
+// such hardware (DESIGN.md §9), so no trace is stripped: the engine
+// never consults bits a configuration disables.
 func measuredRecords(w *Workload, exp string, cfgs []cache.Config) ([]sweep.Record, error) {
 	vcfgs := make([]vm.Config, len(cfgs))
 	for i, cfg := range cfgs {
@@ -360,58 +360,59 @@ func PoliciesFromRecords(recs []sweep.Record) PolicyTable {
 	return t
 }
 
-// Promotion variant compiler labels (the E6 record stream distinguishes
-// its four compilation variants by label, not by mode alone).
+// Promotion variant compiler labels (the E6 record stream tells its four
+// variants apart by label and mode: the naive label is in both modes).
 const (
 	promoNaive = "optimizing"
 	promoOnly  = "optimizing+promote"
 	promoFull  = "optimizing+promote+inline+opt"
 )
 
+// promotionVariants are E6's compilations and the modes measured on each.
+var promotionVariants = []struct {
+	label string
+	cfg   core.Config
+	modes []core.Mode
+}{
+	{promoNaive, core.Config{Mode: core.Unified, Check: true}, []core.Mode{core.Conventional, core.Unified}},
+	{promoOnly, core.Config{Mode: core.Unified, PromoteGlobals: true, Check: true}, []core.Mode{core.Unified}},
+	{promoFull, core.Config{Mode: core.Unified, PromoteGlobals: true, Inline: true, Optimize: true, Check: true}, []core.Mode{core.Unified}},
+}
+
 // RecordsPromotion runs E6 through the artifact cache and emits four
 // records per workload: conventional management, naive unified
 // (per-reference bypass), unified plus register promotion, and unified
 // plus the whole optimizer pipeline.
 func RecordsPromotion(geom CacheGeometry) ([]sweep.Record, error) {
-	variants := []struct {
-		label string
-		mode  string
-		cfg   core.Config
-	}{
-		{promoNaive, sweep.ModeConventional, core.Config{Mode: core.Conventional, Check: true}},
-		{promoNaive, sweep.ModeUnified, core.Config{Mode: core.Unified, Check: true}},
-		{promoOnly, sweep.ModeUnified, core.Config{Mode: core.Unified, PromoteGlobals: true, Check: true}},
-		{promoFull, sweep.ModeUnified, core.Config{Mode: core.Unified, PromoteGlobals: true, Inline: true, Optimize: true, Check: true}},
-	}
 	workloads := append([]bench.Benchmark{{Name: "hotloop", Source: hotLoopSrc}}, bench.All()...)
 	var out []sweep.Record
 	for _, b := range workloads {
-		var outs [4]string
-		for i, v := range variants {
+		var output string
+		for i, v := range promotionVariants {
 			art, err := Artifacts.Build(b.Source, v.cfg)
 			if err != nil {
 				return nil, fmt.Errorf("%s variant %d: %w", b.Name, i, err)
 			}
-			mcfg := geom.conventional()
-			if v.mode == sweep.ModeUnified {
-				mcfg = geom.unified()
+			cfgs := make([]vm.Config, len(v.modes))
+			for k, mode := range v.modes {
+				cfgs[k] = vm.Config{Cache: geom.hardware(mode)}
 			}
-			runs, err := Artifacts.RunBatch(art, []vm.Config{{Cache: mcfg}})
+			runs, err := Artifacts.RunBatch(art, cfgs)
 			if err != nil {
 				return nil, fmt.Errorf("%s variant %d: %w", b.Name, i, err)
 			}
-			res := runs[0]
-			outs[i] = res.Output
-			r := sweep.NewRecord(b.Name, v.label, v.mode, mcfg)
-			r.Experiment = ExpPromotion
-			r.SetStatic(art.Comp.Stats, compSpills(art.Comp))
-			r.SetStats(res.CacheStats)
-			r.Instructions = res.Instructions
-			out = append(out, r)
-		}
-		for i := 1; i < len(outs); i++ {
-			if outs[i] != outs[0] {
+			if i == 0 {
+				output = runs[0].Output
+			} else if runs[0].Output != output {
 				return nil, fmt.Errorf("%s: outputs diverge across variants", b.Name)
+			}
+			for k, mode := range v.modes {
+				r := sweep.NewRecord(b.Name, v.label, mode.String(), cfgs[k].Cache)
+				r.Experiment = ExpPromotion
+				r.SetStatic(art.Comp.Stats.Under(mode), compSpills(art.Comp))
+				r.SetStats(runs[k].CacheStats)
+				r.Instructions = runs[k].Instructions
+				out = append(out, r)
 			}
 		}
 	}

@@ -86,7 +86,7 @@ type CampaignResult struct {
 
 	Injected faults.Counts    // faults that actually fired
 	Detector cache.FaultStats // what the detection layer saw
-	Misses   int64            // cache misses of the run (0 when it faulted)
+	Misses   int64            // cache misses of the run, up to the fault if it faulted
 
 	OutputIdentical bool  // output matched the fault-free golden run
 	Faulted         error // structured fault error that aborted the run, if any
@@ -153,10 +153,11 @@ func runUnderCampaign(prog *vmProgram, golden string, c Campaign, mode core.Mode
 			return out
 		}
 	} else {
-		out.Detector = res.FaultStats
-		out.Misses = res.CacheStats.Misses
 		out.OutputIdentical = res.Output == golden
 	}
+	// A detected fault still returns the counters as of the fault.
+	out.Detector = res.FaultStats
+	out.Misses = res.CacheStats.Misses
 
 	switch c.Kind {
 	case HintLoss:
@@ -196,6 +197,8 @@ func Resilience(benches []bench.Benchmark, campaigns []Campaign) (*ResilienceRep
 	geom := PaperGeometry()
 	rep := &ResilienceReport{}
 	for _, b := range benches {
+		// Each mode compiles its own program: DropDeadMark fires on Last
+		// bits even where the hardware ignores them (DESIGN.md §9).
 		for _, mode := range []core.Mode{core.Unified, core.Conventional} {
 			comp, err := core.Compile(b.Source, core.Config{Mode: mode})
 			if err != nil {
@@ -205,10 +208,7 @@ func Resilience(benches []bench.Benchmark, campaigns []Campaign) (*ResilienceRep
 			if err != nil {
 				return nil, fmt.Errorf("%s %s codegen: %w", b.Name, mode, err)
 			}
-			ccfg := geom.unified()
-			if mode == core.Conventional {
-				ccfg = geom.conventional()
-			}
+			ccfg := geom.hardware(mode)
 			goldenRes, err := vm.Run(machine, vm.Config{Cache: ccfg})
 			if err != nil {
 				return nil, fmt.Errorf("%s %s fault-free run: %w", b.Name, mode, err)

@@ -33,6 +33,14 @@ func TestResilienceAllBenchmarks(t *testing.T) {
 	for _, v := range rep.Violations() {
 		t.Errorf("%s/%s campaign %s: %s", v.Bench, v.Mode, v.Campaign.Name, v.Violation)
 	}
+	// A run stopped by a detected fault reports the detection layer's
+	// counters and misses as of the fault.
+	for _, r := range rep.Results {
+		if r.Faulted != nil && (r.Detector.Detected == 0 || r.Misses == 0) {
+			t.Errorf("%s/%s campaign %s faulted but reports %d detected, %d misses",
+				r.Bench, r.Mode, r.Campaign.Name, r.Detector.Detected, r.Misses)
+		}
+	}
 
 	// The sweep must actually exercise the machinery: some campaign must
 	// inject faults, and some corrupting campaign must trip the detector

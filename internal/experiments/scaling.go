@@ -54,7 +54,7 @@ func DefaultScalingSpec() ScalingSpec {
 // sites trivially).
 func scalingConfig() cache.Config {
 	g := CacheGeometry{Sets: 32, Ways: 2, LineWords: 1, Policy: cache.LRU}
-	return g.conventional()
+	return g.hardware(core.Conventional)
 }
 
 // RecordsScaling runs the campaign and returns one record per seed.

@@ -149,8 +149,8 @@ func (g Grid) units(into []Unit) []Unit {
 	return into
 }
 
-// CoreConfig is the compiler configuration of the unit; units sharing it
-// share one artifact-cache compilation.
+// CoreConfig is the compiler configuration of the unit in its own mode.
+// RunGroup compiles it with Mode set to Unified for both modes.
 func (u Unit) CoreConfig() core.Config {
 	mode := core.Unified
 	if u.Mode == ModeConventional {

@@ -130,15 +130,15 @@ func Run(g Grid, opt Options) (*Result, error) {
 }
 
 // Groups splits units into maximal runs of one execution identity
-// (benchmark, compiler, mode), in order. Canonical order keeps each
-// identity's units contiguous, so any subsequence of a grid's units
-// forms one group per identity it touches.
+// (benchmark, compiler), in order: both modes run the unified program.
+// Canonical order keeps each identity's units contiguous, so any
+// subsequence of a grid's units forms one group per identity it touches.
 func Groups(units []Unit) [][]Unit {
 	var out [][]Unit
 	start := 0
 	for i := 1; i <= len(units); i++ {
 		if i == len(units) || units[i].Bench.Name != units[start].Bench.Name ||
-			units[i].Compiler != units[start].Compiler || units[i].Mode != units[start].Mode {
+			units[i].Compiler != units[start].Compiler {
 			out = append(out, units[start:i])
 			start = i
 		}
@@ -146,16 +146,19 @@ func Groups(units []Unit) [][]Unit {
 	return out
 }
 
-// RunGroup measures one non-empty Groups element with one BuildIR (a
-// disk-restored artifact has no IR, and the static columns need it) and
-// one RunBatch: the VM executes at most once and every other geometry
-// replays its trace. Each unit's output is checked against the
-// benchmark's expected text. The records, in unit order, are pure
-// functions of the units: cancel (optional; it reaches the VM run, not
-// the replays) and the Runner's caching never change their bytes, which
-// is what makes a remote campaign byte-identical to a local sweep.
+// RunGroup measures one non-empty Groups element with one BuildIR of the
+// unified program (a disk-restored artifact has no IR, and the static
+// columns need it) and one RunBatch: the VM executes at most once and
+// every other configuration, both modes', replays its trace. Each unit's
+// output is checked against the benchmark's expected text. The records,
+// in unit order, are pure functions of the units: cancel (optional; it
+// reaches the VM run, not the replays) and the Runner's caching never
+// change their bytes, which makes a remote campaign byte-identical to a
+// local sweep.
 func RunGroup(r Runner, units []Unit, cancel <-chan struct{}) ([]Record, error) {
-	art, err := r.BuildIR(units[0].Bench.Source, units[0].CoreConfig())
+	cfg := units[0].CoreConfig()
+	cfg.Mode = core.Unified
+	art, err := r.BuildIR(units[0].Bench.Source, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +176,7 @@ func RunGroup(r Runner, units []Unit, cancel <-chan struct{}) ([]Record, error) 
 			return nil, fmt.Errorf("output %q, want %q", res[i].Output, u.Bench.Expected)
 		}
 		recs[i] = u.Record()
-		recs[i].SetStatic(art.Comp.Stats, spilledWebs(art))
+		recs[i].SetStatic(art.Comp.Stats.Under(u.CoreConfig().Mode), spilledWebs(art))
 		recs[i].SetStats(res[i].CacheStats)
 		recs[i].Instructions = res[i].Instructions
 	}

@@ -118,9 +118,10 @@ func TestSharedArtifactCache(t *testing.T) {
 	arts := artifact.New()
 	mustRun(t, g, Options{Workers: 4, Artifacts: arts})
 	first := arts.Stats()
-	// 2 benchmarks x 1 compiler x 2 modes = 4 distinct compilations.
-	if first.BuildMisses != 4 {
-		t.Errorf("first pass compiled %d artifacts, want 4", first.BuildMisses)
+	// 2 benchmarks x 1 compiler = 2 distinct compilations: both modes
+	// run the unified program.
+	if first.BuildMisses != 2 {
+		t.Errorf("first pass compiled %d artifacts, want 2", first.BuildMisses)
 	}
 	mustRun(t, g, Options{Workers: 4, Artifacts: arts})
 	second := arts.Stats()
@@ -282,8 +283,8 @@ func TestRecordsCarryTheSweepSchema(t *testing.T) {
 }
 
 // TestOneVMRunPerIdentity: a sweep executes each execution identity's
-// program once; every other unit of the identity is a batch replay of
-// that run's trace.
+// program once, both modes included; every other unit of the identity is
+// a batch replay of that run's trace.
 func TestOneVMRunPerIdentity(t *testing.T) {
 	g := testGrid()
 	units, err := g.Units()
@@ -291,8 +292,8 @@ func TestOneVMRunPerIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	groups := Groups(units)
-	if len(groups) != 4 {
-		t.Fatalf("%d groups, want 4 (2 benchmarks x 2 modes)", len(groups))
+	if len(groups) != 2 {
+		t.Fatalf("%d groups, want 2 (2 benchmarks)", len(groups))
 	}
 	arts := artifact.New()
 	res := mustRun(t, g, Options{Workers: 2, Artifacts: arts})
@@ -317,12 +318,12 @@ func TestGroupsSplitSuffixes(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := Groups(units)
-	if len(full) != 4 || len(full[0]) != 4 {
-		t.Fatalf("groups %d (first %d), want 4 of 4", len(full), len(full[0]))
+	if len(full) != 2 || len(full[0]) != 8 {
+		t.Fatalf("groups %d (first %d), want 2 of 8", len(full), len(full[0]))
 	}
 	tail := Groups(units[5:])
-	if len(tail) != 3 || len(tail[0]) != 3 || tail[0][0].Index != 5 {
-		t.Fatalf("suffix from unit 5: %d groups, first has %d units from %d; want 3, 3, 5",
+	if len(tail) != 2 || len(tail[0]) != 3 || tail[0][0].Index != 5 {
+		t.Fatalf("suffix from unit 5: %d groups, first has %d units from %d; want 2, 3, 5",
 			len(tail), len(tail[0]), tail[0][0].Index)
 	}
 	if Groups(nil) != nil {
@@ -337,7 +338,7 @@ func TestResumeMidGroup(t *testing.T) {
 	g.Sets = []int{8, 16}
 	full := mustRun(t, g, Options{Workers: 2})
 	done := map[string]Record{}
-	for i := 0; i < 4; i += 2 { // the first group is units 0..3
+	for i := 0; i < 8; i += 2 { // the first group is units 0..7
 		done[full.Records[i].Key] = full.Records[i]
 	}
 	resumed := mustRun(t, g, Options{Workers: 2, Done: done})

@@ -10,6 +10,7 @@
 package vm
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -150,6 +151,12 @@ func (r *Result) DynamicBypassPercent() float64 {
 // statistics) lives in the run itself, so any number of simulations of the
 // same *Program may execute concurrently — the property the sweep engine's
 // worker pool relies on, verified under -race by TestConcurrentRunsShareProgram.
+//
+// A run that ends in a detected data fault (an error wrapping
+// *cache.FaultError) returns a partial Result beside the error: its
+// CacheStats and FaultStats as of the fault, which is what a fault
+// campaign reports; every other field is zero. Any other error returns
+// a nil Result.
 func Run(p *isa.Program, cfg Config) (*Result, error) {
 	cfg = cfg.Normalized()
 	if err := p.Validate(); err != nil {
@@ -159,6 +166,17 @@ func Run(p *isa.Program, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	res, err := execute(p, cfg, mem)
+	var fe *cache.FaultError
+	if errors.As(err, &fe) {
+		return &Result{CacheStats: mem.Stats(), FaultStats: mem.FaultStats()}, err
+	}
+	return res, err
+}
+
+// execute runs the validated program on mem until HALT or an error.
+func execute(p *isa.Program, cfg Config, mem *cache.Memory) (*Result, error) {
+	var err error
 	for addr, v := range p.GlobalInit {
 		mem.Poke(addr, v)
 	}

@@ -186,20 +186,25 @@ rm -f /tmp/resilience-ci.txt
 echo "== sweep smoke (determinism + resume artifact) =="
 # A small grid swept at 1 and 8 workers must produce byte-identical
 # artifacts, and the checked-in full-grid artifact must still verify.
+# Each sweep runs the VM once per (benchmark, compiler) pair, 2 on this
+# grid: conventional units replay the unified program's trace.
 # Then a sweep killed halfway through its first execution identity (the
-# first 6 records of a 12-unit group in the sidecar, no artifact) must
+# first 6 records of a 24-unit group in the sidecar, no artifact) must
 # resume to the same bytes.
 go build -o /tmp/unisweep-ci ./cmd/unisweep
 SWEEP_GRID="-bench bubble,sieve -sets 8,16 -ways 1,2"
-/tmp/unisweep-ci $SWEEP_GRID -quiet -o /tmp/sweep-w1.json -workers 1
-/tmp/unisweep-ci $SWEEP_GRID -quiet -o /tmp/sweep-w8.json -workers 8
+for w in 1 8; do
+	/tmp/unisweep-ci $SWEEP_GRID -quiet -o /tmp/sweep-w$w.json -workers $w 2>/tmp/sweep-w$w.err
+	cat /tmp/sweep-w$w.err
+	grep -q ', 2 VM runs, ' /tmp/sweep-w$w.err || { echo "sweep smoke: want 2 VM runs (one per benchmark and compiler)"; exit 1; }
+done
 cmp /tmp/sweep-w1.json /tmp/sweep-w8.json
 /tmp/unibench-verify-ci -verify /tmp/sweep-w1.json BENCH_sweep.json
 rm -f /tmp/sweep-resume.json
 grep '^{"key":' /tmp/sweep-w1.json | head -n 6 >/tmp/sweep-resume.json.partial
 /tmp/unisweep-ci $SWEEP_GRID -quiet -o /tmp/sweep-resume.json -resume
 cmp /tmp/sweep-w1.json /tmp/sweep-resume.json
-rm -f /tmp/unisweep-ci /tmp/sweep-w1.json /tmp/sweep-w8.json /tmp/sweep-resume.json
+rm -f /tmp/unisweep-ci /tmp/sweep-w1.json /tmp/sweep-w8.json /tmp/sweep-w1.err /tmp/sweep-w8.err /tmp/sweep-resume.json
 
 echo "== replay-smoke (engine equivalence, wall-time budget) =="
 # The replay engine's differential suite (replay of VM-encoded traces

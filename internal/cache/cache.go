@@ -150,7 +150,9 @@ type Injector interface {
 	// (InvalidateClean, FlipBit).
 	BeforeRef(m *Memory, addr int64, store bool)
 	// DropDeadMark reports whether the dead-mark (kill) signal for the
-	// line holding addr is lost. Losing a kill is a pure hint loss.
+	// line holding addr is lost. Losing a kill is a pure hint loss. It is
+	// consulted only for Last-tagged references on hardware that acts on
+	// the Last bit (Dead != DeadOff).
 	DropDeadMark(addr int64) bool
 	// DropWriteback reports whether the writeback of the dirty line at
 	// addr is lost (a data-corrupting fault: memory keeps stale words).
@@ -401,6 +403,7 @@ type Memory struct {
 	ecc      ECCMode
 	eccRetry bool
 	honor    bool // HonorBypass
+	kill     bool // the hardware acts on the Last bit (Dead != DeadOff)
 	fstats   FaultStats
 	faultErr error // first detected-unrecoverable fault (sticky)
 
@@ -425,6 +428,7 @@ func NewMemory(words int, cfg Config) (*Memory, error) {
 		c: NewCore(cfg), mem: memimg.New[int64](words),
 		data: make([]int64, cfg.Lines()*cfg.LineWords),
 		inj:  cfg.Injector, ecc: cfg.ECC, eccRetry: cfg.ECCRetry, honor: cfg.HonorBypass,
+		kill:    cfg.Dead != DeadOff,
 		lwShift: uint(bits.TrailingZeros(uint(cfg.LineWords))),
 		lwMask:  int64(cfg.LineWords - 1),
 		setMask: int64(cfg.Sets - 1),
@@ -610,8 +614,9 @@ func (m *Memory) Load(addr int64, bypass, lastRef bool) int64 {
 	v := m.data[w]
 	// A lost kill signal (injected) leaves the line untouched — by the
 	// paper's argument this can only cost cycles, never correctness, a
-	// property the resilience harness enforces.
-	if lastRef && (m.inj == nil || !m.inj.DropDeadMark(tag<<(m.lwShift&63))) {
+	// property the resilience harness enforces. Hardware that ignores the
+	// Last bit sends no kill signal, so none can be lost.
+	if lastRef && m.kill && (m.inj == nil || !m.inj.DropDeadMark(tag<<(m.lwShift&63))) {
 		c.DeadMark(li, set)
 	}
 	return v
@@ -649,7 +654,7 @@ func (m *Memory) Store(addr int64, val int64, bypass, lastRef bool) {
 	if m.ecc != ECCOff {
 		m.protectWord(w)
 	}
-	if lastRef && (m.inj == nil || !m.inj.DropDeadMark(tag<<(m.lwShift&63))) {
+	if lastRef && m.kill && (m.inj == nil || !m.inj.DropDeadMark(tag<<(m.lwShift&63))) {
 		c.DeadMark(li, set)
 	}
 }

@@ -380,14 +380,16 @@ func (m *refMemory) fillLine(ln *refLine, tag int64) {
 // deadMark applies the last-reference bit to a resident line. A lost kill
 // signal (injected) leaves the line untouched — by the paper's argument
 // this can only cost cycles, never correctness, a property the resilience
-// harness enforces.
+// harness enforces. Hardware that ignores the bit sends no kill signal,
+// so none can be lost.
 func (m *refMemory) deadMark(ln *refLine) {
+	if m.cfg.Dead == DeadOff {
+		return
+	}
 	if m.inj != nil && m.inj.DropDeadMark(ln.tag*int64(m.cfg.LineWords)) {
 		return
 	}
 	switch m.cfg.Dead {
-	case DeadOff:
-		return
 	case DeadDemote:
 		m.stats.DeadMarks++
 		ln.dead = true

@@ -81,13 +81,31 @@ func lower(c *core.Compilation, withSites bool) (*isa.Program, SiteTable, error)
 	}
 	g.prog.GlobalWords = next - GlobalBase
 
+	// Lay out every frame first, so that the instruction stream can be
+	// sized exactly before any of it is emitted: a program keeps its
+	// Instrs for as long as it is stored, so it holds no slack.
+	frames := make([]frameLayout, len(c.Prog.Funcs))
+	n := 2 // the startup stub
+	for i, f := range c.Prog.Funcs {
+		if err := g.enter(f); err != nil {
+			return nil, nil, err
+		}
+		frames[i] = g.layoutFrame(f)
+		n += g.size(&frames[i])
+	}
+	g.prog.Instrs = make([]isa.Instr, 0, n)
+
 	// Startup stub.
 	g.prog.Entry = 0
 	g.emit(isa.Instr{Op: isa.JAL, Sym: "main"})
 	g.emit(isa.Instr{Op: isa.HALT})
 
-	for _, f := range c.Prog.Funcs {
-		if err := g.genFunc(f); err != nil {
+	for i, f := range c.Prog.Funcs {
+		if err := g.enter(f); err != nil {
+			return nil, nil, err
+		}
+		g.frame = frames[i]
+		if err := g.genFunc(); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -121,6 +139,7 @@ type frameLayout struct {
 	savedBase int64
 	size      int64
 	hasCalls  bool
+	read      []bool // register -> some instruction reads it
 }
 
 func (g *generator) emit(in isa.Instr) { g.prog.Instrs = append(g.prog.Instrs, in) }
@@ -182,10 +201,16 @@ func (g *generator) frameFlags(store bool, lastLoad bool) (bypass, last bool) {
 func (g *generator) layoutFrame(f *ir.Func) frameLayout {
 	var fl frameLayout
 	fl.objOff = make(map[*sem.Object]int64)
+	fl.read = make([]bool, f.NReg)
 	maxExtra := 0
+	var scratch []ir.Reg
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
+			scratch = in.AppendUses(scratch[:0])
+			for _, u := range scratch {
+				fl.read[u] = true
+			}
 			if in.Op == ir.OpCall {
 				fl.hasCalls = true
 				if extra := int(in.Imm) - len(isa.ArgRegs()); extra > maxExtra {
@@ -211,15 +236,93 @@ func (g *generator) layoutFrame(f *ir.Func) frameLayout {
 	return fl
 }
 
-func (g *generator) genFunc(f *ir.Func) error {
+// enter makes f the function being lowered.
+func (g *generator) enter(f *ir.Func) error {
 	g.f = f
 	g.alloc = g.comp.Allocs[f.Name]
 	if g.alloc == nil {
 		return fmt.Errorf("codegen: no allocation for %s", f.Name)
 	}
-	g.frame = g.layoutFrame(f)
 	g.blockName = func(b *ir.Block) string { return fmt.Sprintf("%s.b%d", f.Name, b.ID) }
+	return nil
+}
 
+// size returns the number of machine instructions genFunc emits for the
+// current function laid out as fl. It makes each of genFunc's and
+// genInstr's choices the same way: which moves are elided, which jumps
+// fall through, how long each epilogue is.
+func (g *generator) size(fl *frameLayout) int {
+	f, phys := g.f, g.alloc.PhysOf
+	n := len(g.alloc.UsedCalleeSaved) // prologue saves
+	epilogue := len(g.alloc.UsedCalleeSaved) + 1
+	if fl.size > 0 {
+		n++
+		epilogue++
+	}
+	if fl.hasCalls {
+		n++
+		epilogue++
+	}
+	argRegs := isa.ArgRegs()
+	for i, p := range f.Params {
+		_, spilled := f.ParamSpillSlot[i]
+		switch {
+		case spilled && i >= len(argRegs):
+			n += 2
+		case spilled:
+			n++
+		case !fl.read[p]:
+		case i >= len(argRegs) || phys[p] != argRegs[i]:
+			n++
+		}
+	}
+	for bi, b := range f.Blocks {
+		var next *ir.Block
+		if bi+1 < len(f.Blocks) {
+			next = f.Blocks[bi+1]
+		}
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			switch in.Op {
+			case ir.OpNop:
+			case ir.OpCopy:
+				if phys[in.Dst] != phys[in.A] {
+					n++
+				}
+			case ir.OpArg:
+				if k := int(in.Imm); k >= len(argRegs) || phys[in.A] != argRegs[k] {
+					n++
+				}
+			case ir.OpCall:
+				n++
+				if in.Dst != ir.NoReg && phys[in.Dst] != isa.V0 {
+					n++
+				}
+			case ir.OpRet:
+				n += epilogue
+				if in.A != ir.NoReg && phys[in.A] != isa.V0 {
+					n++
+				}
+			case ir.OpBr:
+				n++
+				if in.Then != next && in.Else != next {
+					n++
+				}
+			case ir.OpJmp:
+				if in.Then != next {
+					n++
+				}
+			default:
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// genFunc lowers the current function, laid out as g.frame.
+func (g *generator) genFunc() error {
+	f := g.f
 	g.label(f.Name)
 
 	// Prologue.
@@ -241,16 +344,6 @@ func (g *generator) genFunc(f *ir.Func) error {
 	// parameter that is never read gets no move: its interference node is
 	// isolated, so its color may legitimately collide with a live
 	// parameter's, and a move would clobber the live value.
-	usedRegs := make(map[ir.Reg]bool)
-	var scratch []ir.Reg
-	for _, b := range f.Blocks {
-		for i := range b.Instrs {
-			scratch = b.Instrs[i].AppendUses(scratch[:0])
-			for _, u := range scratch {
-				usedRegs[u] = true
-			}
-		}
-	}
 	argRegs := isa.ArgRegs()
 	for i, p := range f.Params {
 		if slot, spilled := f.ParamSpillSlot[i]; spilled {
@@ -269,7 +362,7 @@ func (g *generator) genFunc(f *ir.Func) error {
 			}
 			continue
 		}
-		if !usedRegs[p] {
+		if !g.frame.read[p] {
 			continue // dead parameter: no move, no load
 		}
 		pr, err := g.phys(p)

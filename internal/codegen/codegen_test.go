@@ -4,8 +4,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ast"
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/progen"
+	"repro/internal/refint"
 	"repro/internal/regalloc"
 )
 
@@ -204,5 +208,64 @@ func TestMissingMainStillGenerates(t *testing.T) {
 	}
 	if _, err := Generate(comp); err == nil {
 		t.Error("expected undefined-label error for missing main")
+	}
+}
+
+// TestInstrsHoldNoSlack: Generate sizes Program.Instrs exactly, with no
+// spare capacity, for each benchmark under both management modes and
+// compiler configurations that move the count: stack scalars, inlining
+// and optimization, promoted globals, and a palette small enough to spill
+// parameters. A stored program keeps its Instrs for as long as it lives.
+func TestInstrsHoldNoSlack(t *testing.T) {
+	tiny := regalloc.Target{CallerSaved: []int{8, 9}, CalleeSaved: []int{16, 17}}
+	configs := map[string]core.Config{
+		"plain":    {},
+		"stack":    {StackScalars: true},
+		"inline":   {Inline: true, Optimize: true},
+		"promote":  {PromoteGlobals: true},
+		"tiny":     {Target: tiny},
+		"tiny+opt": {Target: tiny, Inline: true, Optimize: true, Strategy: regalloc.UsageCount},
+	}
+	for _, b := range bench.All() {
+		for name, cfg := range configs {
+			for _, mode := range []core.Mode{core.Unified, core.Conventional} {
+				cfg.Mode = mode
+				prog := generate(t, b.Source, cfg)
+				if cap(prog.Instrs) != len(prog.Instrs) {
+					t.Errorf("%s/%s/%v: cap %d, len %d", b.Name, name, mode, cap(prog.Instrs), len(prog.Instrs))
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkCompileProgen compiles and lowers the progen-analyze workload's
+// program set: the first 48 generated ScaleKnobs(1) programs, counting
+// from seed 1, that the reference interpreter runs to completion, under
+// unified management with stack scalars and the structural check on.
+// B/op and allocs/op are the compile layer's share of that workload's
+// allocation.
+func BenchmarkCompileProgen(b *testing.B) {
+	var srcs []string
+	for seed := int64(1); len(srcs) < 48; seed++ {
+		file := progen.Generate(seed, progen.ScaleKnobs(1))
+		if _, err := refint.Run(file, refint.Config{}); err != nil {
+			continue
+		}
+		srcs = append(srcs, ast.Print(file))
+	}
+	cfg := core.Config{Mode: core.Unified, StackScalars: true, Check: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, src := range srcs {
+			comp, err := core.Compile(src, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := Generate(comp); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

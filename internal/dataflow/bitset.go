@@ -1,7 +1,6 @@
 // Package dataflow implements the bit-vector dataflow framework used by the
-// middle end: liveness of virtual registers, reaching definitions, D-U/U-D
-// chains, and web construction (the paper's "user-name splitting",
-// §4.1.1.1 Definition 2).
+// middle end: liveness of virtual registers and, from it, web construction
+// (the paper's "user-name splitting", §4.1.1.1 Definition 2).
 package dataflow
 
 import "math/bits"
@@ -49,6 +48,15 @@ func (s BitSet) Clear(i int) { s[i/64] &^= 1 << uint(i%64) }
 
 // Has reports whether bit i is present.
 func (s BitSet) Has(i int) bool { return s[i/64]&(1<<uint(i%64)) != 0 }
+
+// rank returns the number of bits of s below bit i.
+func (s BitSet) rank(i int) int {
+	n := bits.OnesCount64(s[i/64] & (1<<uint(i%64) - 1))
+	for _, w := range s[:i/64] {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 // Copy returns an independent copy of s.
 func (s BitSet) Copy() BitSet {

@@ -3,6 +3,7 @@ package dataflow
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -325,23 +326,145 @@ func chainFunc(n int) *ir.Func {
 	return f
 }
 
-// TestChainsAllocsLinear guards against a return to per-block copies of
-// the reaching-in set: those allocate O(blocks × reaching sites), about 4×
-// when n doubles here, where a per-use lookup stays near 2×. Counting
-// allocations instead of timing keeps the guard deterministic.
-func TestChainsAllocsLinear(t *testing.T) {
+// TestSplitWebsAllocsLinear guards against a return to per-block copies
+// of a reaching-in set in the webs pass: those allocate O(blocks ×
+// reaching sites), about 4× when n doubles here, where the webs pass
+// stays near 2×. Counting allocations instead of timing keeps the guard
+// deterministic. SplitWebs rewrites its function, so every run gets a
+// fresh copy.
+func TestSplitWebsAllocsLinear(t *testing.T) {
 	allocs := func(n int) float64 {
-		f := chainFunc(n)
-		rd := ComputeReachingDefs(f, ComputeLiveness(f))
-		return testing.AllocsPerRun(5, func() { ComputeChains(rd) })
+		const runs = 5
+		fs := make([]*ir.Func, runs+1) // AllocsPerRun adds a warm-up run
+		for i := range fs {
+			fs[i] = chainFunc(n)
+		}
+		next := 0
+		return testing.AllocsPerRun(runs, func() {
+			SplitWebs(fs[next])
+			next++
+		})
 	}
 	const n = 128
 	small, large := allocs(n), allocs(2*n)
-	t.Logf("ComputeChains allocations: %.0f at n=%d, %.0f at n=%d", small, n, large, 2*n)
+	t.Logf("SplitWebs allocations: %.0f at n=%d, %.0f at n=%d", small, n, large, 2*n)
 	if large > 2.5*small {
 		t.Errorf("allocations grew %.2f× when n doubled (%.0f → %.0f), want at most 2.5×",
 			large/small, small, large)
 	}
+}
+
+// TestSplitWebsMatchesReference requires SplitWebs to rewrite every
+// function exactly as splitWebsRef, the reaching-definitions and chains
+// formulation, does: the same instructions, register count and
+// parameters. The window is the chain oracle's plus generated
+// DefaultKnobs programs, and a function with unreachable blocks, which
+// the compile pipeline removes before the webs pass.
+func TestSplitWebsMatchesReference(t *testing.T) {
+	funcs := 0
+	check := func(label string, f *ir.Func) {
+		funcs++
+		want := cloneFunc(f)
+		nwant := splitWebsRef(want)
+		got := cloneFunc(f)
+		if n := SplitWebs(got); n != nwant {
+			t.Errorf("%s: %d webs, reference %d", label, n, nwant)
+		}
+		if got.NReg != want.NReg || !slices.Equal(got.Params, want.Params) {
+			t.Errorf("%s: NReg %d, params %v; reference NReg %d, params %v",
+				label, got.NReg, got.Params, want.NReg, want.Params)
+		}
+		for bi, b := range got.Blocks {
+			for i := range b.Instrs {
+				if g, w := b.Instrs[i], want.Blocks[bi].Instrs[i]; !sameInstr(g, w) {
+					t.Errorf("%s: b%d[%d] is %q, reference %q", label, bi, i, g.String(), w.String())
+					return
+				}
+			}
+		}
+	}
+	check("unreachable", unreachableFunc())
+	forOracleWindow(t, check)
+	seeds := int64(60)
+	if testing.Short() {
+		seeds = 15
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		src := progen.Source(seed, progen.DefaultKnobs())
+		for _, stack := range []bool{false, true} {
+			for _, inlineOpt := range []bool{false, true} {
+				for _, f := range buildWith(t, src, stack, inlineOpt).Funcs {
+					check(fmt.Sprintf("default-%03d/stack=%v/inline+opt=%v/%s", seed, stack, inlineOpt, f.Name), f)
+				}
+			}
+		}
+	}
+	if funcs == 0 {
+		t.Fatal("no functions compared")
+	}
+}
+
+// unreachableFunc returns a function of parameter p in which an
+// unreachable block defines x and jumps into the block that reads it, and
+// another reads a register nothing defines:
+//
+//	b0: x = p; br p ? b1 : b2
+//	b1: x = 2; jmp b2
+//	b2: print x; ret
+//	b3: x = 3; jmp b2   (unreachable)
+//	b4: print y; ret    (unreachable)
+func unreachableFunc() *ir.Func {
+	f := &ir.Func{Name: "unreachable"}
+	b := []*ir.Block{f.NewBlock(), f.NewBlock(), f.NewBlock(), f.NewBlock(), f.NewBlock()}
+	p, x, y := f.NewReg(), f.NewReg(), f.NewReg()
+	f.Params = []ir.Reg{p}
+	b[0].Instrs = []ir.Instr{{Op: ir.OpCopy, Dst: x, A: p}, {Op: ir.OpBr, A: p, Then: b[1], Else: b[2]}}
+	b[1].Instrs = []ir.Instr{{Op: ir.OpConst, Dst: x, Imm: 2}, {Op: ir.OpJmp, Then: b[2]}}
+	b[2].Instrs = []ir.Instr{{Op: ir.OpPrint, A: x}, {Op: ir.OpRet, A: ir.NoReg}}
+	b[3].Instrs = []ir.Instr{{Op: ir.OpConst, Dst: x, Imm: 3}, {Op: ir.OpJmp, Then: b[2]}}
+	b[4].Instrs = []ir.Instr{{Op: ir.OpPrint, A: y}, {Op: ir.OpRet, A: ir.NoReg}}
+	f.ComputeEdges()
+	return f
+}
+
+// cloneFunc copies f's blocks, instructions, edges and parameters, so that
+// a pass rewriting the copy in place leaves f as it was.
+func cloneFunc(f *ir.Func) *ir.Func {
+	c := *f
+	c.Params = slices.Clone(f.Params)
+	c.Blocks = make([]*ir.Block, len(f.Blocks))
+	for i, b := range f.Blocks {
+		c.Blocks[i] = &ir.Block{ID: b.ID, Instrs: slices.Clone(b.Instrs)}
+	}
+	for _, b := range c.Blocks {
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			if in.Then != nil {
+				in.Then = c.Blocks[in.Then.ID]
+			}
+			if in.Else != nil {
+				in.Else = c.Blocks[in.Else.ID]
+			}
+		}
+	}
+	c.ComputeEdges()
+	return &c
+}
+
+// sameInstr compares two instructions field by field, branch targets by
+// block ID.
+func sameInstr(a, b ir.Instr) bool {
+	id := func(blk *ir.Block) int {
+		if blk == nil {
+			return -1
+		}
+		return blk.ID
+	}
+	if id(a.Then) != id(b.Then) || id(a.Else) != id(b.Else) {
+		return false
+	}
+	a.Then, a.Else, b.Then, b.Else = nil, nil, nil, nil
+	return a == b
 }
 
 func TestWebsMergeConditionalDefs(t *testing.T) {
@@ -531,9 +654,9 @@ func BenchmarkSplitWebs(b *testing.B) {
 	}
 }
 
-// BenchmarkLivenessProgen solves liveness and reaching definitions for
-// every function of the first 12 generated ScaleKnobs(1) programs the
-// reference interpreter runs (BenchmarkAllocateProgen's set), compiled
+// BenchmarkLivenessProgen solves liveness for every function of the first
+// 12 generated ScaleKnobs(1) programs the reference interpreter runs
+// (BenchmarkAllocateProgen's set), compiled
 // with stack scalars as the progen-analyze workload compiles them.
 func BenchmarkLivenessProgen(b *testing.B) {
 	var funcs []*ir.Func
@@ -549,7 +672,7 @@ func BenchmarkLivenessProgen(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, f := range funcs {
-			ComputeReachingDefs(f, ComputeLiveness(f))
+			ComputeLiveness(f)
 		}
 	}
 }

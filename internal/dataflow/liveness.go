@@ -11,7 +11,8 @@ type Liveness struct {
 	In  []BitSet // indexed by block ID
 	Out []BitSet
 
-	walk BitSet // WalkBackward's live set, reused across calls
+	walk BitSet      // WalkBackward's live set, reused across calls
+	rpo  []*ir.Block // the blocks reachable from the entry, in reverse postorder
 }
 
 // ComputeLiveness solves backward liveness over the function's virtual
@@ -71,6 +72,7 @@ func ComputeLiveness(f *ir.Func) *Liveness {
 
 	// Iterate in postorder (reverse RPO) until fixpoint.
 	rpo := cfg.ReversePostorder(f)
+	lv.rpo = rpo
 	for changed := true; changed; {
 		changed = false
 		for i := len(rpo) - 1; i >= 0; i-- {

@@ -197,17 +197,18 @@ func Resilience(benches []bench.Benchmark, campaigns []Campaign) (*ResilienceRep
 	geom := PaperGeometry()
 	rep := &ResilienceReport{}
 	for _, b := range benches {
-		// Each mode compiles its own program: DropDeadMark fires on Last
-		// bits even where the hardware ignores them (DESIGN.md §9).
+		// One unified program runs on both machines: conventional
+		// hardware ignores its Bypass and Last bits and sends no kill
+		// signal for the injector to drop (DESIGN.md §9).
+		comp, err := core.Compile(b.Source, core.Config{Mode: core.Unified})
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", b.Name, err)
+		}
+		machine, err := codegen.Generate(comp)
+		if err != nil {
+			return nil, fmt.Errorf("%s codegen: %w", b.Name, err)
+		}
 		for _, mode := range []core.Mode{core.Unified, core.Conventional} {
-			comp, err := core.Compile(b.Source, core.Config{Mode: mode})
-			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", b.Name, mode, err)
-			}
-			machine, err := codegen.Generate(comp)
-			if err != nil {
-				return nil, fmt.Errorf("%s %s codegen: %w", b.Name, mode, err)
-			}
 			ccfg := geom.hardware(mode)
 			goldenRes, err := vm.Run(machine, vm.Config{Cache: ccfg})
 			if err != nil {

@@ -4,7 +4,11 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/cache"
+	"repro/internal/codegen"
+	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/vm"
 )
 
 // TestResilienceAllBenchmarks is the metamorphic enforcement of the
@@ -99,4 +103,44 @@ func planWithFlips() (p faults.Plan) {
 	p.Seed = 31
 	p.BitFlip = 200
 	return p
+}
+
+// TestConventionalHardwareDropsNoKills: conventional hardware ignores the
+// Last bit, so it sends no kill signal for lost-kills to drop. Bubble's
+// unified program, whose Last-tagged loads hit in a conventional cache,
+// must run there under lost-kills with no dead mark dropped and with the
+// cache statistics of the conventional program under the same campaign.
+func TestConventionalHardwareDropsNoKills(t *testing.T) {
+	var src string
+	for _, b := range bench.All() {
+		if b.Name == "bubble" {
+			src = b.Source
+		}
+	}
+	run := func(mode core.Mode) (cache.Stats, faults.Counts) {
+		comp, err := core.Compile(src, core.Config{Mode: mode})
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		prog, err := codegen.Generate(comp)
+		if err != nil {
+			t.Fatalf("%s codegen: %v", mode, err)
+		}
+		inj := faults.New(faults.Plan{Seed: 101, DeadMarkLoss: 2})
+		cfg := PaperGeometry().hardware(core.Conventional)
+		cfg.Injector = inj
+		res, err := vm.Run(prog, vm.Config{Cache: cfg})
+		if err != nil {
+			t.Fatalf("%s program: %v", mode, err)
+		}
+		return res.CacheStats, inj.Counts()
+	}
+	uniStats, uniCounts := run(core.Unified)
+	convStats, _ := run(core.Conventional)
+	if uniCounts.DeadMarksDropped != 0 {
+		t.Errorf("unified program on conventional hardware dropped %d dead marks, want 0", uniCounts.DeadMarksDropped)
+	}
+	if uniStats != convStats {
+		t.Errorf("unified program on conventional hardware: cache stats %+v, conventional program %+v", uniStats, convStats)
+	}
 }

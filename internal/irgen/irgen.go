@@ -37,13 +37,15 @@ func Build(info *sem.Info) (*ir.Program, error) {
 // BuildWithOptions lowers the checked program with explicit policy.
 func BuildWithOptions(info *sem.Info, opts Options) (*ir.Program, error) {
 	prog := &ir.Program{Sem: info, Globals: info.Globals}
+	var buf []ir.Instr
 	for _, fn := range info.Funcs {
-		g := &gen{info: info, semFn: fn, opts: opts}
+		g := &gen{info: info, semFn: fn, opts: opts, buf: buf}
 		irf, err := g.build()
 		if err != nil {
 			return nil, err
 		}
 		prog.Funcs = append(prog.Funcs, irf)
+		buf = g.buf
 	}
 	return prog, nil
 }
@@ -54,6 +56,10 @@ type gen struct {
 	f     *ir.Func
 	opts  Options
 	cur   *ir.Block // nil after a terminator until a new block starts
+	// buf holds cur's instructions until its terminator, which copies
+	// them into cur.Instrs at their exact length; it is reused by every
+	// block of every function.
+	buf []ir.Instr
 
 	regOf   map[*sem.Object]ir.Reg // register-resident scalars
 	inFrame map[*sem.Object]bool
@@ -120,13 +126,24 @@ func (g *gen) emit(in ir.Instr) {
 		// structure stays valid, then let RemoveUnreachable delete it.
 		g.cur = g.f.NewBlock()
 	}
-	g.cur.Instrs = append(g.cur.Instrs, in)
+	g.buf = append(g.buf, in)
 	if in.IsTerminator() {
+		g.cur.Instrs = make([]ir.Instr, len(g.buf))
+		copy(g.cur.Instrs, g.buf)
+		g.buf = g.buf[:0]
 		g.cur = nil
 	}
 }
 
-func (g *gen) setCur(b *ir.Block) { g.cur = b }
+// setCur starts emitting into b. Every block is entered once, after the
+// previous block's terminator: the instructions of a block left open
+// would still sit in buf.
+func (g *gen) setCur(b *ir.Block) {
+	if g.cur != nil || len(b.Instrs) > 0 {
+		panic(fmt.Sprintf("irgen: %s: b%d entered while another block is open, or after its terminator", g.f.Name, b.ID)) //unilint:ok panicguard unreachable: every statement form closes its block before entering the next; ice.Guard at the front door converts any miss to a structured ICE
+	}
+	g.cur = b
+}
 
 func (g *gen) jump(to *ir.Block) {
 	if g.cur != nil {

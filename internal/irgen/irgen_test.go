@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/ir"
 	"repro/internal/irinterp"
 	"repro/internal/parser"
@@ -378,4 +379,35 @@ void main() {
         if (n < 0) break;
     }
 }`, "5\n3\n1\n")
+}
+
+// TestBlocksHoldNoSlack: every block irgen returns holds its instructions
+// at their exact length, with no spare capacity, for each benchmark under
+// both storage policies. A compiled program keeps its IR blocks for as
+// long as it is stored.
+func TestBlocksHoldNoSlack(t *testing.T) {
+	for _, b := range bench.All() {
+		f, err := parser.Parse(b.Source)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", b.Name, err)
+		}
+		info, err := sem.Check(f)
+		if err != nil {
+			t.Fatalf("%s: check: %v", b.Name, err)
+		}
+		for _, stack := range []bool{false, true} {
+			prog, err := BuildWithOptions(info, Options{StackScalars: stack})
+			if err != nil {
+				t.Fatalf("%s: irgen: %v", b.Name, err)
+			}
+			for _, fn := range prog.Funcs {
+				for _, blk := range fn.Blocks {
+					if cap(blk.Instrs) != len(blk.Instrs) {
+						t.Errorf("%s/stack=%v/%s/b%d: cap %d, len %d",
+							b.Name, stack, fn.Name, blk.ID, cap(blk.Instrs), len(blk.Instrs))
+					}
+				}
+			}
+		}
+	}
 }

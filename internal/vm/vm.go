@@ -242,7 +242,9 @@ func execute(p *isa.Program, cfg Config, mem *cache.Memory) (*Result, error) {
 			if err := mem.FaultErr(); err != nil {
 				return nil, fmt.Errorf("vm: at %s: %w", site(pc, p.FuncAt(pc)), err)
 			}
-			res.Output = out.String()
+			// A stored result keeps its output: copy it out of the
+			// builder so that the builder's spare capacity is not kept.
+			res.Output = strings.Clone(out.String())
 			res.Instructions = instructions
 			res.Loads = loads
 			res.Stores = stores

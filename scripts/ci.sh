@@ -46,10 +46,11 @@ rm -f /tmp/unilint-ci /tmp/lint-ci.json
 echo "== go test -race =="
 go test -race ./...
 
-echo "== bench-smoke (webs pass, liveness, register allocator, prefilter, exact analysis, VM and replay micro-benchmarks compile and run) =="
+echo "== bench-smoke (webs pass, liveness, register allocator, compile layer, prefilter, exact analysis, VM and replay micro-benchmarks compile and run) =="
 go test -run '^$' -bench SplitWebs -benchtime 1x ./internal/dataflow
 go test -run '^$' -bench LivenessProgen -benchtime 1x ./internal/dataflow
 go test -run '^$' -bench AllocateProgen -benchtime 1x ./internal/regalloc
+go test -run '^$' -bench CompileProgen -benchtime 1x ./internal/codegen
 go test -run '^$' -bench AnalyzeCacheProgen -benchtime 1x ./internal/check
 go test -run '^$' -bench ExactProgen -benchtime 1x ./internal/exact
 go test -run '^$' -bench RunProgen -benchtime 1x ./internal/vm
